@@ -78,7 +78,6 @@ from .stepper import (
     initial_state,
     simulate,
     step,
-    step_multiplicative,
 )
 from .experiments import (
     Assertion,

@@ -283,7 +283,24 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(emit_config(config).encode("utf-8")).hexdigest()
 
 
+# assumption labels named by validation failures, by field
+_LABELS = {"lam": "H2", "eps": "H4", "sigma": "B1", "rho": "B1"}
+
+
 def validate_config(config: RunConfig) -> None:
+    for (section, key), (name, codec) in _SCHEMA.items():
+        if codec not in ("float", "floats", "pairs"):
+            continue
+        value = getattr(config, name)
+        if codec == "float":
+            numbers = (value,)
+        elif codec == "pairs":
+            numbers = [v for _, v in value]
+        else:
+            numbers = value
+        if not all(map(math.isfinite, numbers)):
+            label = f", violates ({_LABELS[name]})" if name in _LABELS else ""
+            raise ValidationError(f"{section}.{key} must be finite, got {value!r}{label}")
     if config.mode not in MODES:
         raise ValidationError(f"unknown mode {config.mode!r}; choose from {MODES}")
     if len(config.lengths) != len(config.modes):
@@ -318,9 +335,8 @@ def validate_config(config: RunConfig) -> None:
         if not 1 <= config.noise_modes <= total:
             raise ValidationError(
                 f"noise modes must lie in [1, {total}], violates (B1)")
-        if not (math.isfinite(config.sigma) and math.isfinite(config.rho)) or config.sigma < 0:
-            raise ValidationError(
-                "sigma must be finite and >= 0 and rho finite, violates (B1)")
+        if config.sigma < 0:
+            raise ValidationError(f"sigma must be >= 0, got {config.sigma!r}, violates (B1)")
         if config.noise_kind == "multiplicative" and not config.mean_zero:
             raise ValidationError(
                 "multiplicative noise must be declared mean-zero, violates (B2)")
@@ -455,11 +471,13 @@ def _run_simulate(config, solver, data):
 
 
 def _sweep_rows(report):
+    # a series shorter than the sweep (consecutive distances) is padded with ""
     names = sorted(report.metrics)
     header = [report.variable] + names
     rows = []
     for i, value in enumerate(report.values):
-        rows.append([value] + [report.metrics[n][i] for n in names])
+        series = [report.metrics[n] for n in names]
+        rows.append([value] + [s[i] if i < len(s) else "" for s in series])
     return header, rows
 
 
@@ -484,19 +502,7 @@ def _run_study(config, solver, data):
     else:
         raise AssertionError(config.mode)
 
-    if config.mode == "yosida_sweep":
-        # consecutive distances have one entry fewer than the sweep values
-        names = sorted(report.metrics)
-        header = [report.variable] + names
-        rows = []
-        for i, value in enumerate(report.values):
-            row = [value]
-            for n in names:
-                series = report.metrics[n]
-                row.append(series[i] if i < len(series) else "")
-            rows.append(row)
-    else:
-        header, rows = _sweep_rows(report)
+    header, rows = _sweep_rows(report)
     summary = {
         "mode": config.mode,
         "metrics": {k: list(v) for k, v in report.metrics.items()},

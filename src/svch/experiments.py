@@ -12,14 +12,14 @@ realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import monotone as mn
 from .monotone import polynomial_degree
-from .noise import DiffusionOperator, NoiseModel, WienerProcess, apply_diffusion
+from .noise import DiffusionOperator, NoiseModel, WienerProcess
 from .spectral import (
     SpectralField,
     integrate_grid,
@@ -213,10 +213,8 @@ def run_diagnostics(traj: Trajectory) -> list:
 def _noise_field_for_step(traj: Trajectory, i: int) -> Optional[SpectralField]:
     if traj.noise is None:
         return None
-    op = traj.noise.operator
-    dW = traj.noise.process.increments_at(traj.states[i].step_index, traj.config.dt)
-    state = traj.states[i].u if op.kind == "multiplicative" else None
-    return apply_diffusion(op, state, dW)
+    state = traj.states[i]
+    return traj.noise.increment_field(state.u, state.step_index, traj.config.dt)[0]
 
 
 def check_invariants(traj: Trajectory, records=None) -> list:

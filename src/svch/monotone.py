@@ -19,12 +19,10 @@ rejected at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .spectral import apply_pointwise  # noqa: F401  (re-exported nonlinearity route)
 
 __all__ = [
     "NoConvergence",
@@ -40,7 +38,6 @@ __all__ = [
     "make_perturbation",
     "graph_names",
     "polynomial_degree",
-    "apply_pointwise",
 ]
 
 RESOLVENT_MAX_ITER = 200

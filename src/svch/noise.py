@@ -17,18 +17,12 @@ spatial mean, so multiplicative forcing never moves the mean of the solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .spectral import (
-    Domain,
-    SpectralField,
-    from_grid,
-    neumann_eigensystem,
-    to_grid,
-)
+from .spectral import Domain, SpectralField, _analysis, _synthesis, neumann_eigensystem
 
 __all__ = [
     "DimensionMismatch",
@@ -57,9 +51,9 @@ class KindMismatch(TypeError):
 class WienerProcess:
     """K independent scalar Brownian motions with counter-based sampling.
 
-    ``increments_at(step, dt)`` is stateless and reproducible: the draw for
-    (seed, step, mode) never depends on sampling order.  ``sample_increment``
-    is the stateful convenience wrapper that walks the step counter.
+    The process holds only its mode count and seed.  ``increments_at(step, dt)``
+    is reproducible: the draw for (seed, step, mode) never depends on sampling
+    order.
     """
 
     def __init__(self, mode_count: int, seed: int):
@@ -69,8 +63,6 @@ class WienerProcess:
             raise ValueError("seed must be >= 0")
         self.mode_count = int(mode_count)
         self.seed = int(seed)
-        self._step = 0
-        self.last_increments: Optional[np.ndarray] = None
 
     def increments_at(self, step: int, dt: float) -> np.ndarray:
         """Gaussian increments with variance dt for one step, shape (K,)."""
@@ -78,17 +70,7 @@ class WienerProcess:
             raise ValueError("dt must be positive")
         bg = np.random.Philox(key=self.seed, counter=[0, 0, 0, int(step)])
         z = np.random.Generator(bg).standard_normal(self.mode_count)
-        out = z * math.sqrt(dt)
-        self.last_increments = out
-        return out
-
-    def sample_increment(self, dt: float) -> np.ndarray:
-        out = self.increments_at(self._step, dt)
-        self._step += 1
-        return out
-
-    def rewind(self):
-        self._step = 0
+        return z * math.sqrt(dt)
 
 
 def increment_table(process: WienerProcess, n_steps: int, dt: float) -> np.ndarray:
@@ -135,15 +117,8 @@ class DiffusionOperator:
 
 def _column_sup_norms(domain: Domain, columns: np.ndarray) -> np.ndarray:
     # sup norms estimated on the dealiased grid, batched over the lead axis
-    vals = columns.copy()
-    from .spectral import _synthesis  # local: batched synthesis on padded axes
-
-    for ax, m in enumerate(domain.modes):
-        pad = [(0, 0)] * vals.ndim
-        pad[ax + 1] = (0, m)
-        vals = np.pad(vals, pad)
-        vals = _synthesis(vals, ax + 1)
-    return np.abs(vals).max(axis=tuple(range(1, vals.ndim)))
+    vals = np.abs(_synthesis(columns, domain.modes))
+    return vals.max(axis=tuple(range(1, vals.ndim)))
 
 
 def diffusion_operator(
@@ -242,33 +217,29 @@ def apply_diffusion(
     profile = np.tensordot(dW, op.columns, axes=(0, 0))
     if op.kind == "additive":
         return SpectralField(op.domain, profile)
-    if state is None:
-        raise KindMismatch("multiplicative diffusion needs the current state")
-    if state.domain != op.domain:
-        raise DimensionMismatch("state domain does not match operator domain")
-    M = op.clamp_bound
-    clamped = np.clip(to_grid(state), -M, M)
-    pgrid = to_grid(SpectralField(op.domain, profile))
-    out = from_grid(op.domain, clamped * pgrid)
-    c = out.coeffs.copy()
-    c.flat[0] = 0.0  # multiplicative forcing is mean-free by construction
-    return SpectralField(op.domain, c)
+    return SpectralField(op.domain, _modulate(op, state, profile))
 
 
 def columns_at(op: DiffusionOperator, state: SpectralField) -> np.ndarray:
     """Coefficients of B(state) e_k for every k (multiplicative only)."""
     if op.kind != "multiplicative":
         raise KindMismatch("columns_at is defined for multiplicative operators")
+    return _modulate(op, state, op.columns)
+
+
+def _modulate(op: DiffusionOperator, state: Optional[SpectralField],
+              profiles: np.ndarray) -> np.ndarray:
+    # clamp(state) * profile minus its spatial mean; leading axes are a batch
+    if state is None:
+        raise KindMismatch("multiplicative diffusion needs the current state")
+    if state.domain != op.domain:
+        raise DimensionMismatch("state domain does not match operator domain")
+    modes = op.domain.modes
     M = op.clamp_bound
-    clamped = np.clip(to_grid(state), -M, M)
-    out = np.empty_like(op.columns)
-    for k in range(op.mode_count):
-        col = SpectralField(op.domain, op.columns[k])
-        f = from_grid(op.domain, clamped * to_grid(col))
-        c = f.coeffs.copy()
-        c.flat[0] = 0.0
-        out[k] = c
-    return out
+    clamped = np.clip(_synthesis(state.coeffs, modes), -M, M)
+    c = _analysis(clamped * _synthesis(profiles, modes), modes)
+    c[(...,) + (0,) * len(modes)] = 0.0  # multiplicative forcing is mean-free by construction
+    return c
 
 
 def integral_ledger(op: DiffusionOperator, process: WienerProcess, n_steps: int, dt: float) -> SpectralField:
@@ -303,5 +274,4 @@ class NoiseModel:
     def increment_field(self, state: Optional[SpectralField], step: int, dt: float):
         """(noise field, raw increments) for one step; state used only if multiplicative."""
         dW = self.process.increments_at(step, dt)
-        arg = state if self.operator.kind == "multiplicative" else None
-        return apply_diffusion(self.operator, arg, dW), dW
+        return apply_diffusion(self.operator, state, dW), dW

@@ -20,6 +20,11 @@ Conventions
 * The collocation grid along axis i has ``factor * m_i`` midpoints
   ``x_j = (j + 1/2) * L_i / n_i``; the default factor 2 is the dealiasing
   margin used for pointwise nonlinearities.
+* The private pair ``_synthesis``/``_analysis`` is the only transform code
+  in the package.  It acts on raw arrays: the trailing ``len(modes)`` axes
+  are transformed and any leading axes are a batch, so a ``(B, *modes)``
+  stack goes through in one call and each row equals its solo transform
+  bitwise.
 """
 
 from __future__ import annotations
@@ -214,35 +219,34 @@ def collocation_points(domain: Domain, factor: int = 2) -> tuple[np.ndarray, ...
     return tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
 
 
-def _analysis(values: np.ndarray, axis: int) -> np.ndarray:
-    # grid -> coefficients along one axis (midpoint DCT-II, our normalization)
-    n = values.shape[axis]
-    out = sfft.dct(values, type=2, axis=axis) / n
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(0, 1)
-    out[tuple(sl)] *= 0.5
+def _along(axis: int, index) -> tuple:
+    return (slice(None),) * axis + (index,)
+
+
+def _synthesis(coeffs: np.ndarray, modes: Sequence[int], factor: int = 2) -> np.ndarray:
+    # coefficients -> values on the midpoint grid with factor*m points per axis
+    # (DCT-III, zero-padded by the transform); leading axes are a batch
+    out = np.array(coeffs, dtype=float)
+    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
+        out[_along(ax, slice(1, None))] *= 0.5
+        out = sfft.dct(out, type=3, n=factor * m, axis=ax)
     return out
 
-def _synthesis(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    # coefficients -> values on the midpoint grid of matching size
-    x = np.array(coeffs, dtype=float)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(1, None)
-    x[tuple(sl)] *= 0.5
-    return sfft.dct(x, type=3, axis=axis)
+
+def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    # midpoint-grid values -> the first m coefficients per axis (DCT-II, our
+    # normalization); leading axes are a batch
+    out = np.asarray(values, dtype=float)
+    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
+        n = out.shape[ax]
+        out = sfft.dct(out, type=2, axis=ax)[_along(ax, slice(0, m))] / n
+        out[_along(ax, 0)] *= 0.5
+    return out
 
 
 def to_grid(field: SpectralField, factor: int = 2) -> np.ndarray:
     """Evaluate the field on the midpoint collocation grid (zero-padded)."""
-    c = field.coeffs
-    for ax, m in enumerate(field.domain.modes):
-        pad = [(0, 0)] * c.ndim
-        pad[ax] = (0, factor * m - m)
-        c = np.pad(c, pad)
-    vals = c
-    for ax in range(vals.ndim):
-        vals = _synthesis(vals, ax)
-    return vals
+    return _synthesis(field.coeffs, field.domain.modes, factor)
 
 
 def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
@@ -254,14 +258,9 @@ def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != domain.dimension:
         raise ValueError("grid rank does not match domain dimension")
-    for ax, m in enumerate(domain.modes):
-        if vals.shape[ax] % m != 0 or vals.shape[ax] < m:
-            raise ValueError("grid size must be an integer multiple of the mode count")
-        vals = _analysis(vals, ax)
-        sl = [slice(None)] * vals.ndim
-        sl[ax] = slice(0, m)
-        vals = vals[tuple(sl)]
-    return SpectralField(domain, vals)
+    if any(n % m != 0 or n < m for n, m in zip(vals.shape, domain.modes)):
+        raise ValueError("grid size must be an integer multiple of the mode count")
+    return SpectralField(domain, _analysis(vals, domain.modes))
 
 
 def integrate_grid(domain: Domain, values: np.ndarray) -> float:

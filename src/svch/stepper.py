@@ -8,7 +8,10 @@ One step solves
         = (I - eps*Lap) u + noise_field
 
 for the coefficients of u+.  The regularized graph beta_lam and the
-reaction pi are evaluated pseudo-spectrally on the dealiased midpoint grid.
+reaction pi are evaluated pseudo-spectrally on the dealiased midpoint grid
+by calling spectral's transform pair (``_synthesis``/``_analysis``) directly
+on raw coefficient arrays.  The noise field of a step is whatever
+``NoiseModel.increment_field`` returns for the pre-step state.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
 state, which makes the scheme unconditionally gradient-stable for the
@@ -28,8 +31,8 @@ conjugate gradients (tolerance newton_tol/10, cap 500).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -44,7 +47,6 @@ from .spectral import (
     _synthesis,
     integrate_grid,
     neumann_eigensystem,
-    norm,
 )
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "Trajectory",
     "initial_state",
     "step",
-    "step_multiplicative",
     "simulate",
     "free_energy",
     "free_energy_parts",
@@ -167,28 +168,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# grid helpers on raw coefficient arrays (hot path)
-
-
-def _grid_of(domain: Domain, coeffs: np.ndarray, factor: int = 2) -> np.ndarray:
-    c = coeffs
-    for ax, m in enumerate(domain.modes):
-        pad = [(0, 0)] * c.ndim
-        pad[ax] = (0, (factor - 1) * m)
-        c = np.pad(c, pad)
-    for ax in range(c.ndim):
-        c = _synthesis(c, ax)
-    return c
-
-
-def _coeffs_of(domain: Domain, values: np.ndarray) -> np.ndarray:
-    v = values
-    for ax, m in enumerate(domain.modes):
-        v = _analysis(v, ax)
-        sl = [slice(None)] * v.ndim
-        sl[ax] = slice(0, m)
-        v = v[tuple(sl)]
-    return v
+# the implicit solve
 
 
 def _g_coeffs(config: SolverConfig, domain: Domain, step_index: int):
@@ -204,16 +184,13 @@ def _g_coeffs(config: SolverConfig, domain: Domain, step_index: int):
     return g.coeffs
 
 
-# ---------------------------------------------------------------------------
-# the implicit solve
-
-
 def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt: float,
                 step_index: int):
     """Advance coefficients by one backward Euler step of length dt.
 
     Returns (new_coeffs, w_coeffs, xi_coeffs, iterations, residuals).
     """
+    modes = domain.modes
     eig = neumann_eigensystem(domain)
     mu = eig.mu
     wgt = eig.weights
@@ -233,17 +210,17 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
     if implicit_pi:
         q = np.zeros_like(u_coeffs)
     else:
-        q = _coeffs_of(domain, pert.pi(_grid_of(domain, u_coeffs)))
+        q = _analysis(pert.pi(_synthesis(u_coeffs, modes)), modes)
     if gq is not None:
         q = q - gq
 
     diag = (1.0 + config.eps * mu) + dt * mu * mu
 
     def bracket_and_residual(c):
-        grid = _grid_of(domain, c)
-        b = _coeffs_of(domain, mn.yosida(graph, lam, grid))
+        grid = _synthesis(c, modes)
+        b = _analysis(mn.yosida(graph, lam, grid), modes)
         if implicit_pi:
-            b = b + _coeffs_of(domain, pert.pi(grid))
+            b = b + _analysis(pert.pi(grid), modes)
         w_co = mu * c + b + q
         return grid, w_co, (1.0 + config.eps * mu) * c + dt * mu * w_co - rhs
 
@@ -275,7 +252,7 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
         def matvec(yflat, rho=rho):
             y = yflat.reshape(domain.modes)
             t1 = sqmu * y / sq
-            t2 = _coeffs_of(domain, rho * _grid_of(domain, t1))
+            t2 = _analysis(rho * _synthesis(t1, modes), modes)
             return (diag * y + dt * sqmu * sq * t2).ravel()
 
         n_total = c.size
@@ -299,7 +276,7 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
             residual=residuals[-1] if residuals else None,
         )
 
-    xi = _coeffs_of(domain, mn.yosida(graph, lam, _grid_of(domain, c)))
+    xi = _analysis(mn.yosida(graph, lam, _synthesis(c, modes)), modes)
     return c, w_co, xi, len(residuals) - 1, tuple(residuals)
 
 
@@ -332,8 +309,9 @@ def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
     domain = u0.domain
     c = u0.coeffs
     eig = neumann_eigensystem(domain)
-    xi = _coeffs_of(domain, mn.yosida(config.graph, config.lam, _grid_of(domain, c)))
-    w = eig.mu * c + xi + _coeffs_of(domain, config.perturbation.pi(_grid_of(domain, c)))
+    grid = _synthesis(c, domain.modes)
+    xi = _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
+    w = eig.mu * c + xi + _analysis(config.perturbation.pi(grid), domain.modes)
     g = _g_coeffs(config, domain, 0)
     if g is not None:
         w = w - g
@@ -374,31 +352,16 @@ def step(state: SolverState, config: SolverConfig,
     )
 
 
-def step_multiplicative(state: SolverState, config: SolverConfig,
-                        noise: NoiseModel) -> SolverState:
-    """One step with state-modulated noise, evaluated at the pre-step state."""
-    if noise.operator.kind != "multiplicative":
-        from .noise import KindMismatch
-
-        raise KindMismatch("step_multiplicative needs a multiplicative operator")
-    field, _ = noise.increment_field(state.u, state.step_index, config.dt)
-    return step(state, config, field)
-
-
 def simulate(u0: SpectralField, config: SolverConfig,
              noise: Optional[NoiseModel] = None) -> Trajectory:
     """Integrate from u0 to t_final; returns every state including the first."""
     state = initial_state(u0, config)
     states = [state]
-    multiplicative = noise is not None and noise.operator.kind == "multiplicative"
     for _ in range(config.n_steps):
-        if noise is None:
-            state = step(state, config, None)
-        elif multiplicative:
-            state = step_multiplicative(state, config, noise)
-        else:
-            field, _ = noise.increment_field(None, state.step_index, config.dt)
-            state = step(state, config, field)
+        field = None
+        if noise is not None:
+            field = noise.increment_field(state.u, state.step_index, config.dt)[0]
+        state = step(state, config, field)
         states.append(state)
     return Trajectory(states=tuple(states), config=config, noise=noise)
 
@@ -416,7 +379,7 @@ def free_energy_parts(u: SpectralField, config: SolverConfig):
     domain = u.domain
     eig = neumann_eigensystem(domain)
     grad = 0.5 * float(np.sum(eig.weights * eig.mu * u.coeffs**2))
-    grid = _grid_of(domain, u.coeffs)
+    grid = _synthesis(u.coeffs, domain.modes)
     well = integrate_grid(domain, mn.moreau_envelope(config.graph, config.lam, grid))
     reaction = integrate_grid(domain, config.perturbation.pi_hat(grid))
     return grad, well, reaction
@@ -435,11 +398,11 @@ def drift(v: SpectralField, config: SolverConfig, step_index: int = 0) -> Spectr
     """
     domain = v.domain
     eig = neumann_eigensystem(domain)
-    grid = _grid_of(domain, v.coeffs)
+    grid = _synthesis(v.coeffs, domain.modes)
     bracket = (
         eig.mu * v.coeffs
-        + _coeffs_of(domain, mn.yosida(config.graph, config.lam, grid))
-        + _coeffs_of(domain, config.perturbation.pi(grid))
+        + _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
+        + _analysis(config.perturbation.pi(grid), domain.modes)
     )
     g = _g_coeffs(config, domain, step_index)
     if g is not None:

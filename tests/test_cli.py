@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import svch.cli as cli
 
@@ -123,6 +125,60 @@ class TestValidationLabels:
                    "out of range")
         self.check("[run]\nmode = continuous_dependence\n[sweep]\noffset_mode = 0\n",
                    "offset_mode")
+
+
+# every (section, key) whose value holds floats, with its codec
+NUMERIC_KEYS = [(section, key, codec) for (section, key), (_, codec) in cli._SCHEMA.items()
+                if codec in ("float", "floats", "pairs")]
+LABELS = {"lam": "H2", "eps": "H4", "sigma": "B1", "rho": "B1"}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key,codec", NUMERIC_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in NUMERIC_KEYS])
+    def test_rejected_as_config_error(self, section, key, codec, bad, tmp_path, capsys):
+        value = f"1:{bad}" if codec == "pairs" else bad
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(cli.ValidationError, match=rf"{section}\.{key} must be finite") as err:
+            cli.parse_config(text, env={})
+        if key in LABELS:
+            assert f"violates ({LABELS[key]})" in str(err.value)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_environment_override_is_checked(self):
+        with pytest.raises(cli.ValidationError, match=r"\(H2\)"):
+            cli.parse_config("", env={"SVCH_POTENTIAL_LAM": "nan"})
+
+
+_SECTIONS = sorted({section for section, _ in cli._SCHEMA})
+_KEYS = sorted({key for _, key in cli._SCHEMA})
+_VALUES = hst.one_of(
+    hst.text(max_size=12),
+    hst.floats().map(repr),
+    hst.integers().map(str),
+    hst.sampled_from(["nan", "-inf", "1e400", "1:nan", "0:1e400", "2,inf", "true", ""]),
+)
+_LINES = hst.one_of(
+    hst.builds("[{}]".format, hst.one_of(hst.sampled_from(_SECTIONS), hst.text(max_size=8))),
+    hst.builds("{} = {}".format, hst.one_of(hst.sampled_from(_KEYS), hst.text(max_size=8)),
+               _VALUES),
+    hst.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=hst.one_of(hst.text(), hst.lists(_LINES, max_size=12).map("\n".join)))
+def test_property_parse_raises_only_config_errors(text):
+    try:
+        cli.parse_config(text, env={})
+    except (cli.ParseError, cli.ValidationError):
+        pass
 
 
 SHORT = "[solver]\ndt = 1e-3\nt_final = 0.02\n"

@@ -34,15 +34,6 @@ class TestWienerProcess:
         scaled = p.increments_at(2, 0.25)
         assert np.allclose(scaled, 0.5 * unit, rtol=0, atol=0)
 
-    def test_stateful_wrapper_walks_counter(self):
-        p = noise.WienerProcess(4, seed=5)
-        seq = [p.sample_increment(0.1) for _ in range(3)]
-        for s, got in enumerate(seq):
-            assert np.array_equal(got, p.increments_at(s, 0.1))
-        p.rewind()
-        assert np.array_equal(p.sample_increment(0.1), seq[0])
-        assert np.array_equal(p.last_increments, seq[0])
-
     def test_moments_within_four_sigma(self):
         K, n, dt = 10, 10_000, 0.3
         table = noise.increment_table(noise.WienerProcess(K, seed=2024), n, dt)

@@ -7,6 +7,7 @@ and scipy.integrate quadrature.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,32 @@ class TestTransforms:
         grid = sp.to_grid(f, factor=4)
         assert abs(grid.mean() - 0.37) < 1e-13
         assert f.mean == pytest.approx(0.37, abs=0)
+
+
+class TestBatchedPair:
+    """The private pair transforms the trailing axes; leading axes are a batch."""
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("modes", [(32,), (8, 12)])
+    def test_stack_equals_row_by_row_bitwise(self, modes, factor):
+        stack = RNG.standard_normal((5,) + modes)
+        before = stack.copy()
+        grids = sp._synthesis(stack, modes, factor)
+        assert grids.shape == (5,) + tuple(factor * m for m in modes)
+        coeffs = sp._analysis(grids, modes)
+        assert coeffs.shape == stack.shape
+        for row, grid, back in zip(stack, grids, coeffs):
+            assert np.array_equal(grid, sp._synthesis(row, modes, factor))
+            assert np.array_equal(back, sp._analysis(grid, modes))
+        assert np.array_equal(stack, before)
+
+    def test_transform_code_lives_only_in_spectral(self):
+        package = Path(sp.__file__).parent
+        offenders = [
+            p.name for p in sorted(package.glob("*.py"))
+            if p.name != "spectral.py" and ("dct" in p.read_text() or "np.pad" in p.read_text())
+        ]
+        assert offenders == []
 
 
 class TestQuadrature:

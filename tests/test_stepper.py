@@ -337,13 +337,6 @@ class TestMultiplicativeSaturation:
             assert np.max(np.abs(a.u.coeffs - b.u.coeffs)) < 1e-12
             assert a.u.coeffs.flat[0] == 2.0
 
-    def test_step_multiplicative_rejects_additive_operator(self, long_domain, study_field):
-        op = nz.diffusion_operator(long_domain, 4)
-        model = nz.NoiseModel(nz.WienerProcess(4, seed=1), op)
-        cfg = make_config("quartic_double_well", ("negative_identity", 1.0))
-        with pytest.raises(nz.KindMismatch):
-            sp.step_multiplicative(sp.initial_state(study_field, cfg), cfg, model)
-
 
 class TestRegularizationLimit:
     def test_trajectories_tighten_as_lam_shrinks(self, long_domain, study_field):
