@@ -95,7 +95,7 @@ class DiagnosticRecord:
     gradient_energy: float
     well_mass: float  # integral of the regularized double-well primitive
     reaction_mass: float  # integral of pi_hat (the possibly negative offset)
-    conjugate_mass: float  # integral of the conjugate at beta_lam(u)
+    conjugate_mass: float  # integral of beta_hat* at beta_lam(u), by Fenchel-Young
     w_l1: float
     xi_l1: float
 
@@ -186,7 +186,7 @@ def run_diagnostics(traj: Trajectory) -> list:
         centered.flat[0] -= mean_process
         grad_e, well, reaction = free_energy_parts(u, cfg)
         ugrid = to_grid(u)
-        blam = mn.yosida(graph, cfg.lam, ugrid)
+        J = mn.resolvent(graph, cfg.lam, ugrid)
         rec = DiagnosticRecord(
             t=state.t,
             mean_u=u.mean,
@@ -199,7 +199,9 @@ def run_diagnostics(traj: Trajectory) -> list:
             gradient_energy=grad_e,
             well_mass=well,
             reaction_mass=reaction,
-            conjugate_mass=integrate_grid(domain, mn.conjugate(graph, blam)),
+            # Fenchel-Young equality at s = beta_lam(u) = beta(J)
+            conjugate_mass=integrate_grid(domain, (ugrid - J) / cfg.lam * J
+                                          - graph.beta_hat(J)),
             w_l1=integrate_grid(domain, np.abs(to_grid(state.w))),
             xi_l1=integrate_grid(domain, np.abs(to_grid(state.xi))),
         )

@@ -10,6 +10,11 @@ convex conjugate of beta_hat.  All scalar operations accept numpy arrays and
 broadcast elementwise; the time stepper relies on this for collocation-grid
 evaluation.
 
+The quartic and linear graphs carry a closed-form resolvent; the others use
+a safeguarded scalar Newton iteration.  At s = beta_lam(r) = beta(J), with
+J = resolvent(r), the conjugate is exactly s*J - beta_hat(J) (Fenchel-Young);
+``conjugate`` is the general route and the oracle for that identity.
+
 The built-in library covers a quartic double well (beta(r) = r^3 with the
 usual -r perturbation), a sixth-power well (r^5), an exponential graph
 (sinh), and the linear graph (r) used mostly for closed-form solver checks.
@@ -90,7 +95,8 @@ def _as_array(r):
 def resolvent(graph: MonotoneGraph, lam: float, r):
     """Solve J + lam*beta(J) = r for J, elementwise.
 
-    Safeguarded Newton iteration confined to the bracket
+    Uses the graph's ``resolvent_closed`` when it has one.  Otherwise a
+    safeguarded Newton iteration confined to the bracket
     [min(0, r), max(0, r)] with bisection fallback; the accepted root has
     residual below 1e-12 * (1 + |r|).  Since d/dJ (J + lam*beta(J)) >= 1 the
     root is unique and |J - J_exact| is bounded by the residual itself.
@@ -140,16 +146,17 @@ def yosida(graph: MonotoneGraph, lam: float, r):
     return float(out) if scalar else out
 
 
-def yosida_derivative(graph: MonotoneGraph, lam: float, r):
+def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
     """Derivative of the regularized graph, beta'(J) / (1 + lam*beta'(J)).
 
-    Falls back to a central difference of the regularization when the graph
-    carries no derivative.  Always in [0, 1/lam].
+    J is resolvent(graph, lam, r) when the caller already holds it; it is
+    computed here otherwise.  Falls back to a central difference of the
+    regularization (ignoring J) when the graph carries no derivative.
+    Always in [0, 1/lam].
     """
     arr, scalar = _as_array(r)
     if graph.beta_prime is not None:
-        J = resolvent(graph, lam, arr)
-        bp = graph.beta_prime(J)
+        bp = graph.beta_prime(resolvent(graph, lam, arr) if J is None else J)
         out = bp / (1.0 + lam * bp)
     else:
         h = 1e-6 * (1.0 + np.abs(arr))
@@ -215,12 +222,26 @@ def conjugate(graph: MonotoneGraph, s, width_tol: float = 1e-9):
 # built-in library
 
 
+def _cubic_resolvent(lam, r):
+    """Real root of J + lam*J^3 = r: hyperbolic form plus one Newton step.
+
+    sinh(3t) = 3 sinh(t) + 4 sinh(t)^3 gives the root without the
+    cancellation of the Cardano form; its error grows like log|r|, and the
+    Newton step takes the residual to the rounding floor.  Odd in r exactly.
+    """
+    s = np.sqrt(3.0 * lam)
+    J = (2.0 / s) * np.sinh(np.arcsinh(1.5 * s * r) / 3.0)
+    lj2 = lam * J * J
+    return J - (J + J * lj2 - r) / (1.0 + 3.0 * lj2)
+
+
 def _quartic():
     return MonotoneGraph(
         name="quartic_double_well",
         beta=lambda r: r**3,
         beta_hat=lambda r: 0.25 * r**4,
         beta_prime=lambda r: 3.0 * r**2,
+        resolvent_closed=_cubic_resolvent,
         growth="polynomial:3",
     )
 

@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -91,6 +92,8 @@ class Domain:
             raise ValueError(f"dimension must be 1 or 2, got {len(lengths)}")
         if len(modes) != len(lengths):
             raise ValueError("modes and lengths must have equal length")
+        if not all(math.isfinite(L) for L in lengths):
+            raise ValueError(f"lengths must be finite, got {lengths!r}")
         if any(L <= 0 for L in lengths):
             raise ValueError("side lengths must be positive")
         if any(m < 2 for m in modes):

@@ -106,6 +106,9 @@ class SolverConfig:
     max_rejections: int = 5
 
     def __post_init__(self):
+        for name in ("eps", "lam", "dt", "t_final", "newton_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if self.lam <= 0:
@@ -217,12 +220,13 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
     diag = (1.0 + config.eps * mu) + dt * mu * mu
 
     def bracket_and_residual(c):
+        # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
         grid = _synthesis(c, modes)
-        b = _analysis(mn.yosida(graph, lam, grid), modes)
-        if implicit_pi:
-            b = b + _analysis(pert.pi(grid), modes)
+        J = mn.resolvent(graph, lam, grid)
+        xi = _analysis((grid - J) / lam, modes)
+        b = xi + _analysis(pert.pi(grid), modes) if implicit_pi else xi
         w_co = mu * c + b + q
-        return grid, w_co, (1.0 + config.eps * mu) * c + dt * mu * w_co - rhs
+        return grid, J, xi, w_co, (1.0 + config.eps * mu) * c + dt * mu * w_co - rhs
 
     c = u_coeffs.copy()
     c.flat[0] = rhs.flat[0]  # exact mean update: the spatial operator kills mode 0
@@ -231,7 +235,7 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
     polish = 1
     converged = False
     for it in range(config.newton_max_iter + 2):
-        grid, w_co, F = bracket_and_residual(c)
+        grid, J, xi, w_co, F = bracket_and_residual(c)
         rnorm = float(np.sqrt(np.sum(wgt * F * F)))
         residuals.append(rnorm)
         if not np.isfinite(rnorm):
@@ -245,7 +249,7 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
         elif it >= config.newton_max_iter:
             break
 
-        rho = mn.yosida_derivative(graph, lam, grid)
+        rho = mn.yosida_derivative(graph, lam, grid, J)
         if implicit_pi and pert.pi_prime is not None:
             rho = rho + pert.pi_prime(grid)
 
@@ -276,7 +280,6 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
             residual=residuals[-1] if residuals else None,
         )
 
-    xi = _analysis(mn.yosida(graph, lam, _synthesis(c, modes)), modes)
     return c, w_co, xi, len(residuals) - 1, tuple(residuals)
 
 

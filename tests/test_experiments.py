@@ -20,8 +20,10 @@ from svch.spectral import (
     Domain,
     SpectralField,
     inner,
+    integrate_grid,
     neumann_eigensystem,
     norm,
+    to_grid,
 )
 
 from conftest import make_config, random_field
@@ -100,6 +102,17 @@ class TestDiagnostics:
         rec = ex.run_diagnostics(sp.simulate(u0, cfg))[0]
         want = fine_quadrature(u0, cfg.perturbation.pi_hat)
         assert rec.reaction_mass == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("lam", (1e-3, 1e-2, 0.1))
+    @pytest.mark.parametrize("graph", mn.graph_names())
+    def test_conjugate_mass_against_golden_section(self, long_domain, graph, lam):
+        cfg = make_config(graph, ("negative_identity", 1.0), lam=lam, dt=1e-3,
+                          t_final=3e-3)
+        traj = sp.simulate(study_ic(long_domain), cfg)
+        for state, rec in zip(traj, ex.run_diagnostics(traj)):
+            blam = mn.yosida(cfg.graph, lam, to_grid(state.u))
+            want = integrate_grid(long_domain, mn.conjugate(cfg.graph, blam))
+            assert abs(rec.conjugate_mass - want) <= 1e-10
 
     def test_constant_trajectory_is_flat(self, long_domain):
         c = np.zeros(64)

@@ -94,6 +94,41 @@ class TestResolvent:
             mn.resolvent(ugly, 1.0, np.array([3.0]))
 
 
+class TestCubicClosedForm:
+    """The quartic well's closed-form resolvent against Cardano and brentq."""
+
+    CLOSED_LAMBDAS = (1e-4, 1e-3, 1e-2, 0.1, 1.0)
+
+    @staticmethod
+    def sample(rng):
+        sign = rng.choice([-1.0, 1.0], size=2000)
+        return np.concatenate([rng.uniform(-1e3, 1e3, size=2000),
+                               rng.uniform(-1.0, 1.0, size=2000),
+                               sign * 10.0 ** rng.uniform(-12, 3, size=2000)])
+
+    @pytest.mark.parametrize("lam", CLOSED_LAMBDAS)
+    def test_matches_cardano_and_brentq(self, quartic, lam):
+        r = self.sample(np.random.default_rng(3))
+        got = mn.resolvent(quartic, lam, r)
+        # Cardano cancels: its own error reaches 2e-12 * (1 + |J|) at lam = 1
+        want = cardano_cubic_resolvent(lam, r)
+        assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(want)))
+        sub = r[::50]
+        want = np.array([brentq_resolvent(quartic, lam, ri) for ri in sub])
+        assert np.all(np.abs(got[::50] - want) <= 2e-15 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("lam", CLOSED_LAMBDAS)
+    def test_residual_at_rounding_floor(self, quartic, lam):
+        r = self.sample(np.random.default_rng(4))
+        J = mn.resolvent(quartic, lam, r)
+        assert np.all(np.abs(J + lam * J**3 - r) <= 2e-15 * (1.0 + np.abs(r)))
+
+    @pytest.mark.parametrize("lam", CLOSED_LAMBDAS)
+    def test_odd_exactly(self, quartic, lam):
+        r = self.sample(np.random.default_rng(5))
+        assert np.array_equal(mn.resolvent(quartic, lam, -r), -mn.resolvent(quartic, lam, r))
+
+
 class TestYosida:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     @pytest.mark.parametrize("lam", LAMBDAS)
@@ -287,3 +322,16 @@ def test_property_envelope_between_zero_and_primitive(r, lam):
     graph = mn.make_graph("quartic_double_well")
     env = mn.moreau_envelope(graph, lam, r)
     assert -1e-14 <= env <= graph.beta_hat(r) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=hst.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+    lam=hst.sampled_from((1e-4, 1e-3, 1e-2, 0.1, 1.0)),
+)
+def test_property_cubic_closed_form(r, lam):
+    graph = mn.make_graph("quartic_double_well")
+    J = mn.resolvent(graph, lam, r)
+    assert abs(J + lam * J**3 - r) <= 2e-15 * (1 + abs(r))
+    assert mn.resolvent(graph, lam, -r) == -J
+    assert J * r >= 0.0 and abs(J) <= abs(r)

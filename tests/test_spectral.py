@@ -323,6 +323,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             sp.Domain((1.0,), (1,))
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_domain_rejects_non_finite_length(self, value):
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            sp.Domain((1.0, value), (4, 4))
+
     def test_field_shape_checked(self, unit_domain):
         with pytest.raises(ValueError):
             sp.SpectralField(unit_domain, np.zeros(3))

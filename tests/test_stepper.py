@@ -15,7 +15,16 @@ from scipy import optimize
 from svch import monotone as mn
 from svch import noise as nz
 from svch import stepper as sp
-from svch.spectral import Domain, SpectralField, apply_pointwise, inner, norm, to_grid
+from svch.spectral import (
+    Domain,
+    SpectralField,
+    _analysis,
+    _synthesis,
+    apply_pointwise,
+    inner,
+    norm,
+    to_grid,
+)
 
 from conftest import make_config, random_field
 
@@ -247,6 +256,32 @@ class TestNewtonBehavior:
         assert abs(st.u.mean - (u0.mean + n.mean)) < 1e-14
 
 
+class TestOneResolventPerIteration:
+    @pytest.mark.parametrize("graph", ("quartic_double_well", "sixth_power_well"))
+    @pytest.mark.parametrize("splitting", ("convex_splitting", "fully_implicit"))
+    def test_resolvent_calls_match_residual_evaluations(self, long_domain, monkeypatch,
+                                                        graph, splitting):
+        u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        cfg = make_config(graph, ("negative_identity", 1.0), lam=1e-2, dt=5e-2,
+                          t_final=5e-2, newton_tol=1e-11, splitting=splitting)
+        state = sp.initial_state(u0, cfg)
+        calls = []
+        original = mn.resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mn, "resolvent", counting)
+        new = sp.step(state, cfg)
+        assert new.rejections == 0
+        assert len(calls) == len(new.newton_residuals)
+        monkeypatch.undo()
+        modes = long_domain.modes
+        want = _analysis(mn.yosida(cfg.graph, cfg.lam, _synthesis(new.u.coeffs, modes)), modes)
+        assert np.array_equal(new.xi.coeffs, want)
+
+
 class TestDriftMonotonicity:
     def test_weak_monotonicity_constant(self, long_domain):
         lam, c_pi = 1e-2, 1.0
@@ -397,6 +432,12 @@ class TestConfigAndTrajectory:
             sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_tol=1e-15)
         with pytest.raises(ValueError):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, splitting="strang")
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("name", ("eps", "lam", "dt", "t_final", "newton_tol"))
+    def test_non_finite_rejected(self, quartic, neg_id, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: value})
 
     def test_step_counting(self, quartic, neg_id):
         cfg = sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=0.3, t_final=1.0)
