@@ -66,6 +66,7 @@ from .noise import (
     smooth,
 )
 from .stepper import (
+    Batch,
     NewtonDiverged,
     SolverConfig,
     SolverState,

@@ -22,16 +22,21 @@ from .monotone import polynomial_degree
 from .noise import DiffusionOperator, NoiseModel, WienerProcess
 from .spectral import (
     SpectralField,
+    _integrals,
+    _norms,
+    _rows,
+    _synthesis,
     integrate_grid,
     neumann_eigensystem,
     norm,
     to_grid,
 )
 from .stepper import (
+    Batch,
     SolverConfig,
     Trajectory,
+    _energy_parts,
     evolution_residual,
-    free_energy_parts,
     simulate,
 )
 
@@ -148,9 +153,8 @@ def _require_monotone(values, direction, what):
         raise PreconditionViolated(f"{what} must be strictly {direction}: {list(arr)}")
 
 
-def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
-         eps: Optional[float] = None, lam: Optional[float] = None) -> Trajectory:
-    cfg = base
+def _config(data: ProblemData, base: SolverConfig, eps: Optional[float] = None,
+            lam: Optional[float] = None) -> SolverConfig:
     updates = {}
     if eps is not None:
         updates["eps"] = float(eps)
@@ -158,57 +162,82 @@ def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
         updates["lam"] = float(lam)
     if data.source is not None:
         updates["source"] = data.source
-    if updates:
-        cfg = replace(cfg, **updates)
-    noise = None
-    if data.operator is not None:
-        if seed is None:
-            raise PreconditionViolated("a seed is required when noise is present")
-        noise = NoiseModel(WienerProcess(data.operator.mode_count, seed), data.operator)
-    return simulate(data.u0, cfg, noise)
+    return replace(base, **updates) if updates else base
+
+
+def _noise(operator: Optional[DiffusionOperator], seed: Optional[int]) -> Optional[NoiseModel]:
+    if operator is None:
+        return None
+    if seed is None:
+        raise PreconditionViolated("a seed is required when noise is present")
+    return NoiseModel(WienerProcess(operator.mode_count, seed), operator)
+
+
+def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
+         eps: Optional[float] = None, lam: Optional[float] = None) -> Trajectory:
+    return simulate(data.u0, _config(data, base, eps, lam), _noise(data.operator, seed))
 
 
 # ---------------------------------------------------------------------------
 # per-trajectory diagnostics
 
 
+# states per diagnosed chunk: about this many grid points per chunk
+_CHUNK_POINTS = 4096
+
+
+def _diagnostic_columns(cfg: SolverConfig, u, w, xi, mean_process, domain) -> dict:
+    """The DiagnosticRecord fields but t, in order, of a (B, *modes) state stack.
+
+    mean_process is u0's mean plus the noise ledger's mean, per row.  One
+    resolvent evaluation serves the well mass and the conjugate mass.
+    """
+    modes = domain.modes
+    grid = _synthesis(u, modes)
+    J = mn.resolvent(cfg.graph, cfg.lam, grid)
+    grad, well, reaction = _energy_parts(u, grid, J, domain, cfg)
+    centered = u.copy()
+    _rows(centered)[:, 0] -= mean_process
+    cols = {"mean_u": _rows(u)[:, 0], "star_centered": _norms(domain, centered, "star")}
+    cols.update((f"{k.lower()}_norm", _norms(domain, u, k)) for k in ("H", "V1", "V2", "V3"))
+    return {
+        **cols,
+        "energy": grad + well + reaction,
+        "gradient_energy": grad,
+        "well_mass": well,
+        "reaction_mass": reaction,
+        # Fenchel-Young equality at s = beta_lam(u) = beta(J)
+        "conjugate_mass": _integrals(domain, (grid - J) / cfg.lam * J - cfg.graph.beta_hat(J)),
+        "w_l1": _integrals(domain, np.abs(_synthesis(w, modes))),
+        "xi_l1": _integrals(domain, np.abs(_synthesis(xi, modes))),
+    }
+
+
+def _require_finite(columns: dict, steps) -> None:
+    bad = ~np.isfinite(np.stack(list(columns.values())))
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=0))[0])
+        name = next(n for n, v in columns.items() if not math.isfinite(v[k]))
+        raise NonFinite(f"diagnostic {name} is not finite at step {steps[k]}")
+
+
 def run_diagnostics(traj: Trajectory) -> list:
-    """One DiagnosticRecord per state; raises NonFinite with the step index."""
-    cfg = traj.config
-    graph = cfg.graph
+    """One DiagnosticRecord per state; raises NonFinite with the step index.
+
+    States are diagnosed as stacks of about _CHUNK_POINTS grid points.
+    """
+    states = traj.states
+    domain = states[0].u.domain
+    per_chunk = max(1, _CHUNK_POINTS // (2**domain.dimension * math.prod(domain.modes)))
     records = []
-    u0_mean = traj.states[0].u.mean
-    for state in traj.states:
-        u = state.u
-        domain = u.domain
-        mean_process = u0_mean + state.noise_ledger.mean
-        centered = u.coeffs.copy()
-        centered.flat[0] -= mean_process
-        grad_e, well, reaction = free_energy_parts(u, cfg)
-        ugrid = to_grid(u)
-        J = mn.resolvent(graph, cfg.lam, ugrid)
-        rec = DiagnosticRecord(
-            t=state.t,
-            mean_u=u.mean,
-            star_centered=norm(SpectralField(domain, centered), "star"),
-            h_norm=norm(u, "H"),
-            v1_norm=norm(u, "V1"),
-            v2_norm=norm(u, "V2"),
-            v3_norm=norm(u, "V3"),
-            energy=grad_e + well + reaction,
-            gradient_energy=grad_e,
-            well_mass=well,
-            reaction_mass=reaction,
-            # Fenchel-Young equality at s = beta_lam(u) = beta(J)
-            conjugate_mass=integrate_grid(domain, (ugrid - J) / cfg.lam * J
-                                          - graph.beta_hat(J)),
-            w_l1=integrate_grid(domain, np.abs(to_grid(state.w))),
-            xi_l1=integrate_grid(domain, np.abs(to_grid(state.xi))),
-        )
-        for name in DiagnosticRecord.FIELDS:
-            if not math.isfinite(getattr(rec, name)):
-                raise NonFinite(f"diagnostic {name} is not finite at step {state.step_index}")
-        records.append(rec)
+    for lo in range(0, len(states), per_chunk):
+        chunk = states[lo:lo + per_chunk]
+        stacks = (np.stack([getattr(s, f).coeffs for s in chunk]) for f in ("u", "w", "xi"))
+        mean_process = states[0].u.mean + np.array([s.noise_ledger.mean for s in chunk])
+        cols = _diagnostic_columns(traj.config, *stacks, mean_process, domain)
+        _require_finite(cols, [s.step_index for s in chunk])
+        records.extend(DiagnosticRecord(t=s.t, **{n: float(v[k]) for n, v in cols.items()})
+                       for k, s in enumerate(chunk))
     return records
 
 
@@ -494,8 +523,10 @@ def ensemble_expectations(
 ) -> SweepReport:
     """Monte Carlo estimates of the pathwise energies with standard errors.
 
-    Members run independently (any execution order gives identical output:
-    results are stored by member index and reduced in index order).  ``grid``
+    The members of a grid point step as one ``Batch``, with rows in
+    ``order``, and their trajectories are diagnosed one at a time; each
+    member equals its solo run, and the estimates are stored by member index
+    and reduced in index order, so any order gives identical output.  ``grid``
     is an optional list of (eps, lam) pairs over which uniformity of the
     estimates is reported.
     """
@@ -515,9 +546,12 @@ def ensemble_expectations(
     assertions = []
     per_point_means: dict = {n: [] for n in names}
     for eps, lam in grid:
+        cfg = _config(data, base, eps, lam)
+        noises = [_noise(data.operator, member_seed(seed, m)) for m in order]
+        batch = Batch(data.u0, cfg, noises)
         rows = np.empty((members, len(names)))
-        for m in order:
-            tr = _run(data, base, member_seed(seed, m), eps=eps, lam=lam)
+        for m, noise in zip(order, noises):
+            tr = simulate(data.u0, cfg, noise, batch)
             recs = run_diagnostics(tr)
             ts = tr.times
             rows[m] = (

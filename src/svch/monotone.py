@@ -97,9 +97,11 @@ def resolvent(graph: MonotoneGraph, lam: float, r):
 
     Uses the graph's ``resolvent_closed`` when it has one.  Otherwise a
     safeguarded Newton iteration confined to the bracket
-    [min(0, r), max(0, r)] with bisection fallback; the accepted root has
-    residual below 1e-12 * (1 + |r|).  Since d/dJ (J + lam*beta(J)) >= 1 the
-    root is unique and |J - J_exact| is bounded by the residual itself.
+    [min(0, r), max(0, r)] with bisection fallback, run per point: a point
+    takes one update past residual 1e-12 * (1 + |r|) and stops, so its root
+    does not depend on the other points of the array.  Since
+    d/dJ (J + lam*beta(J)) >= 1 the root is unique and |J - J_exact| is
+    bounded by the residual itself.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -108,18 +110,26 @@ def resolvent(graph: MonotoneGraph, lam: float, r):
         out = graph.resolvent_closed(lam, arr)
         return float(out) if scalar else out
 
-    lo = np.minimum(0.0, arr)
-    hi = np.maximum(0.0, arr)
-    x = arr / (1.0 + lam)  # exact for the linear graph, decent elsewhere
-    tol = 1e-12 * (1.0 + np.abs(arr))
-    f = x + lam * graph.beta(x) - arr
-    polish = 1  # one extra Newton update after the tolerance is met
+    r = arr.ravel()
+    idx = np.arange(r.size)
+    out = np.empty_like(r)
+    lo = np.minimum(0.0, r)
+    hi = np.maximum(0.0, r)
+    x = r / (1.0 + lam)  # exact for the linear graph, decent elsewhere
+    tol = 1e-12 * (1.0 + np.abs(r))
+    f = x + lam * graph.beta(x) - r
+    polished = np.zeros(r.size, dtype=bool)
     for _ in range(RESOLVENT_MAX_ITER):
         done = np.abs(f) <= tol
-        if done.all():
-            if polish == 0:
-                break
-            polish -= 1
+        stop = done & polished
+        if stop.any():
+            out[idx[stop]] = x[stop]
+            keep = ~stop
+            idx, r, lo, hi, x, f, tol, done, polished = (
+                a[keep] for a in (idx, r, lo, hi, x, f, tol, done, polished))
+        if not len(idx):
+            break
+        polished |= done
         hi = np.where(f > 0, x, hi)
         lo = np.where(f <= 0, x, lo)
         if graph.beta_prime is not None:
@@ -129,14 +139,15 @@ def resolvent(graph: MonotoneGraph, lam: float, r):
             cand = 0.5 * (lo + hi)
         inside = (cand >= lo) & (cand <= hi) & np.isfinite(cand)
         x = np.where(inside, cand, 0.5 * (lo + hi))
-        f = x + lam * graph.beta(x) - arr
+        f = x + lam * graph.beta(x) - r
     else:
         if (np.abs(f) > tol).any():
             raise NoConvergence(
                 f"resolvent iteration cap {RESOLVENT_MAX_ITER} exceeded",
                 residual=float(np.max(np.abs(f))),
             )
-    return float(x) if scalar else x
+    out[idx] = x
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def yosida(graph: MonotoneGraph, lam: float, r):
@@ -165,10 +176,13 @@ def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
     return float(out) if scalar else out
 
 
-def moreau_envelope(graph: MonotoneGraph, lam: float, r):
-    """Smoothed primitive beta_hat(J_lam(r)) + lam/2 * beta_lam(r)^2."""
+def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
+    """Smoothed primitive beta_hat(J_lam(r)) + lam/2 * beta_lam(r)^2.
+
+    J is resolvent(graph, lam, r) when the caller already holds it.
+    """
     arr, scalar = _as_array(r)
-    J = resolvent(graph, lam, arr)
+    J = resolvent(graph, lam, arr) if J is None else J
     b = (arr - J) / lam
     out = graph.beta_hat(J) + 0.5 * lam * b * b
     return float(out) if scalar else out

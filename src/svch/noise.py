@@ -34,6 +34,7 @@ __all__ = [
     "smooth",
     "hs_norm",
     "apply_diffusion",
+    "increment_stack",
     "integral_ledger",
     "increment_table",
     "coarsen_increments",
@@ -138,6 +139,11 @@ def diffusion_operator(
     """
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown diffusion kind {kind!r}")
+    for name, value in (("sigma", sigma), ("rho", rho), ("clamp_bound", clamp_bound)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
     total = int(np.prod(domain.modes))
     if not 1 <= mode_count <= total:
         raise DimensionMismatch(
@@ -217,26 +223,43 @@ def apply_diffusion(
     profile = np.tensordot(dW, op.columns, axes=(0, 0))
     if op.kind == "additive":
         return SpectralField(op.domain, profile)
-    return SpectralField(op.domain, _modulate(op, state, profile))
+    return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
 
 
 def columns_at(op: DiffusionOperator, state: SpectralField) -> np.ndarray:
     """Coefficients of B(state) e_k for every k (multiplicative only)."""
     if op.kind != "multiplicative":
         raise KindMismatch("columns_at is defined for multiplicative operators")
-    return _modulate(op, state, op.columns)
+    return _modulate(op, _state_coeffs(op, state), op.columns)
 
 
-def _modulate(op: DiffusionOperator, state: Optional[SpectralField],
-              profiles: np.ndarray) -> np.ndarray:
-    # clamp(state) * profile minus its spatial mean; leading axes are a batch
+def increment_stack(models, coeffs: np.ndarray, step: int, dt: float) -> np.ndarray:
+    """Noise fields of members sharing one operator, as a (B, *modes) stack.
+
+    Row m equals ``models[m].increment_field`` at the state ``coeffs[m]``
+    bitwise; only a multiplicative operator reads the states.
+    """
+    op = models[0].operator
+    if any(m.operator is not op for m in models):
+        raise DimensionMismatch("stacked members must share one diffusion operator")
+    profiles = np.stack([np.tensordot(m.process.increments_at(step, dt), op.columns,
+                                      axes=(0, 0)) for m in models])
+    return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)
+
+
+def _state_coeffs(op: DiffusionOperator, state: Optional[SpectralField]) -> np.ndarray:
     if state is None:
         raise KindMismatch("multiplicative diffusion needs the current state")
     if state.domain != op.domain:
         raise DimensionMismatch("state domain does not match operator domain")
+    return state.coeffs
+
+
+def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    # clamp(state) * profile minus its spatial mean; leading axes are a batch
     modes = op.domain.modes
     M = op.clamp_bound
-    clamped = np.clip(_synthesis(state.coeffs, modes), -M, M)
+    clamped = np.clip(_synthesis(coeffs, modes), -M, M)
     c = _analysis(clamped * _synthesis(profiles, modes), modes)
     c[(...,) + (0,) * len(modes)] = 0.0  # multiplicative forcing is mean-free by construction
     return c

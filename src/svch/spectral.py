@@ -268,7 +268,18 @@ def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
 
 def integrate_grid(domain: Domain, values: np.ndarray) -> float:
     """Quadrature of grid values (exact for resolved cosine modes)."""
-    return float(values.sum() * domain.volume / values.size)
+    return float(_integrals(domain, values[None])[0])
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    # (B, -1) view of a (B, ...) stack: per-row sums over contiguous rows
+    # equal each row's solo sum bitwise
+    return a.reshape(len(a), -1)
+
+
+def _integrals(domain: Domain, values: np.ndarray) -> np.ndarray:
+    # integrate_grid of every row of a (B, *grid) stack
+    return _rows(values).sum(axis=1) * domain.volume / values[0].size
 
 
 def field_from_function(domain: Domain, fn: Callable, factor: int = 2) -> SpectralField:
@@ -367,23 +378,29 @@ def norm(v: SpectralField, kind: str = "H", eps: float = 0.0) -> float:
       "star"    sqrt(|grad N(v - v_D)|_H^2 + v_D^2)
       "one_eps" sqrt(|v|_H^2 + eps*|grad v|_H^2)
     """
-    eig = neumann_eigensystem(v.domain)
-    c2 = v.coeffs**2
-    w = eig.weights
-    mu = eig.mu
+    return float(_norms(v.domain, v.coeffs[None], kind, eps)[0])
+
+
+def _norms(domain: Domain, coeffs: np.ndarray, kind: str, eps: float = 0.0) -> np.ndarray:
+    # norm of every row of a (B, *modes) coefficient stack
+    eig = neumann_eigensystem(domain)
+    c = _rows(coeffs)
+    c2 = c**2
+    w = eig.weights.ravel()
+    mu = eig.mu.ravel()
     if kind == "H":
-        val = np.sum(w * c2)
+        val = (w * c2).sum(axis=1)
     elif kind == "V1":
-        val = v.mean**2 + np.sum(w * mu * c2)
+        val = c2[:, 0] + (w * mu * c2).sum(axis=1)
     elif kind == "V2":
-        val = np.sum(w * (1.0 + mu**2) * c2)
+        val = (w * (1.0 + mu**2) * c2).sum(axis=1)
     elif kind == "V3":
-        val = np.sum(w * (1.0 + mu**3) * c2)
+        val = (w * (1.0 + mu**3) * c2).sum(axis=1)
     elif kind == "star":
-        nz = mu > 0
-        val = v.mean**2 + np.sum(w[nz] * c2[nz] / mu[nz])
+        # mu > 0 on every mode but the constant one, flat index 0
+        val = c2[:, 0] + (w[1:] * c2[:, 1:] / mu[1:]).sum(axis=1)
     elif kind == "one_eps":
-        val = np.sum(w * (1.0 + eps * mu) * c2)
+        val = (w * (1.0 + eps * mu) * c2).sum(axis=1)
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    return float(np.sqrt(val))
+    return np.sqrt(val)

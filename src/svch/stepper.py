@@ -24,8 +24,16 @@ mean identity therefore holds to accumulated rounding only.
 Newton's method runs matrix-free: the Jacobian is diagonal plus
 dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
-definite in the Parseval metric, so the linear solves use preconditioned
-conjugate gradients (tolerance newton_tol/10, cap 500).
+definite in the Parseval metric, so the linear solves use the in-repo
+preconditioned conjugate gradients ``cg`` (tolerance newton_tol/10, cap 500).
+
+The solver core advances (B, *modes) member stacks and ``simulate`` runs
+its time loop on one row; a ``Batch`` runs the same loop on the members of
+an ensemble and hands each member's trajectory out through ``simulate``.
+Each member has its own Newton and CG convergence and leaves the working
+set once done, and per-member scalars are sums over contiguous rows, so a
+member equals its solo run bitwise.  A member whose Newton iteration fails
+repeats the step alone by dt-halving.
 """
 
 from __future__ import annotations
@@ -35,17 +43,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import monotone as mn
 from .monotone import LipschitzPerturbation, MonotoneGraph
-from .noise import NoiseModel
+from .noise import NoiseModel, increment_stack
 from .spectral import (
     Domain,
     SpectralField,
     _analysis,
+    _integrals,
+    _rows,
     _synthesis,
-    integrate_grid,
     neumann_eigensystem,
 )
 
@@ -58,6 +66,7 @@ __all__ = [
     "initial_state",
     "step",
     "simulate",
+    "Batch",
     "free_energy",
     "free_energy_parts",
     "drift",
@@ -187,11 +196,51 @@ def _g_coeffs(config: SolverConfig, domain: Domain, step_index: int):
     return g.coeffs
 
 
-def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt: float,
-                step_index: int):
-    """Advance coefficients by one backward Euler step of length dt.
+def cg(matvec, b, precond, atol, maxiter, callback=None):
+    """Preconditioned conjugate gradients on a stack of SPD systems.
 
-    Returns (new_coeffs, w_coeffs, xi_coeffs, iterations, residuals).
+    b and the diagonal preconditioner are (B, n) stacks; matvec(p, rows)
+    applies the operators of members ``rows``.  A member leaves the working
+    set once |r| < atol or after maxiter updates; callback sees the active
+    iterates after each update.  Returns (x, members that hit maxiter).
+    """
+    x = np.empty_like(b)
+    rows = np.arange(len(b))
+    xa, r, pre = np.zeros_like(b), b.copy(), precond
+    p = rho_prev = None
+    for it in range(maxiter):
+        done = np.sqrt(np.vecdot(r, r)) < atol
+        if done.any():
+            x[rows[done]] = xa[done]
+            keep = np.flatnonzero(~done)
+            if not len(keep):
+                return x, 0
+            rows, xa, r, pre = rows[keep], xa[keep], r[keep], pre[keep]
+            if it:
+                p, rho_prev = p[keep], rho_prev[keep]
+        z = pre * r
+        rho = np.vecdot(r, z)
+        if it:
+            p *= (rho / rho_prev)[:, None]
+            p += z
+        else:
+            p = z
+        q = matvec(p, rows)
+        alpha = (rho / np.vecdot(p, q))[:, None]
+        xa += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(xa)
+    x[rows] = xa
+    return x, len(rows)
+
+
+def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, step_index: int):
+    """Advance a (B, *modes) coefficient stack by one backward Euler step of length dt.
+
+    Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
+    xi of the members in failed, {member: NewtonDiverged}, are left unset.
     """
     modes = domain.modes
     eig = neumann_eigensystem(domain)
@@ -202,110 +251,115 @@ def _solve_step(u_coeffs, noise_coeffs, config: SolverConfig, domain: Domain, dt
     graph = config.graph
     pert = config.perturbation
     lam = config.lam
+    tol = config.newton_tol
     implicit_pi = config.splitting == "fully_implicit"
 
-    rhs = (1.0 + config.eps * mu) * u_coeffs
-    if noise_coeffs is not None:
-        rhs = rhs + noise_coeffs
+    visc = 1.0 + config.eps * mu
+    dtmu = dt * mu
+    rhs = visc * u
+    if noise is not None:
+        rhs = rhs + noise
 
     # explicit part of the bracket: reaction at the old state and the source
     gq = _g_coeffs(config, domain, step_index)
     if implicit_pi:
-        q = np.zeros_like(u_coeffs)
+        q = np.zeros_like(u)
     else:
-        q = _analysis(pert.pi(_synthesis(u_coeffs, modes)), modes)
+        q = _analysis(pert.pi(_synthesis(u, modes)), modes)
     if gq is not None:
         q = q - gq
 
-    diag = (1.0 + config.eps * mu) + dt * mu * mu
+    diag = visc + dtmu * mu
+    coupling = dt * sqmu * sq
 
-    def bracket_and_residual(c):
+    n = len(u)
+    c = u.copy()
+    _rows(c)[:, 0] = _rows(rhs)[:, 0]  # exact mean update: the spatial operator kills mode 0
+    out = [np.empty_like(u) for _ in range(3)]
+    residuals = [[] for _ in range(n)]
+    polish = [1] * n  # one extra update unless already at the rounding floor
+    failed = {}
+    rows = np.arange(n)
+    for it in range(config.newton_max_iter + 2):
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
         grid = _synthesis(c, modes)
         J = mn.resolvent(graph, lam, grid)
         xi = _analysis((grid - J) / lam, modes)
         b = xi + _analysis(pert.pi(grid), modes) if implicit_pi else xi
         w_co = mu * c + b + q
-        return grid, J, xi, w_co, (1.0 + config.eps * mu) * c + dt * mu * w_co - rhs
+        F = visc * c + dtmu * w_co - rhs
+        rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
 
-    c = u_coeffs.copy()
-    c.flat[0] = rhs.flat[0]  # exact mean update: the spatial operator kills mode 0
-
-    residuals = []
-    polish = 1
-    converged = False
-    for it in range(config.newton_max_iter + 2):
-        grid, J, xi, w_co, F = bracket_and_residual(c)
-        rnorm = float(np.sqrt(np.sum(wgt * F * F)))
-        residuals.append(rnorm)
-        if not np.isfinite(rnorm):
-            raise NewtonDiverged("non-finite Newton residual", residual=rnorm)
-        if rnorm <= config.newton_tol:
-            # one extra update unless already at the rounding floor
-            if polish == 0 or rnorm <= 1e-14:
-                converged = True
-                break
-            polish -= 1
-        elif it >= config.newton_max_iter:
+        go = []
+        for k, m in enumerate(rows.tolist()):
+            res = float(rnorm[k])
+            residuals[m].append(res)
+            if not math.isfinite(res):
+                failed[m] = NewtonDiverged("non-finite Newton residual", residual=res)
+            elif res <= tol and (polish[m] == 0 or res <= 1e-14):
+                out[0][m], out[1][m], out[2][m] = c[k], w_co[k], xi[k]
+            elif res > tol and it >= config.newton_max_iter:
+                failed[m] = NewtonDiverged(
+                    f"Newton did not reach {tol:g} in {config.newton_max_iter} iterations",
+                    residual=res)
+            else:
+                polish[m] -= res <= tol
+                go.append(k)
+        if not go:
             break
+        if len(go) < len(rows):
+            rows, c, grid, J, F, rhs, q = (a[go] for a in (rows, c, grid, J, F, rhs, q))
 
         rho = mn.yosida_derivative(graph, lam, grid, J)
         if implicit_pi and pert.pi_prime is not None:
             rho = rho + pert.pi_prime(grid)
+        rho_bar = np.maximum(_rows(rho).mean(axis=1), 0.0)
+        precond = 1.0 / (diag.ravel() + dtmu.ravel() * rho_bar[:, None])
+        bhat = np.zeros((len(rows), c[0].size))
+        # mu > 0 on every mode but the constant one, flat index 0
+        bhat[:, 1:] = -(sq.ravel()[1:] * _rows(F)[:, 1:]) / sqmu.ravel()[1:]
 
-        def matvec(yflat, rho=rho):
-            y = yflat.reshape(domain.modes)
-            t1 = sqmu * y / sq
-            t2 = _analysis(rho * _synthesis(t1, modes), modes)
-            return (diag * y + dt * sqmu * sq * t2).ravel()
+        def matvec(y, active, rho=rho):
+            weight = rho if len(active) == len(rho) else rho[active]
+            y = y.reshape((len(y),) + modes)
+            t2 = _analysis(weight * _synthesis(sqmu * y / sq, modes), modes)
+            return _rows(diag * y + coupling * t2)
 
-        n_total = c.size
-        A = LinearOperator((n_total, n_total), matvec=matvec, dtype=float)
-        rho_bar = max(float(rho.mean()), 0.0)
-        precond = 1.0 / (diag + dt * mu * rho_bar)
-        M = LinearOperator((n_total, n_total),
-                           matvec=lambda y: (precond * y.reshape(domain.modes)).ravel(),
-                           dtype=float)
-        bhat = np.zeros_like(F)
-        nz = mu > 0
-        bhat[nz] = -(sq[nz] * F[nz]) / sqmu[nz]
-        x, _info = cg(A, bhat.ravel(), rtol=0.0, atol=config.newton_tol / 10.0,
-                      maxiter=config.cg_max_iter, M=M)
-        delta = sqmu * x.reshape(domain.modes) / sq
-        c = c + delta
+        x, _ = cg(matvec, bhat, precond, tol / 10.0, config.cg_max_iter)
+        c = c + sqmu * x.reshape(c.shape) / sq
 
-    if not converged:
-        raise NewtonDiverged(
-            f"Newton did not reach {config.newton_tol:g} in {config.newton_max_iter} iterations",
-            residual=residuals[-1] if residuals else None,
-        )
-
-    return c, w_co, xi, len(residuals) - 1, tuple(residuals)
+    iterations = [len(r) - 1 for r in residuals]
+    return out[0], out[1], out[2], iterations, residuals, failed
 
 
-def _advance(u_coeffs, noise_coeffs, config, domain, dt, step_index, depth=0):
-    """One step with rejection handling: on Newton failure split the interval.
+def _advance(u, noise, config, domain, dt, step_index, depth=0):
+    """One step of a member stack with rejection handling.
 
-    The noise increment belongs to the whole interval and is injected in the
-    first substep, so the driving path (and the mean identity) is unchanged.
+    A member whose Newton iteration fails repeats the interval alone, split
+    in two halves.  The noise increment belongs to the whole interval and is
+    injected in the first half, so the driving path (and the mean identity)
+    is unchanged.  Returns (c, w, xi, iterations, residuals, depths).
     """
-    try:
-        out = _solve_step(u_coeffs, noise_coeffs, config, domain, dt, step_index)
-        return out + (depth,)
-    except NewtonDiverged as err:
+    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, step_index)
+    depths = [depth] * len(u)
+    for m, err in failed.items():
         if depth >= config.max_rejections:
             raise StepRejected(
                 f"step {step_index} still fails after {depth} halvings: {err}",
                 suggested_dt=dt / 2.0,
             ) from err
         half = dt / 2.0
+        row = slice(m, m + 1)
         c1, _, _, it1, res1, d1 = _advance(
-            u_coeffs, noise_coeffs, config, domain, half, step_index, depth + 1
+            u[row], None if noise is None else noise[row], config, domain, half,
+            step_index, depth + 1
         )
         c2, w2, xi2, it2, res2, d2 = _advance(
             c1, None, config, domain, half, step_index, depth + 1
         )
-        return c2, w2, xi2, it1 + it2, res1 + res2, max(d1, d2)
+        c[m], w[m], xi[m] = c2[0], w2[0], xi2[0]
+        iters[m], res[m], depths[m] = it1[0] + it2[0], res1[0] + res2[0], max(d1[0], d2[0])
+    return c, w, xi, iters, res, depths
 
 
 def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
@@ -329,19 +383,10 @@ def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
     )
 
 
-def step(state: SolverState, config: SolverConfig,
-         noise_field: Optional[SpectralField] = None) -> SolverState:
-    """One backward Euler step driven by an already-assembled noise field."""
+def _successor(state: SolverState, config: SolverConfig, c, w, xi, ledger, iters,
+               residuals, depths) -> SolverState:
+    # the state one step after state, from one member's rows of the step
     domain = state.u.domain
-    ncoef = None if noise_field is None else noise_field.coeffs
-    if noise_field is not None and noise_field.domain != domain:
-        raise ValueError("noise field lives on a different domain")
-    c, w, xi, iters, residuals, rejections = _advance(
-        state.u.coeffs, ncoef, config, domain, config.dt, state.step_index
-    )
-    ledger = state.noise_ledger.coeffs
-    if ncoef is not None:
-        ledger = ledger + ncoef
     return SolverState(
         u=SpectralField(domain, c),
         w=SpectralField(domain, w),
@@ -350,23 +395,91 @@ def step(state: SolverState, config: SolverConfig,
         t=state.t + config.dt,
         step_index=state.step_index + 1,
         newton_iterations=iters,
-        newton_residuals=residuals,
-        rejections=rejections,
+        newton_residuals=tuple(residuals),
+        rejections=depths,
     )
 
 
+def step(state: SolverState, config: SolverConfig,
+         noise_field: Optional[SpectralField] = None) -> SolverState:
+    """One backward Euler step driven by an already-assembled noise field."""
+    domain = state.u.domain
+    if noise_field is not None and noise_field.domain != domain:
+        raise ValueError("noise field lives on a different domain")
+    field = None if noise_field is None else noise_field.coeffs[None]
+    c, w, xi, iters, residuals, depths = (x[0] for x in _advance(
+        state.u.coeffs[None], field, config, domain, config.dt, state.step_index))
+    ledger = state.noise_ledger.coeffs
+    if field is not None:
+        ledger = ledger + field[0]
+    return _successor(state, config, c, w, xi, ledger, iters, residuals, depths)
+
+
+def _march(u0: SpectralField, config: SolverConfig, noises):
+    # the (B, *modes) stacks of every step of the members driven by noises
+    domain = u0.domain
+    if any(n is not None and n.operator.domain != domain for n in noises):
+        raise ValueError("noise field lives on a different domain")
+    c = np.repeat(u0.coeffs[None], len(noises), axis=0)
+    ledger = np.zeros_like(c)
+    for s in range(config.n_steps):
+        field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
+        c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s)
+        ledger = ledger if field is None else ledger + field
+        yield c, w, xi, ledger, iters, residuals, depths
+
+
 def simulate(u0: SpectralField, config: SolverConfig,
-             noise: Optional[NoiseModel] = None) -> Trajectory:
-    """Integrate from u0 to t_final; returns every state including the first."""
+             noise: Optional[NoiseModel] = None, batch: Optional["Batch"] = None) -> Trajectory:
+    """Integrate from u0 to t_final; returns every state including the first.
+
+    With ``batch``, a ``Batch`` of members sharing u0 and config with
+    ``noise`` among them, the trajectory is this member's rows of the batch.
+    """
+    steps, m = (_march(u0, config, (noise,)), 0) if batch is None else batch.rows(
+        u0, config, noise)
     state = initial_state(u0, config)
     states = [state]
-    for _ in range(config.n_steps):
-        field = None
-        if noise is not None:
-            field = noise.increment_field(state.u, state.step_index, config.dt)[0]
-        state = step(state, config, field)
+    for stacks in steps:
+        state = _successor(state, config, *(a[m] for a in stacks))
         states.append(state)
     return Trajectory(states=tuple(states), config=config, noise=noise)
+
+
+# stored steps of one Batch group: at most about this many bytes, or one member
+_BATCH_BYTES = 1 << 22
+
+
+class Batch:
+    """Members sharing u0 and config that step together as (B, *modes) stacks.
+
+    ``simulate(u0, config, noise, batch)`` hands out the trajectory of the
+    member driven by noise.  Members are integrated in groups of consecutive
+    ``noises`` whose stored steps take at most _BATCH_BYTES, and only the
+    group of the last requested member is kept; a member too large to share
+    a group runs alone and is streamed, as a solo run.
+    """
+
+    def __init__(self, u0: SpectralField, config: SolverConfig, noises):
+        self.u0, self.config, self.noises = u0, config, tuple(noises)
+        member = 4 * config.n_steps * u0.coeffs.nbytes  # c, w, xi and ledger of every step
+        self.size = max(1, _BATCH_BYTES // member)
+        self._group, self._steps = None, None
+
+    def rows(self, u0: SpectralField, config: SolverConfig, noise: Optional[NoiseModel]):
+        """The stored steps of the group holding ``noise`` and its row in them."""
+        m = next((k for k, n in enumerate(self.noises) if n is noise), None)
+        if u0 is not self.u0 or config is not self.config or m is None:
+            raise ValueError("the member does not belong to this batch")
+        if self.size == 1:
+            return _march(u0, config, (noise,)), 0  # nothing to share: stream the solo run
+        group, row = divmod(m, self.size)
+        if group != self._group:
+            self._steps = None  # the previous group goes before the next is integrated
+            lo = group * self.size
+            self._steps = list(_march(u0, config, self.noises[lo:lo + self.size]))
+            self._group = group
+        return self._steps, row
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +492,19 @@ def free_energy_parts(u: SpectralField, config: SolverConfig):
     The well mass integrates the Moreau envelope of beta_hat at the scheme's
     lam: that is the convex part the splitting is gradient-stable for.
     """
-    domain = u.domain
+    grid = _synthesis(u.coeffs, u.domain.modes)
+    J = mn.resolvent(config.graph, config.lam, grid)
+    parts = _energy_parts(u.coeffs[None], grid[None], J[None], u.domain, config)
+    return tuple(float(p[0]) for p in parts)
+
+
+def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
+    # free_energy_parts of every row of a (B, *modes) stack, given its grid
+    # values and their resolvent
     eig = neumann_eigensystem(domain)
-    grad = 0.5 * float(np.sum(eig.weights * eig.mu * u.coeffs**2))
-    grid = _synthesis(u.coeffs, domain.modes)
-    well = integrate_grid(domain, mn.moreau_envelope(config.graph, config.lam, grid))
-    reaction = integrate_grid(domain, config.perturbation.pi_hat(grid))
+    grad = 0.5 * _rows(eig.weights * eig.mu * c**2).sum(axis=1)
+    well = _integrals(domain, mn.moreau_envelope(config.graph, config.lam, grid, J))
+    reaction = _integrals(domain, config.perturbation.pi_hat(grid))
     return grad, well, reaction
 
 

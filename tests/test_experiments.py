@@ -133,6 +133,37 @@ class TestDiagnostics:
         with pytest.raises(ex.NonFinite, match="step 1"):
             ex.run_diagnostics(broken)
 
+    def test_one_resolvent_per_chunk(self, long_domain, monkeypatch):
+        # 41 states of 128 grid points: chunks of 32 and 9 states
+        traj = sp.simulate(study_ic(long_domain), study_config(dt=1e-3, t_final=0.04))
+        want = ex.run_diagnostics(traj)
+        calls = []
+        original = mn.resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mn, "resolvent", counting)
+        records = ex.run_diagnostics(traj)
+        assert calls == [(32, 128), (9, 128)]
+        assert records == want
+
+    def test_stacked_records_equal_single_state_formulas(self, long_domain):
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
+        cfg = study_config(dt=1e-3, t_final=0.04)
+        traj = sp.simulate(study_ic(long_domain), cfg,
+                           nz.NoiseModel(nz.WienerProcess(8, seed=2), op))
+        u0_mean = traj[0].u.mean
+        for state, rec in zip(traj, ex.run_diagnostics(traj)):
+            grad, well, reaction = sp.free_energy_parts(state.u, cfg)
+            centered = state.u.coeffs.copy()
+            centered[0] -= u0_mean + state.noise_ledger.mean
+            assert (rec.gradient_energy, rec.well_mass, rec.reaction_mass) == (grad, well, reaction)
+            assert rec.star_centered == norm(SpectralField(long_domain, centered), "star")
+            assert rec.v3_norm == norm(state.u, "V3")
+            assert rec.w_l1 == integrate_grid(long_domain, np.abs(to_grid(state.w)))
+
     def test_fields_tuple_matches_dataclass(self):
         import dataclasses
 
@@ -330,6 +361,24 @@ class TestEnsembles:
         shuffled = ex.ensemble_expectations(data, base, members=8, seed=1, order=perm)
         assert forward.mc_mean == shuffled.mc_mean
         assert forward.mc_stderr == shuffled.mc_stderr
+
+    def test_batched_members_match_their_solo_runs(self, long_domain):
+        data = self._data(long_domain)
+        base = study_config()
+        rep = ex.ensemble_expectations(data, base, members=8, seed=3)
+        rows = []
+        for m in range(8):
+            tr = ex._run(data, base, ex.member_seed(3, m), eps=base.eps, lam=base.lam)
+            recs = ex.run_diagnostics(tr)
+            rows.append((max(r.star_centered**2 + r.mean_u**2 for r in recs),
+                         ex._trapz([2.0 * r.gradient_energy for r in recs], tr.times),
+                         ex._trapz([r.well_mass for r in recs], tr.times),
+                         ex._trapz([r.conjugate_mass for r in recs], tr.times)))
+        means = np.mean(rows, axis=0)
+        key = f"eps={base.eps:g},lam={base.lam:g}"
+        names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
+        for name, want in zip(names, means):
+            assert rep.mc_mean[f"{name}[{key}]"] == want
 
     def test_small_vs_large_ensemble_agree(self, long_domain):
         data = self._data(long_domain)

@@ -80,6 +80,23 @@ class TestResolvent:
         jb = mn.resolvent(graph, 0.05, b)
         assert np.all(np.abs(ja - jb) <= np.abs(a - b) + 1e-11)
 
+    @pytest.mark.parametrize("name", ["sixth_power_well", "exponential", "bisection"])
+    def test_each_root_independent_of_the_other_points(self, name):
+        # the iterative path: a point's root must not depend on its neighbours,
+        # so a stacked evaluation equals every row's and every point's own
+        if name == "bisection":
+            graph = mn.MonotoneGraph(name, beta=lambda r: r**3, beta_hat=lambda r: r**4 / 4)
+        else:
+            graph = mn.make_graph(name)
+        r = np.random.default_rng(11).uniform(-6, 6, size=(3, 40))
+        r[1] *= 1e-3  # rows that converge in very different numbers of updates
+        got = mn.resolvent(graph, 0.05, r)
+        assert got.shape == r.shape
+        for row, want in zip(r, got):
+            assert np.array_equal(mn.resolvent(graph, 0.05, row), want)
+        assert all(mn.resolvent(graph, 0.05, float(v)) == j
+                   for v, j in zip(r.ravel(), got.ravel()))
+
     def test_lam_must_be_positive(self, quartic):
         with pytest.raises(ValueError):
             mn.resolvent(quartic, 0.0, 1.0)

@@ -136,6 +136,16 @@ class TestDiffusionOperator:
         with pytest.raises(ValueError):
             noise.diffusion_operator(long_domain, 4, kind="multiplicative", clamp_bound=0.0)
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("name", ("sigma", "rho", "clamp_bound"))
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            noise.diffusion_operator(Domain((1.0,), (8,)), 4, **{name: value})
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            noise.diffusion_operator(Domain((1.0,), (8,)), 4, sigma=-1.0)
+
     def test_columns_write_protected(self, long_domain):
         op = noise.diffusion_operator(long_domain, 3)
         with pytest.raises(ValueError):
@@ -282,3 +292,24 @@ class TestNoiseModel:
         v = random_field(long_domain, RNG, scale=0.5)
         f, dW = model.increment_field(v, 0, 0.05)
         assert np.array_equal(f.coeffs, noise.apply_diffusion(op, v, dW).coeffs)
+
+
+class TestIncrementStack:
+    """Rows of a member stack equal each member's increment_field bitwise."""
+
+    @pytest.mark.parametrize("kind", ("additive", "multiplicative"))
+    @pytest.mark.parametrize("modes", ((64,), (8, 12)))
+    def test_rows_equal_increment_field(self, kind, modes):
+        domain = Domain((10.0,) * len(modes), modes)
+        op = noise.diffusion_operator(domain, 6, kind=kind, sigma=0.4)
+        models = [noise.NoiseModel(noise.WienerProcess(6, seed=s), op) for s in (3, 1, 4, 1, 5)]
+        states = [random_field(domain, RNG, scale=2.0) for _ in models]
+        stack = noise.increment_stack(models, np.stack([v.coeffs for v in states]), 7, 0.02)
+        for m, (model, v) in enumerate(zip(models, states)):
+            assert np.array_equal(stack[m], model.increment_field(v, 7, 0.02)[0].coeffs)
+
+    def test_members_share_one_operator(self, long_domain):
+        ops = [noise.diffusion_operator(long_domain, 4) for _ in range(2)]
+        models = [noise.NoiseModel(noise.WienerProcess(4, seed=1), op) for op in ops]
+        with pytest.raises(noise.DimensionMismatch):
+            noise.increment_stack(models, np.zeros((2, 64)), 0, 0.1)

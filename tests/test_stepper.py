@@ -8,6 +8,8 @@ system.  Everything else checks closed-form single-mode updates, conservation
 identities, energy decay, and the rejection machinery.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -22,6 +24,7 @@ from svch.spectral import (
     _synthesis,
     apply_pointwise,
     inner,
+    neumann_eigensystem,
     norm,
     to_grid,
 )
@@ -474,3 +477,191 @@ class TestConfigAndTrajectory:
             pi_prev = apply_pointwise(prev.u, cfg.perturbation.pi)
             want = mu * new.u.coeffs + new.xi.coeffs + pi_prev.coeffs
             assert np.allclose(new.w.coeffs, want, rtol=0, atol=1e-12)
+
+
+class TestBatchedCore:
+    """Member stacks: every member follows exactly its solo (B = 1) run."""
+
+    @staticmethod
+    def assert_members_equal_solo(u0, cfg, op, seeds):
+        noises = [nz.NoiseModel(nz.WienerProcess(op.mode_count, s), op) for s in seeds]
+        c = np.repeat(u0.coeffs[None], len(seeds), axis=0)
+        batch = []
+        for s in range(cfg.n_steps):
+            field = nz.increment_stack(noises, c, s, cfg.dt)
+            batch.append((field,) + sp._advance(c, field, cfg, u0.domain, cfg.dt, s))
+            c = batch[-1][1]
+        for m, model in enumerate(noises):
+            solo = sp.simulate(u0, cfg, model)
+            ledger = np.zeros(u0.domain.modes)
+            for (field, c, w, xi, iters, res, depths), state in zip(batch, solo.states[1:]):
+                ledger = ledger + field[m]
+                assert np.array_equal(c[m], state.u.coeffs)
+                assert np.array_equal(w[m], state.w.coeffs)
+                assert np.array_equal(xi[m], state.xi.coeffs)
+                assert np.array_equal(ledger, state.noise_ledger.coeffs)
+                assert tuple(res[m]) == state.newton_residuals
+                assert (iters[m], depths[m]) == (state.newton_iterations, state.rejections)
+
+    def test_member_equals_solo_1d_additive(self):
+        # the ensemble_1d benchmark setup: 16 members, 20 steps
+        dom = Domain((10.0,), (32,))
+        c = np.zeros(32)
+        c[1], c[2] = 0.1, 0.05
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.02, t_final=0.4)
+        op = nz.diffusion_operator(dom, 8, sigma=0.1, mean_zero=True)
+        self.assert_members_equal_solo(SpectralField(dom, c), cfg, op, range(100, 116))
+
+    @pytest.mark.parametrize("graph", ["sixth_power_well", "exponential"])
+    def test_member_equals_solo_iterative_resolvent(self, graph):
+        # graphs without a closed-form resolvent: the roots of one member
+        # must not depend on the other rows of the stack
+        dom = Domain((10.0,), (32,))
+        u0 = random_field(dom, np.random.default_rng(6), scale=0.4)
+        cfg = make_config(graph, ("negative_identity", 1.0), eps=1e-2, lam=1e-2,
+                          dt=0.02, t_final=0.1)
+        op = nz.diffusion_operator(dom, 8, sigma=0.3, mean_zero=True)
+        self.assert_members_equal_solo(u0, cfg, op, range(20, 26))
+
+    def test_member_equals_solo_2d_multiplicative(self):
+        dom = Domain((4.0, 4.0), (8, 8))
+        u0 = random_field(dom, np.random.default_rng(2), scale=0.6)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.05, t_final=0.2)
+        op = nz.diffusion_operator(dom, 6, kind="multiplicative", sigma=0.3)
+        self.assert_members_equal_solo(u0, cfg, op, range(16))
+
+    def test_halved_row_leaves_the_batch_alone(self, long_domain):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          lam=1e-2, dt=0.5, t_final=0.5, newton_tol=1e-11,
+                          newton_max_iter=4, max_rejections=4)
+        hard = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        easy = [random_field(long_domain, np.random.default_rng(s), scale=0.02)
+                for s in (1, 2, 3)]
+        fields = easy[:2] + [hard] + easy[2:]
+        noise = np.stack([random_field(long_domain, np.random.default_rng(8 + m),
+                                       scale=0.01).coeffs for m in range(4)])
+        c, w, xi, iters, res, depths = sp._advance(
+            np.stack([f.coeffs for f in fields]), noise, cfg, long_domain, cfg.dt, 0)
+        assert depths == [0, 0, 2, 0]
+        for m, f in enumerate(fields):
+            solo = sp.step(sp.initial_state(f, cfg), cfg, SpectralField(long_domain, noise[m]))
+            assert np.array_equal(c[m], solo.u.coeffs)
+            assert np.array_equal(w[m], solo.w.coeffs)
+            assert np.array_equal(xi[m], solo.xi.coeffs)
+            assert tuple(res[m]) == solo.newton_residuals
+            assert (iters[m], depths[m]) == (solo.newton_iterations, solo.rejections)
+
+    def test_batch_hands_out_solo_trajectories(self, long_domain, monkeypatch):
+        u0 = random_field(long_domain, np.random.default_rng(4), scale=0.3)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.02, t_final=0.1)
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.1)
+        noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in (7, 3, 5)]
+        batch = sp.Batch(u0, cfg, noises)
+        calls = []
+        original = sp._advance
+        monkeypatch.setattr(sp, "_advance", lambda *a, **k: calls.append(len(a[0]))
+                            or original(*a, **k))
+        got = [sp.simulate(u0, cfg, model, batch) for model in noises]
+        assert calls == [3] * cfg.n_steps  # integrated once, as one stack
+        monkeypatch.setattr(sp, "_advance", original)
+        for traj, model in zip(got, noises):
+            solo = sp.simulate(u0, cfg, model)
+            assert traj.noise is model and len(traj) == len(solo)
+            for a, b in zip(traj, solo):
+                for f in ("u", "w", "xi", "noise_ledger"):
+                    assert np.array_equal(getattr(a, f).coeffs, getattr(b, f).coeffs)
+                assert (a.t, a.step_index, a.newton_iterations, a.newton_residuals,
+                        a.rejections) == (b.t, b.step_index, b.newton_iterations,
+                                          b.newton_residuals, b.rejections)
+
+    def test_batch_keeps_one_bounded_group(self, long_domain, monkeypatch):
+        u0 = random_field(long_domain, np.random.default_rng(4), scale=0.3)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.02, t_final=0.1)
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.1)
+        noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in range(8)]
+        member = 4 * cfg.n_steps * u0.coeffs.nbytes  # stored steps of one member
+        calls = []
+        original = sp._advance
+        monkeypatch.setattr(sp, "_advance", lambda *a, **k: calls.append(len(a[0]))
+                            or original(*a, **k))
+        monkeypatch.setattr(sp, "_BATCH_BYTES", 3 * member + 7)
+        batch = sp.Batch(u0, cfg, noises)
+        for model in noises:
+            traj = sp.simulate(u0, cfg, model, batch)
+            stored = sum(a.nbytes for stacks in batch._steps for a in stacks[:4])
+            assert stored <= sp._BATCH_BYTES
+        assert calls == [3] * cfg.n_steps * 2 + [2] * cfg.n_steps
+        monkeypatch.setattr(sp, "_advance", original)
+        solo = sp.simulate(u0, cfg, noises[-1])
+        assert all(np.array_equal(a.u.coeffs, b.u.coeffs) for a, b in zip(traj, solo))
+        # a member larger than the budget is streamed as a solo run: nothing stored
+        monkeypatch.setattr(sp, "_BATCH_BYTES", member - 1)
+        batch = sp.Batch(u0, cfg, noises)
+        traj = sp.simulate(u0, cfg, noises[-1], batch)
+        assert batch._steps is None
+        assert all(np.array_equal(a.u.coeffs, b.u.coeffs) for a, b in zip(traj, solo))
+
+    def test_batch_rejects_a_foreign_member(self, long_domain, study_field):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), dt=1e-3,
+                          t_final=2e-3)
+        op = nz.diffusion_operator(long_domain, 4, sigma=0.1)
+        member, stranger = (nz.NoiseModel(nz.WienerProcess(4, s), op) for s in (1, 2))
+        batch = sp.Batch(study_field, cfg, [member])
+        with pytest.raises(ValueError, match="does not belong"):
+            sp.simulate(study_field, cfg, stranger, batch)
+        with pytest.raises(ValueError, match="does not belong"):
+            sp.simulate(study_field, replace(cfg, dt=2e-3), member, batch)
+
+    def test_pcg_matches_dense_solve_per_member(self):
+        dom = Domain((3.0,), (12,))
+        modes = dom.modes
+        eig = neumann_eigensystem(dom)
+        sq, sqmu = np.sqrt(eig.weights), np.sqrt(eig.mu)
+        dt = 0.05
+        diag = 1.0 + dt * eig.mu * eig.mu
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.0, 20.0, (4, 24))  # per-member Jacobian weight on the grid
+
+        def apply(y, weight):
+            # the symmetrized Newton Jacobian of one member
+            t2 = _analysis(weight * _synthesis(sqmu * y / sq, modes), modes)
+            return diag * y + dt * sqmu * sq * t2
+
+        def matvec(p, rows):
+            return np.stack([apply(p[k], weights[m]) for k, m in enumerate(rows)])
+
+        b = rng.standard_normal((4, 12))
+        b[2] = 0.0  # leaves the working set before the first update
+        precond = 1.0 / (diag + dt * eig.mu * np.maximum(weights.mean(axis=1), 0.0)[:, None])
+        x, info = sp.cg(matvec, b, precond, 1e-13, 200)
+        assert info == 0
+        assert np.array_equal(x[2], np.zeros(12))
+        for m in range(4):
+            dense = np.stack([apply(e, weights[m]) for e in np.eye(12)], axis=1)
+            assert np.allclose(dense, dense.T, rtol=0, atol=1e-12 * np.abs(dense).max())
+            assert np.linalg.eigvalsh(dense).min() > 0
+            want = np.linalg.solve(dense, b[m])
+            assert np.max(np.abs(x[m] - want)) <= 1e-11 * (1 + np.max(np.abs(want)))
+
+
+def test_import_path_holds_no_scipy_sparse():
+    """The stepper's CG is the in-repo loop; ``import svch.cli`` stays light."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(sp.__file__).resolve().parents[1]
+    code = ("import sys, svch.cli, svch.stepper as st; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')]); "
+            "print(st.cg.__module__)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["[]", "svch.stepper"]
+    for path in sorted((src / "svch").glob("*.py")):
+        text = path.read_text()
+        assert "scipy.sparse" not in text and "LinearOperator" not in text, path.name
