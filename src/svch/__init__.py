@@ -25,8 +25,6 @@ from .spectral import (
     apply_pointwise,
     basis_field,
     collocation_points,
-    field_from_coeffs,
-    field_from_function,
     from_grid,
     inner,
     integrate_grid,

@@ -18,11 +18,12 @@ Precedence: command-line flags > SVCH_<SECTION>_<KEY> environment variables >
 config file > defaults.  parse_config(emit_config(c)) == c exactly; floats
 are emitted with repr so the round trip is bit-faithful.
 
-Validation failures name the assumption label they violate: (H1) potential
-defined on the whole real line, (H2) positive graph regularization lam,
-(H3) finite Lipschitz reaction, (H4) nonnegative viscosity eps, (B1) finite
-Hilbert-Schmidt noise data, (B2) multiplicative noise mean-zero, (B3)
-positive truncation bound, (B4) nonnegative integer smoothing level.
+Validation builds the problem once; each failure names the assumption it
+violates, as the library constructor that checks it labels it: (H1) potential
+on the whole real line, (H2) positive regularization lam, (H3) finite
+Lipschitz reaction, (H4) nonnegative viscosity eps, (B1) finite Hilbert-Schmidt
+noise data, (B2) mean-zero multiplicative noise, (B3) positive truncation
+bound, (B4) nonnegative integer smoothing level.
 
 Outputs (fixed names inside --out): ``config.ini`` echoes the effective
 config; ``series.csv`` holds the per-step diagnostics (simulate) or one row
@@ -284,10 +285,21 @@ def config_hash(config: RunConfig) -> str:
 
 
 # assumption labels named by validation failures, by field
-_LABELS = {"lam": "H2", "eps": "H4", "sigma": "B1", "rho": "B1"}
+_LABELS = {"lam": "H2", "eps": "H4", "perturbation_scale": "H3", "sigma": "B1", "rho": "B1",
+           "clamp_bound": "B3"}
+
+# bound on a config's size: its modes times its noise columns (with noise on)
+# times its members (in ensemble mode); checked before anything is built, as a
+# larger config allocates gigabytes or overflows outside the exit codes
+GRID_BUDGET = 2**25
 
 
 def validate_config(config: RunConfig) -> None:
+    """Check what only the INI layer knows, then build the problem once.
+
+    The library constructors check their own invariants and name the
+    hypothesis they guard; their ValueErrors become ValidationErrors here.
+    """
     for (section, key), (name, codec) in _SCHEMA.items():
         if codec not in ("float", "floats", "pairs"):
             continue
@@ -303,61 +315,23 @@ def validate_config(config: RunConfig) -> None:
             raise ValidationError(f"{section}.{key} must be finite, got {value!r}{label}")
     if config.mode not in MODES:
         raise ValidationError(f"unknown mode {config.mode!r}; choose from {MODES}")
-    if len(config.lengths) != len(config.modes):
-        raise ValidationError("domain lengths and modes must have equal length")
-    if not 1 <= len(config.lengths) <= 2:
-        raise ValidationError("domain must be 1- or 2-dimensional")
-    if any(l <= 0 for l in config.lengths) or any(m < 2 for m in config.modes):
-        raise ValidationError("domain lengths must be positive and modes >= 2")
-
-    try:
-        mn.make_graph(config.potential)
-    except mn.UnsupportedGraph as err:
+    total = math.prod(config.modes)  # exact; np.prod wraps around
+    columns = config.noise_modes if config.noise_kind != "none" else 1
+    members = config.members if config.mode == "ensemble" else 1
+    size = total * max(1, columns) * max(1, members)
+    if size > GRID_BUDGET:
         raise ValidationError(
-            f"{err}; a potential defined on the whole real line is required, "
-            "violates (H1)"
-        ) from err
-    if config.lam <= 0:
-        raise ValidationError(f"lam must be > 0, got {config.lam!r}, violates (H2)")
+            f"config asks for {size} values at once (modes x noise modes x members), "
+            f"over the budget of {GRID_BUDGET}")
     try:
-        pert = mn.make_perturbation(config.perturbation, config.perturbation_scale)
-    except (mn.UnsupportedGraph, ValueError) as err:
-        raise ValidationError(str(err)) from None
-    if not math.isfinite(pert.lipschitz):
-        raise ValidationError("perturbation Lipschitz constant must be finite, violates (H3)")
-    if config.eps < 0:
-        raise ValidationError(f"eps must be >= 0, got {config.eps!r}, violates (H4)")
+        _build(config)
+    except ValueError as err:
+        raise ValidationError(str(err)) from err
 
-    if config.noise_kind not in ("none", "additive", "multiplicative"):
-        raise ValidationError(f"unknown noise kind {config.noise_kind!r}")
-    if config.noise_kind != "none":
-        total = int(np.prod(config.modes))
-        if not 1 <= config.noise_modes <= total:
-            raise ValidationError(
-                f"noise modes must lie in [1, {total}], violates (B1)")
-        if config.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {config.sigma!r}, violates (B1)")
-        if config.noise_kind == "multiplicative" and not config.mean_zero:
-            raise ValidationError(
-                "multiplicative noise must be declared mean-zero, violates (B2)")
-        if config.clamp_bound <= 0:
-            raise ValidationError("clamp_bound must be positive, violates (B3)")
-        if config.smoothing_level < 0:
-            raise ValidationError("smoothing_level must be >= 0, violates (B4)")
-
-    if config.dt <= 0 or config.t_final <= 0:
-        raise ValidationError("dt and t_final must be positive")
-    if config.dt > config.t_final * (1.0 + 1e-12):
-        raise ValidationError("dt must not exceed t_final")
-    if config.newton_tol < 1e-14:
-        raise ValidationError("newton_tol must be >= 1e-14")
-    if config.splitting not in ("convex_splitting", "fully_implicit"):
-        raise ValidationError(f"unknown splitting {config.splitting!r}")
-
-    total = int(np.prod(config.modes))
-    for idx, _val in config.initial:
-        if not 0 <= idx < total:
-            raise ValidationError(f"initial coefficient index {idx} out of range [0, {total})")
+    if config.noise_kind == "multiplicative" and not config.mean_zero:
+        raise ValidationError("multiplicative noise must be declared mean-zero, violates (B2)")
+    if config.noise_kind != "none" and config.smoothing_level < 0:
+        raise ValidationError("smoothing_level must be >= 0, violates (B4)")
     if config.mode == "ensemble" and config.members < 8:
         raise ValidationError("ensemble needs at least 8 members")
     if config.mode == "continuous_dependence":
@@ -383,6 +357,8 @@ def _build(config: RunConfig):
     domain = Domain(tuple(config.lengths), tuple(config.modes))
     coeffs = np.zeros(domain.modes)
     for idx, val in config.initial:
+        if not 0 <= idx < coeffs.size:
+            raise ValueError(f"initial coefficient index {idx} out of range [0, {coeffs.size})")
         coeffs.flat[idx] = val
     u0 = SpectralField(domain, coeffs)
     graph = mn.make_graph(config.potential)
@@ -534,13 +510,12 @@ def _run_ensemble(config, solver, data):
 
 
 def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
-    """Execute one config and write config.ini, series.csv, summary.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = emit_config(config)
-    hash_ = hashlib.sha256(echo.encode("utf-8")).hexdigest()
-    (out / "config.ini").write_text(echo)
+    """Execute one config and write config.ini, series.csv, summary.json.
 
+    A config error (exit 2) writes nothing; a solver failure (exit 3) writes
+    config.ini alone.
+    """
+    failure = None
     try:
         _domain, _u0, solver, data = _build(config)
         if config.mode == "simulate":
@@ -549,15 +524,23 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
             header, rows, summary = _run_ensemble(config, solver, data)
         else:
             header, rows, summary = _run_study(config, solver, data)
-    except (ValueError, nz.DimensionMismatch) as err:
-        # PreconditionViolated, ValidationError, and constructor rejections
-        # are all ValueError subclasses: every one is a config problem
+    except ValueError as err:
+        # PreconditionViolated, ValidationError, DimensionMismatch and the
+        # constructor rejections are all ValueError subclasses: every one is
+        # a config problem
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (st.NewtonDiverged, st.StepRejected, ex.NonFinite, mn.NoConvergence) as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return 3
+        failure = err
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    echo = emit_config(config)
+    hash_ = hashlib.sha256(echo.encode("utf-8")).hexdigest()
+    (out / "config.ini").write_text(echo)
+    if failure is not None:
+        print(f"solver failure: {failure}", file=sys.stderr)
+        return 3
     _write_csv(out / "series.csv", hash_, header, rows)
     _write_summary(out / "summary.json", hash_, summary)
 
@@ -596,8 +579,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
-            validate_config(config)
+            config = replace(config, seed=args.seed)  # validation reads no seed
     except (ParseError, ValidationError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -322,19 +322,15 @@ def continuous_dependence_study(
     eps_grid: Sequence[float],
     seed: int,
     base: SolverConfig,
-    k_cap: Optional[float] = None,
-    uniformity_factor: float = 10.0,
 ) -> SweepReport:
     """Ratio of the difference energy to the data distance, per viscosity.
 
     Preconditions: equal initial means (tolerance 1e-12) and mean-compatible
     noise, i.e. both runs share the increments and their operators inject the
-    same constant-mode content.  When ``k_cap`` is omitted it defaults to 100
-    times the ratio of a noise-free run at the smallest viscosity in the grid.
+    same constant-mode content.  Each ratio is capped at 100 times the ratio
+    of a noise-free run at the smallest viscosity in the grid.
     """
     _require_monotone(eps_grid, "increasing", "eps grid")
-    if any(e < 0 for e in eps_grid):
-        raise PreconditionViolated("viscosities must be >= 0")
     if abs(data1.u0.mean - data2.u0.mean) > 1e-12:
         raise PreconditionViolated(
             f"initial means differ: {data1.u0.mean!r} vs {data2.u0.mean!r}"
@@ -381,8 +377,7 @@ def continuous_dependence_study(
         grad_l2 = _trapz([_grad_sq(v) for v in diffs], t1.times)
         return (sup_star + eps * sup_h + grad_l2) / denom
 
-    if k_cap is None:
-        k_cap = 100.0 * _ratio(min(eps_grid), with_noise=False)
+    k_cap = 100.0 * _ratio(min(eps_grid), with_noise=False)
 
     ratios = []
     assertions = []
@@ -393,7 +388,7 @@ def continuous_dependence_study(
         assertions.append(Assertion(f"ratio_finite_eps={eps:g}", finite, value=r))
         assertions.append(Assertion(f"ratio_capped_eps={eps:g}",
                                     finite and r <= k_cap, value=r, bound=k_cap))
-    assertions.append(_uniformity("ratio_uniform_in_eps", ratios, uniformity_factor))
+    assertions.append(_uniformity("ratio_uniform_in_eps", ratios, 10.0))
     return SweepReport(
         variable="eps",
         values=tuple(eps_grid),
@@ -456,7 +451,6 @@ def yosida_convergence_study(
     lam_sequence: Sequence[float],
     seed: Optional[int],
     base: SolverConfig,
-    uniformity_factor: float = 100.0,
 ) -> SweepReport:
     """Cauchy behavior in the graph regularization parameter.
 
@@ -486,9 +480,9 @@ def yosida_convergence_study(
                   all(a > b for a, b in zip(consec, consec[1:])),
                   value=consec[-1] if consec else 0.0,
                   bound=consec[0] if consec else 0.0),
-        _uniformity("w_l1_uniform", w_l1, uniformity_factor),
-        _uniformity("conjugate_mass_uniform", conj_mass, uniformity_factor),
-        _uniformity("sup_star_sq_uniform_in_lam", sup_star_sq, uniformity_factor),
+        _uniformity("w_l1_uniform", w_l1, 100.0),
+        _uniformity("conjugate_mass_uniform", conj_mass, 100.0),
+        _uniformity("sup_star_sq_uniform_in_lam", sup_star_sq, 100.0),
         Assertion("all_finite", all(map(math.isfinite, consec + w_l1 + xi_l1 + conj_mass))),
     ]
     return SweepReport(
@@ -519,7 +513,6 @@ def ensemble_expectations(
     seed: int,
     grid: Optional[Sequence[tuple]] = None,
     order: Optional[Sequence[int]] = None,
-    uniformity_factor: float = 100.0,
 ) -> SweepReport:
     """Monte Carlo estimates of the pathwise energies with standard errors.
 
@@ -572,7 +565,7 @@ def ensemble_expectations(
     if len(grid) > 1:
         for n in names:
             assertions.append(_uniformity(f"{n}_uniform_over_grid",
-                                          per_point_means[n], uniformity_factor))
+                                          per_point_means[n], 100.0))
     return SweepReport(
         variable="(eps,lam)",
         values=tuple(tuple(p) for p in grid),
@@ -661,7 +654,6 @@ def regularity_study(
     seed: Optional[int],
     base: SolverConfig,
     growth: Optional[str] = None,
-    uniformity_factor: float = 10.0,
 ) -> SweepReport:
     """Regularity monitor across a viscosity grid, with uniformity checks."""
     _require_monotone(eps_grid, "increasing", "eps grid")
@@ -677,8 +669,7 @@ def regularity_study(
             for a in rep.assertions
         )
     for key in ("sup_grad_smoothed_w", "xi_l2"):
-        assertions.append(_uniformity(f"{key}_uniform_in_eps", metrics[key],
-                                      uniformity_factor))
+        assertions.append(_uniformity(f"{key}_uniform_in_eps", metrics[key], 10.0))
     return SweepReport(
         variable="eps",
         values=tuple(eps_grid),

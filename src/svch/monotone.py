@@ -188,7 +188,7 @@ def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
     return float(out) if scalar else out
 
 
-def conjugate(graph: MonotoneGraph, s, width_tol: float = 1e-9):
+def conjugate(graph: MonotoneGraph, s):
     """Convex conjugate of beta_hat, sup_r { s*r - beta_hat(r) }, elementwise.
 
     The maximizer satisfies beta(r*) = s, so a bracket [-B, B] with
@@ -215,7 +215,7 @@ def conjugate(graph: MonotoneGraph, s, width_tol: float = 1e-9):
         def h(x):
             return arr * x - graph.beta_hat(x)
 
-        tol = width_tol * (1.0 + B)
+        tol = 1e-9 * (1.0 + B)
         for _ in range(400):
             if np.all(hi - lo <= tol):
                 break
@@ -312,17 +312,20 @@ def graph_names() -> tuple[str, ...]:
 
 def make_graph(name: str) -> MonotoneGraph:
     if name in _REJECTED:
-        raise UnsupportedGraph(f"potential {name!r}: {_REJECTED[name]}")
+        raise UnsupportedGraph(f"potential {name!r}: {_REJECTED[name]}, violates (H1)")
     try:
         return _GRAPHS[name]()
     except KeyError:
         raise UnsupportedGraph(
-            f"unknown potential {name!r}; available: {', '.join(graph_names())}"
+            f"unknown potential {name!r}; available: {', '.join(graph_names())}; "
+            "a potential defined on the whole real line is required, violates (H1)"
         ) from None
 
 
 def make_perturbation(name: str, scale: float = 1.0) -> LipschitzPerturbation:
     """Built-in reaction terms: 'negative_identity' (pi = -scale*r) or 'zero'."""
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}, violates (H3)")
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if name == "negative_identity":

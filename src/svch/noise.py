@@ -17,7 +17,8 @@ spatial mean, so multiplicative forcing never moves the mean of the solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -116,10 +117,13 @@ class DiffusionOperator:
         return self.columns.shape[0]
 
 
-def _column_sup_norms(domain: Domain, columns: np.ndarray) -> np.ndarray:
-    # sup norms estimated on the dealiased grid, batched over the lead axis
+def _lipschitz(domain: Domain, kind: str, columns: np.ndarray) -> float:
+    # root sum of the squared column sup norms (the clamp has slope 1), the sup
+    # norms estimated on the dealiased grid; additive noise ignores the state
+    if kind != "multiplicative":
+        return 0.0
     vals = np.abs(_synthesis(columns, domain.modes))
-    return vals.max(axis=tuple(range(1, vals.ndim)))
+    return float(np.sqrt(np.sum(vals.max(axis=tuple(range(1, vals.ndim))) ** 2)))
 
 
 def diffusion_operator(
@@ -139,18 +143,20 @@ def diffusion_operator(
     """
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown diffusion kind {kind!r}")
-    for name, value in (("sigma", sigma), ("rho", rho), ("clamp_bound", clamp_bound)):
+    for name, value, label in (("sigma", sigma, "B1"), ("rho", rho, "B1"),
+                               ("clamp_bound", clamp_bound, "B3")):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}, violates ({label})")
     if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    total = int(np.prod(domain.modes))
+        raise ValueError(f"sigma must be >= 0, got {sigma!r}, violates (B1)")
+    total = math.prod(domain.modes)
     if not 1 <= mode_count <= total:
         raise DimensionMismatch(
-            f"mode_count must be in [1, {total}] for this truncation, got {mode_count}"
+            f"mode_count must be in [1, {total}] for this truncation, got {mode_count}, "
+            "violates (B1)"
         )
     if clamp_bound <= 0:
-        raise ValueError("clamp_bound must be positive")
+        raise ValueError(f"clamp_bound must be positive, got {clamp_bound!r}, violates (B3)")
     eig = neumann_eigensystem(domain)
     cols = np.zeros((mode_count,) + domain.modes)
     flat = cols.reshape(mode_count, -1)
@@ -158,14 +164,11 @@ def diffusion_operator(
     for k in range(mode_count):
         idx = eig.order[k]
         flat[k, idx] = sigma * (1.0 + mu_flat[idx]) ** (-rho)
-    if kind == "multiplicative" or mean_zero:
+    if not np.isfinite(cols).all():
+        raise ValueError(f"noise columns overflow at sigma={sigma!r}, rho={rho!r}, violates (B1)")
+    mean_zero = mean_zero or kind == "multiplicative"
+    if mean_zero:
         flat[:, eig.order[0]] = 0.0
-        mean_zero = True if kind == "multiplicative" else mean_zero
-    if kind == "multiplicative":
-        sup = _column_sup_norms(domain, cols)
-        lipschitz = float(np.sqrt(np.sum(sup**2)))  # clamp slope is 1
-    else:
-        lipschitz = 0.0
     return DiffusionOperator(
         domain=domain,
         kind=kind,
@@ -173,31 +176,20 @@ def diffusion_operator(
         mean_zero=bool(mean_zero),
         clamp_bound=float(clamp_bound),
         smoothing_level=0,
-        lipschitz=lipschitz,
+        lipschitz=_lipschitz(domain, kind, cols),
     )
 
 
 def smooth(op: DiffusionOperator, level: int) -> DiffusionOperator:
     """Elliptically smoothed operator: columns hit by (I - Laplacian/level)^{-3}."""
-    if level < 1:
-        raise ValueError("smoothing level must be a positive integer")
+    if not 1 <= level <= sys.float_info.max:
+        raise ValueError(f"smoothing level must lie in [1, {sys.float_info.max:g}], got {level}, "
+                         "violates (B4)")
     eig = neumann_eigensystem(op.domain)
     factor = (1.0 + eig.mu / float(level)) ** (-3)
     cols = op.columns * factor[None, ...]
-    if op.kind == "multiplicative":
-        sup = _column_sup_norms(op.domain, cols)
-        lip = float(np.sqrt(np.sum(sup**2)))
-    else:
-        lip = 0.0
-    return DiffusionOperator(
-        domain=op.domain,
-        kind=op.kind,
-        columns=cols,
-        mean_zero=op.mean_zero,
-        clamp_bound=op.clamp_bound,
-        smoothing_level=int(level),
-        lipschitz=lip,
-    )
+    return replace(op, columns=cols, smoothing_level=int(level),
+                   lipschitz=_lipschitz(op.domain, op.kind, cols))
 
 
 def hs_norm(op: DiffusionOperator) -> float:

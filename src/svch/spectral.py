@@ -43,10 +43,8 @@ __all__ = [
     "EigenSystem",
     "SpectralField",
     "neumann_eigensystem",
-    "field_from_coeffs",
     "basis_field",
     "zero_field",
-    "field_from_function",
     "collocation_points",
     "to_grid",
     "from_grid",
@@ -191,10 +189,6 @@ def _check_same_domain(u: SpectralField, v: SpectralField):
         raise ValueError("fields live on different domains")
 
 
-def field_from_coeffs(domain: Domain, coeffs) -> SpectralField:
-    return SpectralField(domain, np.asarray(coeffs, dtype=float))
-
-
 def zero_field(domain: Domain) -> SpectralField:
     return SpectralField(domain, np.zeros(domain.modes))
 
@@ -282,17 +276,12 @@ def _integrals(domain: Domain, values: np.ndarray) -> np.ndarray:
     return _rows(values).sum(axis=1) * domain.volume / values[0].size
 
 
-def field_from_function(domain: Domain, fn: Callable, factor: int = 2) -> SpectralField:
-    """Sample ``fn`` on the collocation grid and project onto the basis."""
-    pts = collocation_points(domain, factor)
-    return from_grid(domain, fn(*pts))
-
-
 def apply_pointwise(field: SpectralField, f: Callable, factor: int = 2) -> SpectralField:
     """Pseudo-spectral application of a scalar function f to a field.
 
-    Evaluates f on the dealiased collocation grid and projects back; this is
-    the single nonlinearity route used by the time stepper.
+    Evaluates f on the dealiased collocation grid and projects back.  The
+    time stepper does the same on raw coefficient stacks through the
+    transform pair.
     """
     return from_grid(field.domain, f(to_grid(field, factor)))
 

@@ -90,6 +90,10 @@ class StepRejected(RuntimeError):
         self.suggested_dt = suggested_dt
 
 
+# hypotheses the solver parameters stand for, named by their rejections
+_LABELS = {"lam": ", violates (H2)", "eps": ", violates (H4)"}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything the stepper needs besides the state itself.
@@ -116,20 +120,30 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("eps", "lam", "dt", "t_final", "newton_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}{_LABELS.get(name, '')}")
         if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+            raise ValueError(f"eps must be >= 0, got {self.eps!r}{_LABELS['eps']}")
         if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+            raise ValueError(f"lam must be > 0, got {self.lam!r}{_LABELS['lam']}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final * (1.0 + 1e-12):
             raise ValueError("dt must not exceed t_final")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final / dt overflows: {self.t_final!r} / {self.dt!r}")
         if self.newton_tol < 1e-14:
             raise ValueError("newton_tol below 1e-14 is not resolvable in double precision")
         if self.splitting not in ("convex_splitting", "fully_implicit"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
+        for name in ("newton_max_iter", "cg_max_iter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # a substep below 2**-52 of its step is lost in the rounding of the
+        # step's time; _advance also recurses once per halving
+        if not 0 <= self.max_rejections <= 52:
+            raise ValueError(f"max_rejections must lie in [0, 52], got {self.max_rejections!r}")
 
     @property
     def n_steps(self) -> int:

@@ -7,6 +7,8 @@ reproducibility is asserted on full artifact files.
 
 import csv
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import svch.cli as cli
+import svch.monotone as mn
 
 
 def read_series(path: Path):
@@ -308,3 +311,128 @@ class TestExitCodes:
                          "--out", str(out), "--quiet"]) == 0
         capsys.readouterr()
         assert "seed = 7" in (out / "config.ini").read_text()
+
+
+class TestValidationBoundary:
+    """Validation builds the problem once; the constructors own the checks."""
+
+    def test_builds_once(self, monkeypatch):
+        calls = []
+        make_graph = mn.make_graph
+        monkeypatch.setattr(mn, "make_graph", lambda name: calls.append(name) or make_graph(name))
+        cli.parse_config("[noise]\nkind = additive\n", env={})
+        assert calls == ["quartic_double_well"]
+
+    @pytest.mark.parametrize("text,label", [
+        ("[potential]\nperturbation_scale = inf\n", "H3"),
+        ("[noise]\nkind = additive\nclamp_bound = nan\n", "B3"),
+    ])
+    def test_loop_labels(self, text, label):
+        with pytest.raises(cli.ValidationError, match=rf"must be finite.*\({label}\)"):
+            cli.parse_config(text, env={})
+
+    @pytest.mark.parametrize("text", [
+        "[domain]\nmodes = 1000000000000\n",
+        # np.prod((2**32, 2**32)) wraps around to 0
+        "[domain]\nlengths = 1, 1\nmodes = 4294967296, 4294967296\n[initial]\ncoefficients =\n",
+        "[noise]\nkind = additive\nmodes = 1000000000000\n",
+        "[run]\nmode = ensemble\n[noise]\nkind = additive\n[sweep]\nmembers = 1" + "0" * 400 + "\n",
+    ], ids=["modes", "wrapping_product", "noise_modes", "members"])
+    def test_grid_budget(self, text):
+        with pytest.raises(cli.ValidationError, match="budget"):
+            cli.parse_config(text, env={})
+
+    def test_budget_admits_the_largest_documented_grid(self):
+        text = "[domain]\nlengths = 20, 20\nmodes = 64, 64\n" \
+            "[noise]\nkind = multiplicative\nmean_zero = true\nmodes = 16\n"
+        cli.parse_config(text, env={})
+
+
+# inputs that fail deep in a run (a traceback, unset rows, exit 3) unless
+# validation rejects them: each is a config error that writes nothing
+REPRODUCED = {
+    "newton_max_iter": "[solver]\nnewton_max_iter = -3\n",
+    "step_count_overflow": "[solver]\nt_final = 1e300\ndt = 1e-300\n",
+    "noise_column_overflow": "[noise]\nkind = additive\nrho = -1e308\n",
+    "modes": "[domain]\nmodes = 1000000000000\n",
+    "wrapping_product": "[domain]\nlengths = 1, 1\nmodes = 4294967296, 4294967296\n"
+                        "[initial]\ncoefficients =\n",
+    "ensemble_members": "[run]\nmode = ensemble\n[noise]\nkind = additive\n"
+                        f"[sweep]\nmembers = {10**400}\n",
+    "smoothing_level": f"[noise]\nkind = additive\nsmoothing_level = {10**400}\n",
+    # every halving of a non-finite state fails again, one stack frame each
+    "halving_depth": "[solver]\nmax_rejections = 2000\n[initial]\ncoefficients = 1:1e308\n",
+}
+
+
+@pytest.mark.parametrize("text", REPRODUCED.values(), ids=REPRODUCED.keys())
+def test_reproduced_input_is_a_config_error(text, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_time_config_error_writes_nothing(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(SHORT + "[run]\nmode = ensemble\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the exit-code contract over structured configs that cannot run long (at
+# most 8 modes per axis, 4 steps and 8 members), with a few numeric keys set
+# to extreme values
+_EXTREMES = ["nan", "inf", "-inf", "0", "-3", "1e308", str(10**400)]
+_NUMERIC = [(section, key, codec) for (section, key), (_, codec) in cli._SCHEMA.items()
+            if codec in ("int", "ints", "float", "floats", "pairs")]
+
+
+@hst.composite
+def _short_configs(draw):
+    modes = draw(hst.lists(hst.integers(2, 8), min_size=1, max_size=2))
+    total = math.prod(modes)
+    dt = draw(hst.sampled_from([0.01, 0.05]))
+    values = {
+        ("run", "mode"): draw(hst.sampled_from(cli.MODES)),
+        ("run", "seed"): str(draw(hst.integers(0, 3))),
+        ("domain", "lengths"): ",".join(draw(hst.sampled_from(["1.0", "10.0"])) for _ in modes),
+        ("domain", "modes"): ",".join(map(str, modes)),
+        ("potential", "name"): draw(hst.sampled_from(mn.graph_names())),
+        ("potential", "perturbation"): draw(hst.sampled_from(["negative_identity", "zero"])),
+        ("noise", "kind"): draw(hst.sampled_from(["none", "additive", "multiplicative"])),
+        ("noise", "modes"): str(draw(hst.integers(1, total))),
+        ("noise", "mean_zero"): "true",
+        ("noise", "smoothing_level"): str(draw(hst.integers(0, 2))),
+        ("solver", "eps"): draw(hst.sampled_from(["0.0", "0.01"])),
+        ("solver", "dt"): repr(dt),
+        ("solver", "t_final"): repr(dt * draw(hst.integers(1, 4))),
+        ("initial", "coefficients"): f"1:{draw(hst.sampled_from(['0.1', '0.5']))}",
+        ("sweep", "eps_grid"): "0.01, 0.001",
+        ("sweep", "lam_grid"): "0.1, 0.01",
+        ("sweep", "members"): "8",
+    }
+    for section, key, codec in draw(hst.lists(hst.sampled_from(_NUMERIC), max_size=2,
+                                              unique=True)):
+        extreme = draw(hst.sampled_from(_EXTREMES))
+        values[(section, key)] = f"1:{extreme}" if codec == "pairs" else extreme
+    sections = dict.fromkeys(section for section, _ in values)
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items()
+                                               if s == section) for section in sections)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_short_configs())
+def test_property_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "run.ini"
+        ini.write_text(text)
+        out = Path(tmp) / "out"
+        code = cli.main(["--config", str(ini), "--out", str(out), "--quiet"])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert not out.exists()

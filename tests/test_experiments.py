@@ -294,6 +294,12 @@ class TestContinuousDependence:
             ex.continuous_dependence_study(d1, d2, eps_grid=(1e-2, 1e-3), seed=21,
                                            base=study_config())
 
+    def test_negative_viscosity_names_the_hypothesis(self, long_domain):
+        d1, d2 = self._pair(long_domain)
+        with pytest.raises(ValueError, match=r"eps must be >= 0.*\(H4\)"):
+            ex.continuous_dependence_study(d1, d2, eps_grid=(-1e-3, 1e-2), seed=21,
+                                           base=study_config())
+
 
 class TestVanishingViscosity:
     def test_distances_shrink_toward_limit(self, long_domain):

@@ -314,6 +314,16 @@ class TestRegistry:
         with pytest.raises(mn.UnsupportedGraph):
             mn.make_perturbation("tanh")
 
+    @pytest.mark.parametrize("name", ("log_double_well", "septic_well"))
+    def test_graph_rejection_names_the_hypothesis(self, name):
+        with pytest.raises(mn.UnsupportedGraph, match=r"violates \(H1\)"):
+            mn.make_graph(name)
+
+    @pytest.mark.parametrize("scale", (np.inf, np.nan))
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match=r"finite.*\(H3\)"):
+            mn.make_perturbation("negative_identity", scale)
+
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             mn.make_perturbation("negative_identity", -1.0)

@@ -142,6 +142,20 @@ class TestDiffusionOperator:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             noise.diffusion_operator(Domain((1.0,), (8,)), 4, **{name: value})
 
+    @pytest.mark.parametrize("kwargs,label", [
+        ({"sigma": np.nan}, "B1"), ({"rho": np.inf}, "B1"), ({"sigma": -1.0}, "B1"),
+        ({"mode_count": 9}, "B1"), ({"clamp_bound": np.nan}, "B3"), ({"clamp_bound": 0.0}, "B3"),
+    ])
+    def test_rejections_name_the_hypothesis(self, kwargs, label):
+        kwargs = {"mode_count": 4, **kwargs}
+        with pytest.raises(ValueError, match=rf"violates \({label}\)"):
+            noise.diffusion_operator(Domain((1.0,), (8,)), **kwargs)
+
+    def test_overflowing_columns_rejected(self):
+        # (1 + mu)**1e308 overflows although sigma and rho are finite
+        with pytest.raises(ValueError, match=r"overflow.*\(B1\)"):
+            noise.diffusion_operator(Domain((1.0,), (8,)), 4, rho=-1e308)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma must be >= 0"):
             noise.diffusion_operator(Domain((1.0,), (8,)), 4, sigma=-1.0)
@@ -173,6 +187,10 @@ class TestSmoothing:
     def test_level_validation(self, long_domain):
         with pytest.raises(ValueError):
             noise.smooth(noise.diffusion_operator(long_domain, 3), 0)
+
+    def test_level_beyond_float_range_rejected(self, long_domain):
+        with pytest.raises(ValueError, match=r"\(B4\)"):
+            noise.smooth(noise.diffusion_operator(long_domain, 3), 10**400)
 
 
 class TestApplyDiffusion:

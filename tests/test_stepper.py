@@ -442,6 +442,27 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: value})
 
+    @pytest.mark.parametrize("name,value,label", [("lam", 0.0, "H2"), ("lam", np.nan, "H2"),
+                                                  ("eps", -0.1, "H4"), ("eps", np.inf, "H4")])
+    def test_rejections_name_the_hypothesis(self, quartic, neg_id, name, value, label):
+        with pytest.raises(ValueError, match=rf"{name} must .*violates \({label}\)"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: value})
+
+    @pytest.mark.parametrize("name", ("newton_max_iter", "cg_max_iter", "max_rejections"))
+    def test_negative_counts_rejected(self, quartic, neg_id, name):
+        sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: 0})
+        with pytest.raises(ValueError, match=name):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: -3})
+
+    def test_halvings_bounded(self, quartic, neg_id):
+        sp.SolverConfig(graph=quartic, perturbation=neg_id, max_rejections=52)
+        with pytest.raises(ValueError, match="max_rejections"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, max_rejections=53)
+
+    def test_step_count_overflow_rejected(self, quartic, neg_id):
+        with pytest.raises(ValueError, match="overflows"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=1e-300, t_final=1e300)
+
     def test_step_counting(self, quartic, neg_id):
         cfg = sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=0.3, t_final=1.0)
         assert cfg.n_steps == 4
