@@ -22,9 +22,7 @@ from .spectral import (
     apply_helmholtz_inverse,
     apply_inverse_laplacian,
     apply_laplacian,
-    apply_pointwise,
     basis_field,
-    collocation_points,
     from_grid,
     inner,
     integrate_grid,
@@ -33,7 +31,6 @@ from .spectral import (
     star_energy,
     star_potential,
     to_grid,
-    zero_field,
 )
 from .monotone import (
     LipschitzPerturbation,

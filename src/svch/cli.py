@@ -389,6 +389,10 @@ def _build(config: RunConfig):
         )
         if config.smoothing_level > 0:
             operator = nz.smooth(operator, config.smoothing_level)
+        try:  # the Wiener process owns the seed's range
+            nz.WienerProcess(operator.mode_count, config.seed)
+        except ValueError as err:
+            raise ValueError(f"run.seed: {err}") from err
     return domain, u0, solver, ex.ProblemData(u0, operator=operator)
 
 

@@ -61,8 +61,8 @@ class WienerProcess:
     def __init__(self, mode_count: int, seed: int):
         if mode_count < 1:
             raise ValueError("mode_count must be >= 1")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128) (the Philox key), got {seed}")
         self.mode_count = int(mode_count)
         self.seed = int(seed)
 
@@ -107,8 +107,7 @@ class DiffusionOperator:
     lipschitz: float
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        cols = cols.copy()
+        cols = np.array(self.columns, dtype=float)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
@@ -161,9 +160,10 @@ def diffusion_operator(
     cols = np.zeros((mode_count,) + domain.modes)
     flat = cols.reshape(mode_count, -1)
     mu_flat = eig.mu.ravel()
-    for k in range(mode_count):
-        idx = eig.order[k]
-        flat[k, idx] = sigma * (1.0 + mu_flat[idx]) ** (-rho)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below, labelled
+        for k in range(mode_count):
+            idx = eig.order[k]
+            flat[k, idx] = sigma * (1.0 + mu_flat[idx]) ** (-rho)
     if not np.isfinite(cols).all():
         raise ValueError(f"noise columns overflow at sigma={sigma!r}, rho={rho!r}, violates (B1)")
     mean_zero = mean_zero or kind == "multiplicative"
@@ -198,21 +198,16 @@ def hs_norm(op: DiffusionOperator) -> float:
     return float(np.sqrt(np.sum(w[None, ...] * op.columns**2)))
 
 
-def _check_increment(op: DiffusionOperator, dW: np.ndarray) -> np.ndarray:
+def apply_diffusion(
+    op: DiffusionOperator, state: Optional[SpectralField], dW: np.ndarray
+) -> SpectralField:
+    """Field B dW (additive) or B(state) dW (multiplicative)."""
     dW = np.asarray(dW, dtype=float)
     if dW.shape != (op.mode_count,):
         raise DimensionMismatch(
             f"increment has shape {dW.shape}, operator expects ({op.mode_count},)"
         )
-    return dW
-
-
-def apply_diffusion(
-    op: DiffusionOperator, state: Optional[SpectralField], dW: np.ndarray
-) -> SpectralField:
-    """Field B dW (additive) or B(state) dW (multiplicative)."""
-    dW = _check_increment(op, dW)
-    profile = np.tensordot(dW, op.columns, axes=(0, 0))
+    profile = _profiles(op, dW[None])[0]
     if op.kind == "additive":
         return SpectralField(op.domain, profile)
     return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
@@ -234,9 +229,15 @@ def increment_stack(models, coeffs: np.ndarray, step: int, dt: float) -> np.ndar
     op = models[0].operator
     if any(m.operator is not op for m in models):
         raise DimensionMismatch("stacked members must share one diffusion operator")
-    profiles = np.stack([np.tensordot(m.process.increments_at(step, dt), op.columns,
-                                      axes=(0, 0)) for m in models])
+    profiles = _profiles(op, np.stack([m.process.increments_at(step, dt) for m in models]))
     return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)
+
+
+def _profiles(op: DiffusionOperator, dW: np.ndarray) -> np.ndarray:
+    # B dW for every row of a (B, K) increment stack: a (B, 1, K) @ (K, P) product
+    # is one BLAS call per row, so a member equals its solo (B = 1) row bitwise
+    cols = op.columns.reshape(op.mode_count, -1)
+    return (dW[:, None, :] @ cols).reshape((len(dW),) + op.domain.modes)
 
 
 def _state_coeffs(op: DiffusionOperator, state: Optional[SpectralField]) -> np.ndarray:

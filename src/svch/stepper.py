@@ -376,16 +376,19 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0):
     return c, w, xi, iters, res, depths
 
 
-def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
-    domain = u0.domain
-    c = u0.coeffs
+def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain, step_index: int):
+    # (w, xi) at coefficients c: w = -Lap c + beta_lam(c) + pi(c) - g, xi = beta_lam(c)
     eig = neumann_eigensystem(domain)
     grid = _synthesis(c, domain.modes)
     xi = _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
     w = eig.mu * c + xi + _analysis(config.perturbation.pi(grid), domain.modes)
-    g = _g_coeffs(config, domain, 0)
-    if g is not None:
-        w = w - g
+    g = _g_coeffs(config, domain, step_index)
+    return (w if g is None else w - g), xi
+
+
+def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
+    domain = u0.domain
+    w, xi = _chemical_potential(u0.coeffs, config, domain, 0)
     zero = SpectralField(domain, np.zeros(domain.modes))
     return SolverState(
         u=u0,
@@ -533,18 +536,8 @@ def drift(v: SpectralField, config: SolverConfig, step_index: int = 0) -> Spectr
     A(v) = -Lap(-Lap v + beta_lam(v) + pi(v) - g); pairings against test
     fields are plain H inner products in the truncation.
     """
-    domain = v.domain
-    eig = neumann_eigensystem(domain)
-    grid = _synthesis(v.coeffs, domain.modes)
-    bracket = (
-        eig.mu * v.coeffs
-        + _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
-        + _analysis(config.perturbation.pi(grid), domain.modes)
-    )
-    g = _g_coeffs(config, domain, step_index)
-    if g is not None:
-        bracket = bracket - g
-    return SpectralField(domain, eig.mu * bracket)
+    w, _ = _chemical_potential(v.coeffs, config, v.domain, step_index)
+    return SpectralField(v.domain, neumann_eigensystem(v.domain).mu * w)
 
 
 def evolution_residual(prev: SolverState, new: SolverState, config: SolverConfig,

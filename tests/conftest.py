@@ -52,6 +52,18 @@ def random_field(domain, rng, scale=1.0, decay=1.5, mean=None):
     return sp.SpectralField(domain, c)
 
 
+def collocation_points(domain, factor=2):
+    """Midpoint grid coordinates, one meshgrid array per axis."""
+    axes = [(np.arange(factor * m) + 0.5) * L / (factor * m)
+            for L, m in zip(domain.lengths, domain.modes)]
+    return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def apply_pointwise(field, f, factor=2):
+    """Pseudo-spectral f(field): f on the dealiased grid, projected back."""
+    return sp.from_grid(field.domain, f(sp.to_grid(field, factor)))
+
+
 def make_config(graph, perturbation, **kw):
     """Solver config with test defaults; accepts names as well as objects."""
     if isinstance(graph, str):

@@ -384,6 +384,18 @@ def test_run_time_config_error_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+@pytest.mark.parametrize("seed", [2**128, -1])
+def test_seed_outside_the_philox_key_range_is_a_config_error(route, seed, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(NOISY + (f"[run]\nseed = {seed}\n" if route == "config" else ""))
+    out = tmp_path / "out"
+    flag = ["--seed", str(seed)] if route == "flag" else []
+    assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"] + flag) == 2
+    assert "run.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the exit-code contract over structured configs that cannot run long (at
 # most 8 modes per axis, 4 steps and 8 members), with a few numeric keys set
 # to extreme values

@@ -5,6 +5,8 @@ Statistical checks use fixed seeds and 4-sigma acceptance bands; structural
 checks compare against explicit per-mode sums and eigensystem data.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,12 @@ class TestWienerProcess:
             noise.WienerProcess(3, seed=-1)
         with pytest.raises(ValueError):
             noise.WienerProcess(3, seed=1).increments_at(0, 0.0)
+
+    def test_seed_range_is_the_philox_key_range(self):
+        top = noise.WienerProcess(3, seed=2**128 - 1)
+        assert top.increments_at(0, 0.1).shape == (3,)
+        with pytest.raises(ValueError, match=str(2**128)):
+            noise.WienerProcess(3, seed=2**128)
 
 
 class TestIncrementTable:
@@ -152,9 +160,12 @@ class TestDiffusionOperator:
             noise.diffusion_operator(Domain((1.0,), (8,)), **kwargs)
 
     def test_overflowing_columns_rejected(self):
-        # (1 + mu)**1e308 overflows although sigma and rho are finite
-        with pytest.raises(ValueError, match=r"overflow.*\(B1\)"):
-            noise.diffusion_operator(Domain((1.0,), (8,)), 4, rho=-1e308)
+        # (1 + mu)**1e308 overflows although sigma and rho are finite; the
+        # labelled rejection is the only signal, with no warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflow.*\(B1\)"):
+                noise.diffusion_operator(Domain((1.0,), (8,)), 4, rho=-1e308)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma must be >= 0"):

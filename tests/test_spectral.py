@@ -1,46 +1,82 @@
 """
 Transform, quadrature, and operator-identity tests for the cosine calculus.
 
-The oracles here never touch the module's own DCT path: dense cosine
-matrices built with explicit np.cos calls, finite differences on fine grids,
-and scipy.integrate quadrature.
+The oracles here are independent of the module's transform pair, on both
+sides of its matrix/DCT threshold: dense cosine matrices built here with
+explicit np.cos calls (never the module's cached matrices), finite
+differences on fine grids, and scipy.integrate quadrature.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import fft as sfft
 from scipy import integrate
 
 import svch.spectral as sp
-from conftest import random_field
+from conftest import apply_pointwise, collocation_points, random_field
 
 RNG = np.random.default_rng(1234)
 
+# (lengths, modes) on both sides of the threshold at which the transform pair
+# switches from cached matrices (m * factor * m <= 2**14 on every axis) to the
+# DCT: 32 and 8 x 12 modes take the matrices at factors 2 and 3, 90 modes only
+# at factor 2, the rest never
+SIDES = [((1.0,), (32,)), ((1.0,), (90,)), ((1.0,), (91,)), ((3.0,), (256,)),
+         ((1.0, 2.0), (8, 12)), ((2.0, 1.0), (100, 96))]
+ABOVE = [((90,), 3), ((91,), 2), ((256,), 2), ((256,), 3), ((100, 96), 2), ((100, 96), 3)]
+
+
+def cosine_matrix(L, m, n):
+    """(n, m) matrix of the first m cosines at the n midpoints of (0, L)."""
+    x = (np.arange(n) + 0.5) * L / n
+    return np.cos(np.outer(x, np.arange(m)) * np.pi / L)
+
+
+def _per_axis(mats, array):
+    if len(mats) == 1:
+        return mats[0] @ array
+    return mats[0] @ array @ mats[1].T
+
 
 def dense_synthesis(domain, coeffs, factor=2):
-    """Independent 1-D synthesis: explicit cosine matrix."""
-    (L,) = domain.lengths
-    (m,) = domain.modes
-    n = factor * m
-    x = (np.arange(n) + 0.5) * L / n
-    C = np.cos(np.outer(x, np.arange(m)) * np.pi / L)
-    return C @ coeffs
+    """Independent synthesis: one explicit cosine matrix per axis."""
+    return _per_axis([cosine_matrix(L, m, factor * m)
+                      for L, m in zip(domain.lengths, domain.modes)], coeffs)
 
 
 def dense_analysis(domain, values):
-    """Independent 1-D analysis on an n-point midpoint grid."""
-    (L,) = domain.lengths
-    (m,) = domain.modes
-    n = values.size
-    x = (np.arange(n) + 0.5) * L / n
-    C = np.cos(np.outer(x, np.arange(m)) * np.pi / L)
-    c = (2.0 / n) * C.T @ values
-    c[0] *= 0.5
-    return c
+    """Independent analysis on a midpoint grid: one explicit matrix per axis."""
+    mats = []
+    for L, m, n in zip(domain.lengths, domain.modes, values.shape):
+        P = (2.0 / n) * cosine_matrix(L, m, n).T
+        P[0] *= 0.5
+        mats.append(P)
+    return _per_axis(mats, values)
+
+
+def dct_synthesis(coeffs, modes, factor):
+    """The DCT-III formula the pair applies above its threshold."""
+    out = np.array(coeffs, dtype=float)
+    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
+        out[(slice(None),) * ax + (slice(1, None),)] *= 0.5
+        out = sfft.dct(out, type=3, n=factor * m, axis=ax)
+    return out
+
+
+def dct_analysis(values, modes):
+    """The DCT-II formula the pair applies above its threshold."""
+    out = np.asarray(values, dtype=float)
+    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
+        n = out.shape[ax]
+        out = sfft.dct(out, type=2, axis=ax)[(slice(None),) * ax + (slice(0, m),)] / n
+        out[(slice(None),) * ax + (0,)] *= 0.5
+    return out
 
 
 class TestTransforms:
@@ -59,6 +95,24 @@ class TestTransforms:
             want = dense_analysis(unit_domain, values)
             assert np.max(np.abs(got - want)) < 1e-13
 
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("lengths, modes", SIDES)
+    def test_dense_oracles_on_both_sides_of_the_threshold(self, lengths, modes, factor):
+        domain = sp.Domain(lengths, modes)
+        f = random_field(domain, RNG)
+        assert np.max(np.abs(sp.to_grid(f, factor) - dense_synthesis(domain, f.coeffs, factor))) \
+            < 1e-13
+        values = RNG.standard_normal(tuple(factor * m for m in modes))
+        got = sp.from_grid(domain, values).coeffs
+        assert np.max(np.abs(got - dense_analysis(domain, values))) < 1e-13
+
+    @pytest.mark.parametrize("modes, factor", ABOVE)
+    def test_above_the_threshold_the_pair_is_the_dct_bitwise(self, modes, factor):
+        stack = RNG.standard_normal((3,) + modes)
+        grids = sp._synthesis(stack, modes, factor)
+        assert np.array_equal(grids, dct_synthesis(stack, modes, factor))
+        assert np.array_equal(sp._analysis(grids, modes), dct_analysis(grids, modes))
+
     def test_round_trip_identity(self, unit_domain):
         f = random_field(unit_domain, RNG)
         back = sp.from_grid(unit_domain, sp.to_grid(f, factor=3))
@@ -73,7 +127,7 @@ class TestTransforms:
         # oracle: outer product of explicit cosines on the meshgrid
         f = sp.basis_field(plane_domain, 5, amplitude=1.3)
         k = np.unravel_index(np.argmax(np.abs(f.coeffs)), f.coeffs.shape)
-        X, Y = sp.collocation_points(plane_domain)
+        X, Y = collocation_points(plane_domain)
         L1, L2 = plane_domain.lengths
         want = 1.3 * np.cos(k[0] * np.pi * X / L1) * np.cos(k[1] * np.pi * Y / L2)
         assert np.max(np.abs(sp.to_grid(f) - want)) < 1e-13
@@ -99,7 +153,7 @@ class TestBatchedPair:
     """The private pair transforms the trailing axes; leading axes are a batch."""
 
     @pytest.mark.parametrize("factor", [2, 3])
-    @pytest.mark.parametrize("modes", [(32,), (8, 12)])
+    @pytest.mark.parametrize("modes", [(32,), (8, 12), (256,), (100, 96)])
     def test_stack_equals_row_by_row_bitwise(self, modes, factor):
         stack = RNG.standard_normal((5,) + modes)
         before = stack.copy()
@@ -120,6 +174,23 @@ class TestBatchedPair:
         ]
         assert offenders == []
 
+    def test_oracles_never_read_the_module_matrices(self):
+        # spelled in two parts so that this file does not match itself
+        name = "_cosine" + "_matrices"
+        assert hasattr(sp, name)
+        tests = Path(__file__).parent
+        assert [p.name for p in sorted(tests.glob("*.py")) if name in p.read_text()] == []
+
+    @pytest.mark.parametrize("modes", [(32,), (8, 12), (256,)])
+    def test_non_finite_input_is_silent(self, modes):
+        # a solver failure on such input is reported by its label, not a warning
+        x = np.full(modes, np.inf)
+        x.flat[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = sp._synthesis(x, modes)
+            assert not np.isfinite(sp._analysis(grid, modes)).any()
+
 
 class TestQuadrature:
     def test_integrate_grid_matches_scipy_quad(self):
@@ -127,7 +198,7 @@ class TestQuadrature:
         # midpoint rule converges spectrally and the comparison is sharp
         domain = sp.Domain((2.0,), (48,))
         fn = lambda x: np.exp(np.cos(np.pi * x / 2.0))
-        (pts,) = sp.collocation_points(domain, factor=2)
+        (pts,) = collocation_points(domain, factor=2)
         got = sp.integrate_grid(domain, fn(pts))
         want, err = integrate.quad(fn, 0.0, 2.0, epsabs=1e-13)
         assert abs(got - want) < 1e-11
@@ -161,7 +232,7 @@ class TestDealiasing:
         m = unit_domain.modes[0]
         for k in (1, 3, m // 2, m - 1):
             u = sp.basis_field(unit_domain, k, amplitude=2.0)
-            sq = sp.apply_pointwise(u, np.square)
+            sq = apply_pointwise(u, np.square)
             want = np.zeros(m)
             want[0] = 2.0  # A^2/2 with A=2
             if 2 * k < m:
@@ -338,13 +409,13 @@ class TestValidation:
             sp.SpectralField(unit_domain, np.zeros(3))
 
     def test_coeffs_are_write_protected(self, unit_domain):
-        f = sp.zero_field(unit_domain)
+        f = sp.SpectralField(unit_domain, np.zeros(unit_domain.modes))
         with pytest.raises(ValueError):
             f.coeffs[0] = 1.0
 
     def test_mixed_domain_arithmetic_rejected(self, unit_domain, long_domain):
         with pytest.raises(ValueError):
-            sp.zero_field(unit_domain) + sp.zero_field(long_domain)
+            sp.basis_field(unit_domain, 0) + sp.basis_field(long_domain, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,14 +22,13 @@ from svch.spectral import (
     SpectralField,
     _analysis,
     _synthesis,
-    apply_pointwise,
     inner,
     neumann_eigensystem,
     norm,
     to_grid,
 )
 
-from conftest import make_config, random_field
+from conftest import apply_pointwise, make_config, random_field
 
 RNG = np.random.default_rng(31)
 
