@@ -69,7 +69,6 @@ from .stepper import (
     Trajectory,
     drift,
     evolution_residual,
-    free_energy,
     free_energy_parts,
     initial_state,
     simulate,
@@ -88,7 +87,6 @@ from .experiments import (
     ensemble_expectations,
     member_seed,
     path_l2_distance,
-    path_l2_norm,
     regularity_monitor,
     regularity_study,
     run_diagnostics,

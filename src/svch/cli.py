@@ -534,7 +534,7 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
         # a config problem
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (st.NewtonDiverged, st.StepRejected, ex.NonFinite, mn.NoConvergence) as err:
+    except (st.NewtonDiverged, st.StepRejected, ex.NonFinite) as err:
         failure = err
 
     out = Path(out_dir)

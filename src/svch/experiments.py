@@ -50,7 +50,6 @@ __all__ = [
     "ProblemData",
     "run_diagnostics",
     "check_invariants",
-    "path_l2_norm",
     "path_l2_distance",
     "sup_norm",
     "continuous_dependence_study",
@@ -290,10 +289,6 @@ def check_invariants(traj: Trajectory, records=None) -> list:
 
 def _trapz(values, times) -> float:
     return float(np.trapezoid(np.asarray(values, dtype=float), np.asarray(times)))
-
-
-def path_l2_norm(traj: Trajectory, kind: str = "V1") -> float:
-    return math.sqrt(_trapz([norm(s.u, kind) ** 2 for s in traj.states], traj.times))
 
 
 def path_l2_distance(a: Trajectory, b: Trajectory, kind: str = "V1") -> float:

@@ -10,10 +10,12 @@ convex conjugate of beta_hat.  All scalar operations accept numpy arrays and
 broadcast elementwise; the time stepper relies on this for collocation-grid
 evaluation.
 
-The quartic and linear graphs carry a closed-form resolvent; the others use
-a safeguarded scalar Newton iteration.  At s = beta_lam(r) = beta(J), with
-J = resolvent(r), the conjugate is exactly s*J - beta_hat(J) (Fenchel-Young);
-``conjugate`` is the general route and the oracle for that identity.
+Every graph carries a fixed-cost resolvent and the derivative of beta: the
+quartic and linear graphs a closed form, the sixth-power and exponential
+graphs a fixed number of Newton steps from a bound on the root.  At
+s = beta_lam(r) = beta(J), with J = resolvent(r), the conjugate is exactly
+s*J - beta_hat(J) (Fenchel-Young); ``conjugate`` is the general route and
+the oracle for that identity.
 
 The built-in library covers a quartic double well (beta(r) = r^3 with the
 usual -r perturbation), a sixth-power well (r^5), an exponential graph
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import wrightomega
 
 __all__ = [
     "NoConvergence",
@@ -45,15 +48,9 @@ __all__ = [
     "polynomial_degree",
 ]
 
-RESOLVENT_MAX_ITER = 200
-
 
 class NoConvergence(RuntimeError):
-    """Root finder exceeded its iteration cap; carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The conjugate's bracket search did not terminate."""
 
 
 class UnsupportedGraph(ValueError):
@@ -64,15 +61,17 @@ class UnsupportedGraph(ValueError):
 class MonotoneGraph:
     """Single-valued maximal monotone graph with convex primitive.
 
-    growth is a coarse descriptor, "polynomial:p" or "exponential", used by
-    diagnostics that need to know the nonlinearity class.
+    beta_prime is the derivative of beta; resolvent_closed(lam, r) solves
+    J + lam*beta(J) = r on an array r at a fixed cost.  growth is a coarse
+    descriptor, "polynomial:p" or "exponential", used by diagnostics that
+    need to know the nonlinearity class.
     """
 
     name: str
     beta: Callable
     beta_hat: Callable
-    beta_prime: Optional[Callable] = None
-    resolvent_closed: Optional[Callable] = None
+    beta_prime: Callable
+    resolvent_closed: Callable
     growth: str = "polynomial:1"
 
 
@@ -92,64 +91,27 @@ def _as_array(r):
     return arr, (arr.ndim == 0)
 
 
-def resolvent(graph: MonotoneGraph, lam: float, r):
-    """Solve J + lam*beta(J) = r for J, elementwise.
+# non-finite or overflowing input gives non-finite output, and no warning
+_silent = np.errstate(all="ignore")
 
-    Uses the graph's ``resolvent_closed`` when it has one.  Otherwise a
-    safeguarded Newton iteration confined to the bracket
-    [min(0, r), max(0, r)] with bisection fallback, run per point: a point
-    takes one update past residual 1e-12 * (1 + |r|) and stops, so its root
-    does not depend on the other points of the array.  Since
-    d/dJ (J + lam*beta(J)) >= 1 the root is unique and |J - J_exact| is
-    bounded by the residual itself.
+
+@_silent
+def resolvent(graph: MonotoneGraph, lam: float, r):
+    """Solve J + lam*beta(J) = r for J, elementwise, by the graph's resolvent_closed.
+
+    Every graph carries a fixed-cost resolvent, odd in r, with |J| <= |r|;
+    since d/dJ (J + lam*beta(J)) >= 1 the root is unique.  A point's root
+    does not depend on the other points of the array, and a non-finite r
+    gives a non-finite J without a floating-point warning.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     arr, scalar = _as_array(r)
-    if graph.resolvent_closed is not None:
-        out = graph.resolvent_closed(lam, arr)
-        return float(out) if scalar else out
-
-    r = arr.ravel()
-    idx = np.arange(r.size)
-    out = np.empty_like(r)
-    lo = np.minimum(0.0, r)
-    hi = np.maximum(0.0, r)
-    x = r / (1.0 + lam)  # exact for the linear graph, decent elsewhere
-    tol = 1e-12 * (1.0 + np.abs(r))
-    f = x + lam * graph.beta(x) - r
-    polished = np.zeros(r.size, dtype=bool)
-    for _ in range(RESOLVENT_MAX_ITER):
-        done = np.abs(f) <= tol
-        stop = done & polished
-        if stop.any():
-            out[idx[stop]] = x[stop]
-            keep = ~stop
-            idx, r, lo, hi, x, f, tol, done, polished = (
-                a[keep] for a in (idx, r, lo, hi, x, f, tol, done, polished))
-        if not len(idx):
-            break
-        polished |= done
-        hi = np.where(f > 0, x, hi)
-        lo = np.where(f <= 0, x, lo)
-        if graph.beta_prime is not None:
-            step = f / (1.0 + lam * graph.beta_prime(x))
-            cand = x - step
-        else:
-            cand = 0.5 * (lo + hi)
-        inside = (cand >= lo) & (cand <= hi) & np.isfinite(cand)
-        x = np.where(inside, cand, 0.5 * (lo + hi))
-        f = x + lam * graph.beta(x) - r
-    else:
-        if (np.abs(f) > tol).any():
-            raise NoConvergence(
-                f"resolvent iteration cap {RESOLVENT_MAX_ITER} exceeded",
-                residual=float(np.max(np.abs(f))),
-            )
-    out[idx] = x
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = graph.resolvent_closed(lam, arr)
+    return float(out) if scalar else out
 
 
+@_silent
 def yosida(graph: MonotoneGraph, lam: float, r):
     """Lipschitz regularization (r - resolvent(r)) / lam, elementwise."""
     arr, scalar = _as_array(r)
@@ -157,25 +119,20 @@ def yosida(graph: MonotoneGraph, lam: float, r):
     return float(out) if scalar else out
 
 
+@_silent
 def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
     """Derivative of the regularized graph, beta'(J) / (1 + lam*beta'(J)).
 
     J is resolvent(graph, lam, r) when the caller already holds it; it is
-    computed here otherwise.  Falls back to a central difference of the
-    regularization (ignoring J) when the graph carries no derivative.
-    Always in [0, 1/lam].
+    computed here otherwise.  Always in [0, 1/lam].
     """
     arr, scalar = _as_array(r)
-    if graph.beta_prime is not None:
-        bp = graph.beta_prime(resolvent(graph, lam, arr) if J is None else J)
-        out = bp / (1.0 + lam * bp)
-    else:
-        h = 1e-6 * (1.0 + np.abs(arr))
-        out = (yosida(graph, lam, arr + h) - yosida(graph, lam, arr - h)) / (2.0 * h)
-        out = np.clip(out, 0.0, 1.0 / lam)
+    bp = graph.beta_prime(resolvent(graph, lam, arr) if J is None else J)
+    out = bp / (1.0 + lam * bp)
     return float(out) if scalar else out
 
 
+@_silent
 def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
     """Smoothed primitive beta_hat(J_lam(r)) + lam/2 * beta_lam(r)^2.
 
@@ -194,7 +151,9 @@ def conjugate(graph: MonotoneGraph, s):
     The maximizer satisfies beta(r*) = s, so a bracket [-B, B] with
     beta(B) >= 10*|s| certainly contains it; B is found by doubling and the
     concave objective is then maximized by golden-section search.  The value
-    is accurate to well below 1e-6 absolute for desk-scale arguments.
+    is accurate to well below 1e-6 absolute for desk-scale arguments.  This
+    is the Fenchel-Young oracle: runs take the conjugate at s = beta(J) from
+    the equality s*J - beta_hat(J), and the tests check that against this.
     """
     arr, scalar = _as_array(s)
     target = 10.0 * np.abs(arr) + 1.0
@@ -249,6 +208,38 @@ def _cubic_resolvent(lam, r):
     return J - (J + J * lj2 - r) / (1.0 + 3.0 * lj2)
 
 
+def _quintic_resolvent(lam, r):
+    """Root of J + lam*J^5 = r: six Newton steps from above, odd in r exactly.
+
+    min(|r|, (|r|/lam)^(1/5)) bounds |J| from above, and the branch is
+    convex there, so Newton decreases monotonically to the root.
+    """
+    a = np.abs(r)
+    J = np.minimum(a, a**0.2 * lam**-0.2)
+    for _ in range(6):
+        l4 = lam * J**4
+        J = J - (J + J * l4 - a) / (1.0 + 5.0 * l4)
+    return np.copysign(J, r)
+
+
+def _sinh_resolvent(lam, r):
+    """Root of J + lam*sinh(J) = r: four Newton steps, odd in r exactly.
+
+    The start log w(|r| + log(lam/2)) - log(lam/2), w the Wright omega
+    function, solves J + (lam/2)*e^J = |r| without cancellation; it is
+    clipped to [0, |r|/(1 + lam)].  lam*sinh(J) is lam*e^(J - 700)*sinh(700)
+    above J = 700, so nothing overflows for |r| up to 1e300.
+    """
+    a = np.abs(r)
+    c = np.log(0.5 * lam)
+    J = np.clip(np.log(wrightomega(a + c)) - c, 0.0, a / (1.0 + lam))
+    for _ in range(4):
+        Jc = np.minimum(J, 700.0)
+        g = lam * np.exp(J - Jc)
+        J = J - (J + g * np.sinh(Jc) - a) / (1.0 + g * np.cosh(Jc))
+    return np.copysign(J, r)
+
+
 def _quartic():
     return MonotoneGraph(
         name="quartic_double_well",
@@ -266,6 +257,7 @@ def _sixth():
         beta=lambda r: r**5,
         beta_hat=lambda r: r**6 / 6.0,
         beta_prime=lambda r: 5.0 * r**4,
+        resolvent_closed=_quintic_resolvent,
         growth="polynomial:5",
     )
 
@@ -276,6 +268,7 @@ def _exponential():
         beta=np.sinh,
         beta_hat=lambda r: np.cosh(r) - 1.0,
         beta_prime=np.cosh,
+        resolvent_closed=_sinh_resolvent,
         growth="exponential",
     )
 

@@ -193,7 +193,11 @@ def smooth(op: DiffusionOperator, level: int) -> DiffusionOperator:
 
 
 def hs_norm(op: DiffusionOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(sum_k |B e_k|_H^2) of the base columns."""
+    """Hilbert-Schmidt norm sqrt(sum_k |B e_k|_H^2) of the base columns.
+
+    An object of the paper: hypothesis (B1) bounds this norm.  No run path
+    needs it; it states the quantity the hypothesis is about.
+    """
     w = neumann_eigensystem(op.domain).weights
     return float(np.sqrt(np.sum(w[None, ...] * op.columns**2)))
 
@@ -211,13 +215,6 @@ def apply_diffusion(
     if op.kind == "additive":
         return SpectralField(op.domain, profile)
     return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
-
-
-def columns_at(op: DiffusionOperator, state: SpectralField) -> np.ndarray:
-    """Coefficients of B(state) e_k for every k (multiplicative only)."""
-    if op.kind != "multiplicative":
-        raise KindMismatch("columns_at is defined for multiplicative operators")
-    return _modulate(op, _state_coeffs(op, state), op.columns)
 
 
 def increment_stack(models, coeffs: np.ndarray, step: int, dt: float) -> np.ndarray:
@@ -263,7 +260,8 @@ def integral_ledger(op: DiffusionOperator, process: WienerProcess, n_steps: int,
 
     Sums apply_diffusion over steps 0..n_steps-1 in order, which is exactly
     the bookkeeping the solver performs; the mean of the result tracks the
-    mean shift injected into the solution.
+    mean shift injected into the solution.  An object of the paper, kept as
+    the reference for the solver's noise ledger.
     """
     if op.kind != "additive":
         raise KindMismatch("the integral ledger is defined for additive noise")

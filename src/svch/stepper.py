@@ -67,7 +67,6 @@ __all__ = [
     "step",
     "simulate",
     "Batch",
-    "free_energy",
     "free_energy_parts",
     "drift",
     "evolution_residual",
@@ -346,30 +345,39 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, step_
     return out[0], out[1], out[2], iterations, residuals, failed
 
 
-def _advance(u, noise, config, domain, dt, step_index, depth=0):
+# sub-interval solves that the halvings of one member's step may take
+_MAX_SUBSTEPS = 1024
+
+
+def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
     """One step of a member stack with rejection handling.
 
     A member whose Newton iteration fails repeats the interval alone, split
     in two halves.  The noise increment belongs to the whole interval and is
     injected in the first half, so the driving path (and the mean identity)
-    is unchanged.  Returns (c, w, xi, iterations, residuals, depths).
+    is unchanged.  Both halves may split again, so a member's sub-interval
+    solves, counted in the one-element list spent, are capped at
+    _MAX_SUBSTEPS.  Returns (c, w, xi, iterations, residuals, depths).
     """
     c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, step_index)
     depths = [depth] * len(u)
     for m, err in failed.items():
-        if depth >= config.max_rejections:
+        count = [0] if spent is None else spent
+        count[0] += 2
+        if depth >= config.max_rejections or count[0] > _MAX_SUBSTEPS:
             raise StepRejected(
-                f"step {step_index} still fails after {depth} halvings: {err}",
+                f"step {step_index} still fails after {depth} halvings"
+                f" and {count[0] - 2} substeps: {err}",
                 suggested_dt=dt / 2.0,
             ) from err
         half = dt / 2.0
         row = slice(m, m + 1)
         c1, _, _, it1, res1, d1 = _advance(
             u[row], None if noise is None else noise[row], config, domain, half,
-            step_index, depth + 1
+            step_index, depth + 1, count
         )
         c2, w2, xi2, it2, res2, d2 = _advance(
-            c1, None, config, domain, half, step_index, depth + 1
+            c1, None, config, domain, half, step_index, depth + 1, count
         )
         c[m], w[m], xi[m] = c2[0], w2[0], xi2[0]
         iters[m], res[m], depths[m] = it1[0] + it2[0], res1[0] + res2[0], max(d1[0], d2[0])
@@ -525,16 +533,13 @@ def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
     return grad, well, reaction
 
 
-def free_energy(u: SpectralField, config: SolverConfig) -> float:
-    grad, well, reaction = free_energy_parts(u, config)
-    return grad + well + reaction
-
-
 def drift(v: SpectralField, config: SolverConfig, step_index: int = 0) -> SpectralField:
     """Drift operator applied to v, as a field of the truncated basis.
 
     A(v) = -Lap(-Lap v + beta_lam(v) + pi(v) - g); pairings against test
-    fields are plain H inner products in the truncation.
+    fields are plain H inner products in the truncation.  An object of the
+    paper: no run path calls it, and it states the operator the scheme
+    discretizes.
     """
     w, _ = _chemical_potential(v.coeffs, config, v.domain, step_index)
     return SpectralField(v.domain, neumann_eigensystem(v.domain).mu * w)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import svch.monotone as mn
+import svch.noise as nz
 import svch.spectral as sp
 import svch.stepper as st
 
@@ -62,6 +63,17 @@ def collocation_points(domain, factor=2):
 def apply_pointwise(field, f, factor=2):
     """Pseudo-spectral f(field): f on the dealiased grid, projected back."""
     return sp.from_grid(field.domain, f(sp.to_grid(field, factor)))
+
+
+def free_energy(u, config):
+    """Total free energy: the sum of stepper.free_energy_parts."""
+    grad, well, reaction = st.free_energy_parts(u, config)
+    return grad + well + reaction
+
+
+def columns_at(op, state):
+    """Coefficients of B(state) e_k for every k, one unit increment at a time."""
+    return np.stack([nz.apply_diffusion(op, state, e).coeffs for e in np.eye(op.mode_count)])
 
 
 def make_config(graph, perturbation, **kw):

@@ -30,7 +30,7 @@ from svch.spectral import (
     star_potential,
 )
 
-from conftest import make_config, random_field
+from conftest import free_energy, make_config, random_field
 
 EPS_GRID = (0.0, 1e-3, 1e-2, 1e-1)
 LAM_GRID = (1.0, 1e-1, 1e-2, 1e-3)
@@ -141,7 +141,7 @@ def test_ac5_energy_stability():
     cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                       dt=1e-3, t_final=1.0, newton_tol=1e-11)
     traj = sp.simulate(study_ic(dom), cfg)
-    energies = np.array([sp.free_energy(s.u, cfg) for s in traj])
+    energies = np.array([free_energy(s.u, cfg) for s in traj])
     worst_jump = float(np.diff(energies).max())
     assert len(energies) == 1001
     assert worst_jump <= 1e-12

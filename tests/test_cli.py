@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,28 @@ class TestExitCodes:
         cfg = cli.parse_config(text, env={})
         assert cli.run(cfg, tmp_path, quiet=True) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["exponential", "sixth_power_well"])
+    def test_steep_well_at_amplitude_300_passes(self, name, tmp_path):
+        # grid values reach 300, where lam*beta(J) dominates the resolvent
+        # equation: the exponential root is about 11
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[potential]\nname = {name}\n[initial]\ncoefficients = 0:0.0, 1:300.0\n"
+                       "[solver]\nt_final = 0.005\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["passed"] is True
+
+    def test_halving_work_is_bounded(self, tmp_path, capsys):
+        # every solve fails until dt is tiny, so unbounded halving doubles
+        # the work at each of up to 40 levels
+        ini = tmp_path / "run.ini"
+        ini.write_text("[domain]\nmodes = 8\n[solver]\nnewton_max_iter = 0\n"
+                       "max_rejections = 40\ndt = 0.001\nt_final = 0.004\n")
+        start = time.perf_counter()
+        code = cli.main(["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        assert "step 0 still fails after" in capsys.readouterr().err
 
     def test_main_routes_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

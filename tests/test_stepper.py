@@ -28,7 +28,7 @@ from svch.spectral import (
     to_grid,
 )
 
-from conftest import apply_pointwise, make_config, random_field
+from conftest import apply_pointwise, free_energy, make_config, random_field
 
 RNG = np.random.default_rng(31)
 
@@ -187,7 +187,7 @@ class TestEnergy:
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           dt=1e-3, t_final=0.2)
         traj = sp.simulate(study_field, cfg)
-        energies = np.array([sp.free_energy(st.u, cfg) for st in traj])
+        energies = np.array([free_energy(st.u, cfg) for st in traj])
         assert np.all(np.diff(energies) <= 1e-12)
 
     def test_energy_dominates_reaction_mass(self, long_domain):
@@ -196,13 +196,13 @@ class TestEnergy:
             v = random_field(long_domain, RNG, scale=1.2)
             grad, well, reaction = sp.free_energy_parts(v, cfg)
             assert grad >= 0.0 and well >= 0.0
-            assert sp.free_energy(v, cfg) - reaction >= 0.0
+            assert free_energy(v, cfg) - reaction >= 0.0
 
     def test_viscous_run_also_decays(self, long_domain, study_field):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           eps=1e-2, dt=1e-3, t_final=0.1)
         traj = sp.simulate(study_field, cfg)
-        energies = np.array([sp.free_energy(st.u, cfg) for st in traj])
+        energies = np.array([free_energy(st.u, cfg) for st in traj])
         assert np.all(np.diff(energies) <= 1e-12)
 
 
