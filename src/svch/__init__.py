@@ -75,8 +75,8 @@ from .stepper import (
     step,
 )
 from .experiments import (
+    DIAGNOSTIC_FIELDS,
     Assertion,
-    DiagnosticRecord,
     GrowthMismatch,
     NonFinite,
     PreconditionViolated,

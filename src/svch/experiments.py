@@ -2,11 +2,12 @@
 Diagnostics and convergence studies built on top of the solver.
 
 Everything here consumes trajectories from ``stepper.simulate`` and reduces
-them to per-step records, pathwise norms, and sweep reports.  Pathwise
-L2(0,T; X) norms use the trapezoid rule over the recorded step times; sweeps
-share the driving noise across runs by reusing the (seed, step, mode) keyed
-increments, so refinement studies compare solutions of the same stochastic
-realization.
+them to per-step diagnostic columns, pathwise norms, and sweep reports.  Every
+reduction works on (N+1, *modes) stacks of the states' coefficients, never
+state by state.  Pathwise L2(0,T; X) norms use the trapezoid rule over the
+recorded step times; sweeps share the driving noise across runs by reusing the
+(seed, step, mode) keyed increments, so refinement studies compare solutions
+of the same stochastic realization.
 """
 
 from __future__ import annotations
@@ -19,24 +20,22 @@ import numpy as np
 
 from . import monotone as mn
 from .monotone import polynomial_degree
-from .noise import DiffusionOperator, NoiseModel, WienerProcess
+from .noise import DiffusionOperator, NoiseModel, WienerProcess, increment_stack
 from .spectral import (
     SpectralField,
     _integrals,
     _norms,
     _rows,
     _synthesis,
-    integrate_grid,
     neumann_eigensystem,
     norm,
-    to_grid,
 )
 from .stepper import (
     Batch,
     SolverConfig,
     Trajectory,
     _energy_parts,
-    evolution_residual,
+    _evolution_residuals,
     simulate,
 )
 
@@ -45,7 +44,7 @@ __all__ = [
     "PreconditionViolated",
     "GrowthMismatch",
     "Assertion",
-    "DiagnosticRecord",
+    "DIAGNOSTIC_FIELDS",
     "SweepReport",
     "ProblemData",
     "run_diagnostics",
@@ -84,30 +83,15 @@ class Assertion:
     bound: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DiagnosticRecord:
-    """Scalar diagnostics of one recorded state."""
-
-    t: float
-    mean_u: float
-    star_centered: float  # star norm of u minus its mean process value
-    h_norm: float
-    v1_norm: float
-    v2_norm: float
-    v3_norm: float
-    energy: float
-    gradient_energy: float
-    well_mass: float  # integral of the regularized double-well primitive
-    reaction_mass: float  # integral of pi_hat (the possibly negative offset)
-    conjugate_mass: float  # integral of beta_hat* at beta_lam(u), by Fenchel-Young
-    w_l1: float
-    xi_l1: float
-
-    FIELDS = (
-        "t", "mean_u", "star_centered", "h_norm", "v1_norm", "v2_norm",
-        "v3_norm", "energy", "gradient_energy", "well_mass", "reaction_mass",
-        "conjugate_mass", "w_l1", "xi_l1",
-    )
+# run_diagnostics' columns, in order.  star_centered is the star norm of u
+# minus its mean process value; well_mass integrates the regularized
+# double-well primitive, reaction_mass pi_hat (the possibly negative offset)
+# and conjugate_mass beta_hat* at beta_lam(u), by Fenchel-Young
+DIAGNOSTIC_FIELDS = (
+    "t", "mean_u", "star_centered", "h_norm", "v1_norm", "v2_norm",
+    "v3_norm", "energy", "gradient_energy", "well_mass", "reaction_mass",
+    "conjugate_mass", "w_l1", "xi_l1",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +165,31 @@ def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
 # per-trajectory diagnostics
 
 
-# states per diagnosed chunk: about this many grid points per chunk
+def _stack(states, field: str) -> np.ndarray:
+    # the (N, *modes) stack of one field of the states: the one place that
+    # reads coefficients state by state
+    return np.stack([getattr(s, field).coeffs for s in states])
+
+
+# states per chunk of grid-sized temporaries: about this many grid points
 _CHUNK_POINTS = 4096
 
 
+def _chunks(count: int, domain) -> list:
+    # slices of a stack of count states, each of about _CHUNK_POINTS grid points
+    size = max(1, _CHUNK_POINTS // (2**domain.dimension * math.prod(domain.modes)))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    # powers by libm pow, as Python's float ** takes them: numpy's x * x
+    # rounds about one square in a thousand, and its vectorized pow one sixth
+    # root in twenty, the other way, and the reports keep their digits
+    return np.float_power(values, exponent)
+
+
 def _diagnostic_columns(cfg: SolverConfig, u, w, xi, mean_process, domain) -> dict:
-    """The DiagnosticRecord fields but t, in order, of a (B, *modes) state stack.
+    """The DIAGNOSTIC_FIELDS but t, in order, of a (B, *modes) state stack.
 
     mean_process is u0's mean plus the noise ledger's mean, per row.  One
     resolvent evaluation serves the well mass and the conjugate mass.
@@ -220,64 +223,62 @@ def _require_finite(columns: dict, steps) -> None:
         raise NonFinite(f"diagnostic {name} is not finite at step {steps[k]}")
 
 
-def run_diagnostics(traj: Trajectory) -> list:
-    """One DiagnosticRecord per state; raises NonFinite with the step index.
+def run_diagnostics(traj: Trajectory) -> dict:
+    """{name: (N+1,) array} in DIAGNOSTIC_FIELDS order; raises NonFinite with the step index.
 
     States are diagnosed as stacks of about _CHUNK_POINTS grid points.
     """
     states = traj.states
     domain = states[0].u.domain
-    per_chunk = max(1, _CHUNK_POINTS // (2**domain.dimension * math.prod(domain.modes)))
-    records = []
-    for lo in range(0, len(states), per_chunk):
-        chunk = states[lo:lo + per_chunk]
-        stacks = (np.stack([getattr(s, f).coeffs for s in chunk]) for f in ("u", "w", "xi"))
-        mean_process = states[0].u.mean + np.array([s.noise_ledger.mean for s in chunk])
-        cols = _diagnostic_columns(traj.config, *stacks, mean_process, domain)
+    parts = []
+    for k in _chunks(len(states), domain):
+        chunk = states[k]
+        mean_process = states[0].u.mean + _rows(_stack(chunk, "noise_ledger"))[:, 0]
+        cols = _diagnostic_columns(traj.config, _stack(chunk, "u"), _stack(chunk, "w"),
+                                   _stack(chunk, "xi"), mean_process, domain)
         _require_finite(cols, [s.step_index for s in chunk])
-        records.extend(DiagnosticRecord(t=s.t, **{n: float(v[k]) for n, v in cols.items()})
-                       for k, s in enumerate(chunk))
-    return records
+        parts.append(cols)
+    return {"t": traj.times,
+            **{n: np.concatenate([p[n] for p in parts]) for n in DIAGNOSTIC_FIELDS[1:]}}
 
 
-def _noise_field_for_step(traj: Trajectory, i: int) -> Optional[SpectralField]:
-    if traj.noise is None:
-        return None
-    state = traj.states[i]
-    return traj.noise.increment_field(state.u, state.step_index, traj.config.dt)[0]
-
-
-def check_invariants(traj: Trajectory, records=None) -> list:
+def check_invariants(traj: Trajectory, columns=None) -> list:
     """Structural checks: evolution identity, mean identity, energy decay.
 
+    columns are run_diagnostics(traj) when the caller already holds them.
     The energy decay check only applies to deterministic convex-splitting
     runs without a source, which is exactly when the splitting guarantees it.
     """
     cfg = traj.config
+    states = traj.states
+    domain = states[0].u.domain
+    columns = run_diagnostics(traj) if columns is None else columns
+    u = _stack(states, "u")
     out = []
-    records = run_diagnostics(traj) if records is None else records
 
+    # split steps satisfy the identity per substep instead
+    kept = np.flatnonzero([s.rejections == 0 for s in states[1:]])
     res = 0.0
-    for i in range(len(traj.states) - 1):
-        if traj.states[i + 1].rejections:
-            continue  # split steps satisfy the identity per substep instead
-        res = max(res, evolution_residual(traj.states[i], traj.states[i + 1], cfg,
-                                          _noise_field_for_step(traj, i)))
+    if len(kept):
+        noise = None
+        if traj.noise is not None:
+            noise = increment_stack((traj.noise,) * len(kept), u[kept],
+                                    [states[i].step_index for i in kept], cfg.dt)
+        res = float(_evolution_residuals(domain, cfg, u[kept], u[kept + 1],
+                                         _stack(states, "w")[kept + 1], noise).max())
     out.append(Assertion("evolution_identity", res <= 10 * cfg.newton_tol,
                          value=res, bound=10 * cfg.newton_tol))
 
-    u0_mean = traj.states[0].u.mean
-    mean_err = max(abs(s.u.mean - u0_mean - s.noise_ledger.mean) for s in traj.states)
+    shift = _rows(u)[:, 0] - states[0].u.mean - _rows(_stack(states, "noise_ledger"))[:, 0]
+    mean_err = float(np.abs(shift).max())
     out.append(Assertion("mean_identity", mean_err <= 1e-12, value=mean_err, bound=1e-12))
 
-    offset_floor = min(r.energy - r.reaction_mass for r in records)
+    offset_floor = float((columns["energy"] - columns["reaction_mass"]).min())
     out.append(Assertion("energy_above_reaction_offset", offset_floor >= -1e-12,
                          value=offset_floor, bound=0.0))
 
-    deterministic = traj.noise is None
-    if deterministic and cfg.splitting == "convex_splitting" and cfg.source is None \
-            and cfg.source_path is None:
-        jumps = np.diff([r.energy for r in records])
+    if traj.noise is None and cfg.splitting == "convex_splitting" and cfg.source is None:
+        jumps = np.diff(columns["energy"])
         worst = float(jumps.max()) if len(jumps) else 0.0
         out.append(Assertion("energy_decay", worst <= 1e-12, value=worst, bound=1e-12))
     return out
@@ -291,24 +292,29 @@ def _trapz(values, times) -> float:
     return float(np.trapezoid(np.asarray(values, dtype=float), np.asarray(times)))
 
 
-def path_l2_distance(a: Trajectory, b: Trajectory, kind: str = "V1") -> float:
+def _u_difference(a: Trajectory, b: Trajectory) -> np.ndarray:
     if len(a.states) != len(b.states):
         raise PreconditionViolated("trajectories have different step counts")
-    return math.sqrt(_trapz([norm(x.u - y.u, kind) ** 2
-                             for x, y in zip(a.states, b.states)], a.times))
+    return _stack(a.states, "u") - _stack(b.states, "u")
+
+
+def path_l2_distance(a: Trajectory, b: Trajectory, kind: str = "V1") -> float:
+    domain = a.states[0].u.domain
+    return math.sqrt(_trapz(_pow(_norms(domain, _u_difference(a, b), kind), 2), a.times))
 
 
 def sup_norm(traj: Trajectory, kind: str = "V1") -> float:
-    return max(norm(s.u, kind) for s in traj.states)
+    return float(_norms(traj.states[0].u.domain, _stack(traj.states, "u"), kind).max())
 
 
 # ---------------------------------------------------------------------------
 # studies
 
 
-def _grad_sq(u: SpectralField) -> float:
-    eig = neumann_eigensystem(u.domain)
-    return float(np.sum(eig.weights * eig.mu * u.coeffs**2))
+def _grad_sq(domain, coeffs: np.ndarray) -> np.ndarray:
+    # |grad v|_H^2 of every row of a (B, *modes) stack
+    eig = neumann_eigensystem(domain)
+    return _rows(eig.weights * eig.mu * coeffs**2).sum(axis=1)
 
 
 def continuous_dependence_study(
@@ -366,10 +372,11 @@ def continuous_dependence_study(
         d2 = data2 if with_noise else replace(data2, operator=None)
         t1 = _run(d1, base, seed if with_noise else None, eps=eps)
         t2 = _run(d2, base, seed if with_noise else None, eps=eps)
-        diffs = [x.u - y.u for x, y in zip(t1.states, t2.states)]
-        sup_star = max(norm(v, "star") ** 2 for v in diffs)
-        sup_h = max(norm(v, "H") ** 2 for v in diffs)
-        grad_l2 = _trapz([_grad_sq(v) for v in diffs], t1.times)
+        diff = _u_difference(t1, t2)
+        domain = data1.u0.domain
+        sup_star = float(_pow(_norms(domain, diff, "star"), 2).max())
+        sup_h = float(_pow(_norms(domain, diff, "H"), 2).max())
+        grad_l2 = _trapz(_grad_sq(domain, diff), t1.times)
         return (sup_star + eps * sup_h + grad_l2) / denom
 
     k_cap = 100.0 * _ratio(min(eps_grid), with_noise=False)
@@ -464,11 +471,10 @@ def yosida_convergence_study(
     conj_mass = []
     sup_star_sq = []
     for tr in trajectories:
-        recs = run_diagnostics(tr)
-        ts = tr.times
-        w_l1.append(_trapz([r.w_l1 for r in recs], ts))
-        xi_l1.append(_trapz([r.xi_l1 for r in recs], ts))
-        conj_mass.append(_trapz([r.conjugate_mass for r in recs], ts))
+        cols = run_diagnostics(tr)
+        w_l1.append(_trapz(cols["w_l1"], cols["t"]))
+        xi_l1.append(_trapz(cols["xi_l1"], cols["t"]))
+        conj_mass.append(_trapz(cols["conjugate_mass"], cols["t"]))
         sup_star_sq.append(sup_norm(tr, "star") ** 2)
     assertions = [
         Assertion("consecutive_v1_distances_decreasing",
@@ -539,14 +545,13 @@ def ensemble_expectations(
         batch = Batch(data.u0, cfg, noises)
         rows = np.empty((members, len(names)))
         for m, noise in zip(order, noises):
-            tr = simulate(data.u0, cfg, noise, batch)
-            recs = run_diagnostics(tr)
-            ts = tr.times
+            cols = run_diagnostics(simulate(data.u0, cfg, noise, batch))
+            ts = cols["t"]
             rows[m] = (
-                max(r.star_centered**2 + r.mean_u**2 for r in recs),
-                _trapz([2.0 * r.gradient_energy for r in recs], ts),
-                _trapz([r.well_mass for r in recs], ts),
-                _trapz([r.conjugate_mass for r in recs], ts),
+                (_pow(cols["star_centered"], 2) + _pow(cols["mean_u"], 2)).max(),
+                _trapz(2.0 * cols["gradient_energy"], ts),
+                _trapz(cols["well_mass"], ts),
+                _trapz(cols["conjugate_mass"], ts),
             )
         mean = rows.mean(axis=0)
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(members)
@@ -576,39 +581,29 @@ def ensemble_expectations(
 # regularity monitoring
 
 
-def _smoothed_w_norms(traj: Trajectory):
-    """sup_t |grad R w|_H and the eps-weighted L2-in-time |Lap R w|_H,
-    with R the Helmholtz inverse at the run's viscosity."""
-    eps = traj.config.eps
-    sup_grad = 0.0
-    lap_sq = []
-    for s in traj.states:
-        eig = neumann_eigensystem(s.w.domain)
-        c = s.w.coeffs / (1.0 + eps * eig.mu)
-        sup_grad = max(sup_grad, math.sqrt(float(np.sum(eig.weights * eig.mu * c**2))))
-        lap_sq.append(float(np.sum(eig.weights * eig.mu**2 * c**2)))
-    return sup_grad, eps * math.sqrt(_trapz(lap_sq, traj.times))
-
-
 def regularity_monitor(traj: Trajectory, growth: Optional[str] = None) -> SweepReport:
     """Path norms that stay bounded for smooth data, on one trajectory.
 
+    The smoothed w is R w, R the Helmholtz inverse at the run's viscosity.
     With growth="cubic" also checks the pointwise-cubic bound
     |xi|_{L2(0,T;H)} <= 2 * C * (1 + sup_t |u|_V1^3) where C is assembled
     from the measured V1 -> L6 embedding constant of the trajectory itself.
     """
     cfg = traj.config
     ts = traj.times
-    sup_grad_w, eps_lap_w = _smoothed_w_norms(traj)
-    xi_l2 = math.sqrt(_trapz([norm(s.xi, "H") ** 2 for s in traj.states], ts))
-    xi_grad_l2 = math.sqrt(_trapz([_grad_sq(s.xi) for s in traj.states], ts))
-    v3_path = math.sqrt(_trapz([norm(s.u, "V3") ** 2 for s in traj.states], ts))
+    domain = traj.states[0].u.domain
+    eig = neumann_eigensystem(domain)
+    u = _stack(traj.states, "u")
+    xi = _stack(traj.states, "xi")
+    smoothed_w = _stack(traj.states, "w") / (1.0 + cfg.eps * eig.mu)
+    lap_sq = _rows(eig.weights * eig.mu**2 * smoothed_w**2).sum(axis=1)
+    xi_l2 = math.sqrt(_trapz(_pow(_norms(domain, xi, "H"), 2), ts))
     metrics = {
-        "sup_grad_smoothed_w": (sup_grad_w,),
-        "eps_lap_smoothed_w_l2": (eps_lap_w,),
+        "sup_grad_smoothed_w": (math.sqrt(_grad_sq(domain, smoothed_w).max()),),
+        "eps_lap_smoothed_w_l2": (cfg.eps * math.sqrt(_trapz(lap_sq, ts)),),
         "xi_l2": (xi_l2,),
-        "xi_grad_l2": (xi_grad_l2,),
-        "v3_path": (v3_path,),
+        "xi_grad_l2": (math.sqrt(_trapz(_grad_sq(domain, xi), ts)),),
+        "v3_path": (math.sqrt(_trapz(_pow(_norms(domain, u, "V3"), 2), ts)),),
     }
     assertions = [Assertion("regularity_norms_finite",
                             all(math.isfinite(v[0]) for v in metrics.values()))]
@@ -618,18 +613,13 @@ def regularity_monitor(traj: Trajectory, growth: Optional[str] = None) -> SweepR
                 f"cubic growth bound requested for graph {cfg.graph.name!r} "
                 f"with growth {cfg.graph.growth!r}"
             )
-        emb = 0.0
-        sup_v1 = 0.0
-        for s in traj.states:
-            v1 = norm(s.u, "V1")
-            sup_v1 = max(sup_v1, v1)
-            if v1 > 0:
-                grid = to_grid(s.u)
-                l6 = integrate_grid(s.u.domain, grid**6) ** (1.0 / 6.0)
-                emb = max(emb, l6 / v1)
-        domain = traj.states[0].u.domain
-        T = float(ts[-1])
-        c_measured = math.sqrt(T) * max(math.sqrt(domain.volume), emb**3)
+        v1 = _norms(domain, u, "V1")
+        l6_sixth = np.concatenate([_integrals(domain, _synthesis(u[k], domain.modes) ** 6)
+                                   for k in _chunks(len(u), domain)])
+        ratios = _pow(l6_sixth, 1.0 / 6.0)[v1 > 0] / v1[v1 > 0]
+        emb = float(ratios.max(initial=0.0))
+        sup_v1 = float(v1.max())
+        c_measured = math.sqrt(float(ts[-1])) * max(math.sqrt(domain.volume), emb**3)
         bound = 2.0 * c_measured * (1.0 + sup_v1**3)
         metrics["embedding_constant"] = (emb,)
         metrics["cubic_bound"] = (bound,)

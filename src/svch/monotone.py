@@ -124,11 +124,12 @@ def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
     """Derivative of the regularized graph, beta'(J) / (1 + lam*beta'(J)).
 
     J is resolvent(graph, lam, r) when the caller already holds it; it is
-    computed here otherwise.  Always in [0, 1/lam].
+    computed here otherwise.  In [0, 1/lam] up to rounding; where beta'(J)
+    overflows (the exponential graph past J = 710.5) it is the limit 1/lam.
     """
     arr, scalar = _as_array(r)
-    bp = graph.beta_prime(resolvent(graph, lam, arr) if J is None else J)
-    out = bp / (1.0 + lam * bp)
+    bp = graph.beta_prime(np.asarray(resolvent(graph, lam, arr) if J is None else J))
+    out = np.where(np.isinf(bp), 1.0 / lam, bp / (1.0 + lam * bp))
     return float(out) if scalar else out
 
 
@@ -136,10 +137,11 @@ def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
 def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
     """Smoothed primitive beta_hat(J_lam(r)) + lam/2 * beta_lam(r)^2.
 
-    J is resolvent(graph, lam, r) when the caller already holds it.
+    J is resolvent(graph, lam, r) when the caller already holds it.  J stays
+    an array, so an overflow in beta_hat gives inf, never OverflowError.
     """
     arr, scalar = _as_array(r)
-    J = resolvent(graph, lam, arr) if J is None else J
+    J = np.asarray(resolvent(graph, lam, arr) if J is None else J)
     b = (arr - J) / lam
     out = graph.beta_hat(J) + 0.5 * lam * b * b
     return float(out) if scalar else out

@@ -217,16 +217,20 @@ def apply_diffusion(
     return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
 
 
-def increment_stack(models, coeffs: np.ndarray, step: int, dt: float) -> np.ndarray:
-    """Noise fields of members sharing one operator, as a (B, *modes) stack.
+def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
+    """Noise fields of rows sharing one operator, as a (B, *modes) stack.
 
-    Row m equals ``models[m].increment_field`` at the state ``coeffs[m]``
-    bitwise; only a multiplicative operator reads the states.
+    step is one step index for every row or a sequence of one per row.  Row m
+    equals ``apply_diffusion`` of the state ``coeffs[m]`` and the increments
+    of ``models[m]`` at its step, bitwise; only a multiplicative operator
+    reads the states.
     """
     op = models[0].operator
     if any(m.operator is not op for m in models):
         raise DimensionMismatch("stacked members must share one diffusion operator")
-    profiles = _profiles(op, np.stack([m.process.increments_at(step, dt) for m in models]))
+    steps = np.broadcast_to(step, len(models))
+    profiles = _profiles(op, np.stack([m.process.increments_at(s, dt)
+                                       for m, s in zip(models, steps)]))
     return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)
 
 
@@ -284,8 +288,3 @@ class NoiseModel:
                 f"process has {self.process.mode_count} modes, "
                 f"operator expects {self.operator.mode_count}"
             )
-
-    def increment_field(self, state: Optional[SpectralField], step: int, dt: float):
-        """(noise field, raw increments) for one step; state used only if multiplicative."""
-        dW = self.process.increments_at(step, dt)
-        return apply_diffusion(self.operator, state, dW), dW

@@ -10,8 +10,8 @@ One step solves
 for the coefficients of u+.  The regularized graph beta_lam and the
 reaction pi are evaluated pseudo-spectrally on the dealiased midpoint grid
 by calling spectral's transform pair (``_synthesis``/``_analysis``) directly
-on raw coefficient arrays.  The noise field of a step is whatever
-``NoiseModel.increment_field`` returns for the pre-step state.
+on raw coefficient arrays.  The noise field of a step is the row that
+``noise.increment_stack`` returns for the pre-step state.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
 state, which makes the scheme unconditionally gradient-stable for the
@@ -33,7 +33,8 @@ an ensemble and hands each member's trajectory out through ``simulate``.
 Each member has its own Newton and CG convergence and leaves the working
 set once done, and per-member scalars are sums over contiguous rows, so a
 member equals its solo run bitwise.  A member whose Newton iteration fails
-repeats the step alone by dt-halving.
+repeats the step alone by dt-halving.  The solve is silent on non-finite
+input: an overflow shows as a labelled NewtonDiverged, not as a warning.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ class SolverConfig:
     """Everything the stepper needs besides the state itself.
 
     eps >= 0 is the viscous weight on the time derivative, lam > 0 the graph
-    regularization.  source is an optional constant-in-time field g; a
-    tabulated source_path (one field per step, evaluated at the step's end
-    time) overrides it.
+    regularization.  source is an optional constant-in-time field g.
     """
 
     graph: MonotoneGraph
@@ -114,7 +113,6 @@ class SolverConfig:
     cg_max_iter: int = 500
     splitting: str = "convex_splitting"
     source: Optional[SpectralField] = None
-    source_path: Optional[tuple] = None
     max_rejections: int = 5
 
     def __post_init__(self):
@@ -196,12 +194,8 @@ class Trajectory:
 # the implicit solve
 
 
-def _g_coeffs(config: SolverConfig, domain: Domain, step_index: int):
-    if config.source_path is not None:
-        path = config.source_path
-        g = path[min(step_index, len(path) - 1)]
-    else:
-        g = config.source
+def _g_coeffs(config: SolverConfig, domain: Domain):
+    g = config.source
     if g is None:
         return None
     if g.domain != domain:
@@ -249,7 +243,8 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
     return x, len(rows)
 
 
-def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, step_index: int):
+@mn._silent
+def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
     """Advance a (B, *modes) coefficient stack by one backward Euler step of length dt.
 
     Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
@@ -274,7 +269,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, step_
         rhs = rhs + noise
 
     # explicit part of the bracket: reaction at the old state and the source
-    gq = _g_coeffs(config, domain, step_index)
+    gq = _g_coeffs(config, domain)
     if implicit_pi:
         q = np.zeros_like(u)
     else:
@@ -359,7 +354,7 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
     solves, counted in the one-element list spent, are capped at
     _MAX_SUBSTEPS.  Returns (c, w, xi, iterations, residuals, depths).
     """
-    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, step_index)
+    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt)
     depths = [depth] * len(u)
     for m, err in failed.items():
         count = [0] if spent is None else spent
@@ -384,19 +379,20 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
     return c, w, xi, iters, res, depths
 
 
-def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain, step_index: int):
+@mn._silent
+def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
     # (w, xi) at coefficients c: w = -Lap c + beta_lam(c) + pi(c) - g, xi = beta_lam(c)
     eig = neumann_eigensystem(domain)
     grid = _synthesis(c, domain.modes)
     xi = _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
     w = eig.mu * c + xi + _analysis(config.perturbation.pi(grid), domain.modes)
-    g = _g_coeffs(config, domain, step_index)
+    g = _g_coeffs(config, domain)
     return (w if g is None else w - g), xi
 
 
 def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
     domain = u0.domain
-    w, xi = _chemical_potential(u0.coeffs, config, domain, 0)
+    w, xi = _chemical_potential(u0.coeffs, config, domain)
     zero = SpectralField(domain, np.zeros(domain.modes))
     return SolverState(
         u=u0,
@@ -533,7 +529,7 @@ def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
     return grad, well, reaction
 
 
-def drift(v: SpectralField, config: SolverConfig, step_index: int = 0) -> SpectralField:
+def drift(v: SpectralField, config: SolverConfig) -> SpectralField:
     """Drift operator applied to v, as a field of the truncated basis.
 
     A(v) = -Lap(-Lap v + beta_lam(v) + pi(v) - g); pairings against test
@@ -541,17 +537,24 @@ def drift(v: SpectralField, config: SolverConfig, step_index: int = 0) -> Spectr
     paper: no run path calls it, and it states the operator the scheme
     discretizes.
     """
-    w, _ = _chemical_potential(v.coeffs, config, v.domain, step_index)
+    w, _ = _chemical_potential(v.coeffs, config, v.domain)
     return SpectralField(v.domain, neumann_eigensystem(v.domain).mu * w)
 
 
 def evolution_residual(prev: SolverState, new: SolverState, config: SolverConfig,
                        noise_field: Optional[SpectralField] = None) -> float:
     """H-norm of the discrete evolution identity for one recorded step."""
-    domain = new.u.domain
+    noise = None if noise_field is None else noise_field.coeffs[None]
+    return float(_evolution_residuals(new.u.domain, config, prev.u.coeffs[None],
+                                      new.u.coeffs[None], new.w.coeffs[None], noise)[0])
+
+
+def _evolution_residuals(domain: Domain, config: SolverConfig, prev, new, w, noise):
+    # evolution_residual of every row of (B, *modes) stacks: the pre-step u,
+    # the post-step u and w, and the step's noise fields
     eig = neumann_eigensystem(domain)
-    res = (1.0 + config.eps * eig.mu) * (new.u.coeffs - prev.u.coeffs)
-    res = res + config.dt * eig.mu * new.w.coeffs
-    if noise_field is not None:
-        res = res - noise_field.coeffs
-    return float(np.sqrt(np.sum(eig.weights * res**2)))
+    res = (1.0 + config.eps * eig.mu) * (new - prev)
+    res = res + config.dt * eig.mu * w
+    if noise is not None:
+        res = res - noise
+    return np.sqrt(_rows(eig.weights * res**2).sum(axis=1))

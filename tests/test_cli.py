@@ -199,7 +199,7 @@ class TestRunArtifacts:
         for name in ("config.ini", "series.csv", "summary.json"):
             assert (tmp_path / name).exists()
         comment, header, rows = read_series(tmp_path / "series.csv")
-        assert header == list(cli.ex.DiagnosticRecord.FIELDS)
+        assert header == list(cli.ex.DIAGNOSTIC_FIELDS)
         assert len(rows) == 21
         assert cli.config_hash(cfg) in comment
         energies = [float(r[header.index("energy")]) for r in rows]

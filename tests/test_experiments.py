@@ -70,38 +70,38 @@ class TestDriftCoercivity:
 
 
 class TestDiagnostics:
-    def test_record_values_against_formulas(self, long_domain):
+    def test_column_values_against_formulas(self, long_domain):
         cfg = study_config(dt=1e-3, t_final=2e-3)
         u0 = study_ic(long_domain)
         traj = sp.simulate(u0, cfg)
-        rec = ex.run_diagnostics(traj)[0]
+        rec = {n: v[0] for n, v in ex.run_diagnostics(traj).items()}
         eig = neumann_eigensystem(long_domain)
         c = u0.coeffs
-        assert rec.t == 0.0
-        assert rec.mean_u == u0.mean
-        assert rec.h_norm == pytest.approx(np.sqrt(np.sum(eig.weights * c**2)), rel=1e-14)
-        assert rec.gradient_energy == pytest.approx(
+        assert rec["t"] == 0.0
+        assert rec["mean_u"] == u0.mean
+        assert rec["h_norm"] == pytest.approx(np.sqrt(np.sum(eig.weights * c**2)), rel=1e-14)
+        assert rec["gradient_energy"] == pytest.approx(
             0.5 * np.sum(eig.weights * eig.mu * c**2), rel=1e-14)
         # star norm of the mean-centered field, straight from the coefficients
         nzm = eig.mu > 0
         want = np.sqrt(np.sum(eig.weights[nzm] * c[nzm] ** 2 / eig.mu[nzm]))
-        assert rec.star_centered == pytest.approx(want, rel=1e-13)
-        assert rec.energy == pytest.approx(
-            rec.gradient_energy + rec.well_mass + rec.reaction_mass, rel=1e-14)
+        assert rec["star_centered"] == pytest.approx(want, rel=1e-13)
+        assert rec["energy"] == pytest.approx(
+            rec["gradient_energy"] + rec["well_mass"] + rec["reaction_mass"], rel=1e-14)
 
     def test_well_mass_against_refined_quadrature(self, long_domain):
         cfg = study_config(dt=1e-3, t_final=2e-3)
         u0 = study_ic(long_domain)
-        rec = ex.run_diagnostics(sp.simulate(u0, cfg))[0]
+        well = ex.run_diagnostics(sp.simulate(u0, cfg))["well_mass"][0]
         want = fine_quadrature(u0, lambda v: mn.moreau_envelope(cfg.graph, cfg.lam, v))
-        assert rec.well_mass == pytest.approx(want, abs=1e-8)
+        assert well == pytest.approx(want, abs=1e-8)
 
     def test_reaction_mass_against_refined_quadrature(self, long_domain):
         cfg = study_config(dt=1e-3, t_final=2e-3)
         u0 = study_ic(long_domain)
-        rec = ex.run_diagnostics(sp.simulate(u0, cfg))[0]
+        reaction = ex.run_diagnostics(sp.simulate(u0, cfg))["reaction_mass"][0]
         want = fine_quadrature(u0, cfg.perturbation.pi_hat)
-        assert rec.reaction_mass == pytest.approx(want, abs=1e-10)
+        assert reaction == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("lam", (1e-3, 1e-2, 0.1))
     @pytest.mark.parametrize("graph", mn.graph_names())
@@ -109,19 +109,19 @@ class TestDiagnostics:
         cfg = make_config(graph, ("negative_identity", 1.0), lam=lam, dt=1e-3,
                           t_final=3e-3)
         traj = sp.simulate(study_ic(long_domain), cfg)
-        for state, rec in zip(traj, ex.run_diagnostics(traj)):
+        for state, conj in zip(traj, ex.run_diagnostics(traj)["conjugate_mass"]):
             blam = mn.yosida(cfg.graph, lam, to_grid(state.u))
             want = integrate_grid(long_domain, mn.conjugate(cfg.graph, blam))
-            assert abs(rec.conjugate_mass - want) <= 1e-10
+            assert abs(conj - want) <= 1e-10
 
     def test_constant_trajectory_is_flat(self, long_domain):
         c = np.zeros(64)
         c[0] = 0.7
         cfg = study_config(t_final=5e-3)
-        recs = ex.run_diagnostics(sp.simulate(SpectralField(long_domain, c), cfg))
-        assert all(r.mean_u == 0.7 for r in recs)
-        assert all(r.star_centered == 0.0 for r in recs)
-        assert len({r.energy for r in recs}) == 1
+        cols = ex.run_diagnostics(sp.simulate(SpectralField(long_domain, c), cfg))
+        assert (cols["mean_u"] == 0.7).all()
+        assert (cols["star_centered"] == 0.0).all()
+        assert len(set(cols["energy"].tolist())) == 1
 
     def test_non_finite_state_is_reported_with_step(self, long_domain):
         cfg = study_config(dt=1e-3, t_final=2e-3)
@@ -145,30 +145,34 @@ class TestDiagnostics:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mn, "resolvent", counting)
-        records = ex.run_diagnostics(traj)
+        cols = ex.run_diagnostics(traj)
         assert calls == [(32, 128), (9, 128)]
-        assert records == want
+        assert list(cols) == list(want)
+        assert all(np.array_equal(cols[n], want[n]) for n in want)
 
-    def test_stacked_records_equal_single_state_formulas(self, long_domain):
+    def test_stacked_columns_equal_single_state_formulas(self, long_domain):
         op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
         cfg = study_config(dt=1e-3, t_final=0.04)
         traj = sp.simulate(study_ic(long_domain), cfg,
                            nz.NoiseModel(nz.WienerProcess(8, seed=2), op))
         u0_mean = traj[0].u.mean
-        for state, rec in zip(traj, ex.run_diagnostics(traj)):
+        cols = ex.run_diagnostics(traj)
+        for k, state in enumerate(traj):
             grad, well, reaction = sp.free_energy_parts(state.u, cfg)
             centered = state.u.coeffs.copy()
             centered[0] -= u0_mean + state.noise_ledger.mean
-            assert (rec.gradient_energy, rec.well_mass, rec.reaction_mass) == (grad, well, reaction)
-            assert rec.star_centered == norm(SpectralField(long_domain, centered), "star")
-            assert rec.v3_norm == norm(state.u, "V3")
-            assert rec.w_l1 == integrate_grid(long_domain, np.abs(to_grid(state.w)))
+            assert (cols["gradient_energy"][k], cols["well_mass"][k],
+                    cols["reaction_mass"][k]) == (grad, well, reaction)
+            assert cols["star_centered"][k] == norm(SpectralField(long_domain, centered), "star")
+            assert cols["v3_norm"][k] == norm(state.u, "V3")
+            assert cols["w_l1"][k] == integrate_grid(long_domain, np.abs(to_grid(state.w)))
 
-    def test_fields_tuple_matches_dataclass(self):
-        import dataclasses
-
-        names = tuple(f.name for f in dataclasses.fields(ex.DiagnosticRecord))
-        assert names == ex.DiagnosticRecord.FIELDS
+    def test_columns_follow_diagnostic_fields(self, long_domain):
+        traj = sp.simulate(study_ic(long_domain), study_config(dt=1e-3, t_final=5e-3))
+        cols = ex.run_diagnostics(traj)
+        assert tuple(cols) == ex.DIAGNOSTIC_FIELDS
+        assert all(v.shape == (len(traj),) for v in cols.values())
+        assert np.array_equal(cols["t"], traj.times)
 
 
 class TestInvariants:
@@ -202,8 +206,48 @@ class TestInvariants:
                            nz.NoiseModel(nz.WienerProcess(8, seed=21), op))
         assert all(a.passed for a in ex.check_invariants(traj))
 
+    @staticmethod
+    def step_residuals(traj):
+        """evolution_residual of every step, its noise field drawn by apply_diffusion."""
+        cfg, model = traj.config, traj.noise
+        out = []
+        for a, b in zip(traj, traj.states[1:]):
+            field = None if model is None else nz.apply_diffusion(
+                model.operator, a.u, model.process.increments_at(a.step_index, cfg.dt))
+            out.append(sp.evolution_residual(a, b, cfg, field))
+        return out
+
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    def test_evolution_identity_is_the_max_step_residual(self, long_domain, kind):
+        cfg = study_config(newton_tol=1e-11)
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.3, kind=kind)
+        traj = sp.simulate(study_ic(long_domain), cfg,
+                           nz.NoiseModel(nz.WienerProcess(8, seed=21), op))
+        got = next(a.value for a in ex.check_invariants(traj) if a.name == "evolution_identity")
+        assert got == max(self.step_residuals(traj))
+
+    def test_evolution_identity_skips_halved_steps(self, long_domain):
+        # the halving setup of TestBatchedCore: the first step splits twice
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          lam=1e-2, dt=0.5, t_final=2.0, newton_tol=1e-11,
+                          newton_max_iter=4, max_rejections=4)
+        hard = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.01)
+        traj = sp.simulate(hard, cfg, nz.NoiseModel(nz.WienerProcess(8, seed=4), op))
+        assert [s.rejections for s in traj.states[1:]] == [2, 0, 0, 0]
+        res = self.step_residuals(traj)
+        assert res[0] > 1.0  # the whole-step identity does not hold across substeps
+        got = next(a for a in ex.check_invariants(traj) if a.name == "evolution_identity")
+        assert got.value == max(res[1:]) and got.passed
+
 
 class TestPathNorms:
+    @pytest.mark.parametrize("exponent", [2, 1.0 / 6.0])
+    def test_powers_are_python_float_powers(self, exponent):
+        # the stacked reductions keep the digits of their per-state form
+        x = np.random.default_rng(0).uniform(0.0, 10.0, 20000)
+        assert ex._pow(x, exponent).tolist() == [v**exponent for v in x.tolist()]
+
     def test_against_manual_trapezoid(self, long_domain):
         traj = sp.simulate(study_ic(long_domain), study_config(t_final=5e-3))
         vals = [norm(s.u, "V1") ** 2 for s in traj]
@@ -220,6 +264,9 @@ class TestPathNorms:
         assert ex.path_l2_distance(a, a) == 0.0
         assert ex.path_l2_distance(a, b) > 0.0
         assert ex.sup_norm(a, "H") == max(norm(s.u, "H") for s in a)
+        # the per-state form, with Python float squares
+        want = math.sqrt(ex._trapz([norm(x.u - y.u, "V1") ** 2 for x, y in zip(a, b)], a.times))
+        assert ex.path_l2_distance(a, b) == want
 
     def test_step_count_mismatch(self, long_domain):
         a = sp.simulate(study_ic(long_domain), study_config(t_final=5e-3))
@@ -376,11 +423,11 @@ class TestEnsembles:
         rows = []
         for m in range(8):
             tr = ex._run(data, base, ex.member_seed(3, m), eps=base.eps, lam=base.lam)
-            recs = ex.run_diagnostics(tr)
-            rows.append((max(r.star_centered**2 + r.mean_u**2 for r in recs),
-                         ex._trapz([2.0 * r.gradient_energy for r in recs], tr.times),
-                         ex._trapz([r.well_mass for r in recs], tr.times),
-                         ex._trapz([r.conjugate_mass for r in recs], tr.times)))
+            cols = {n: v.tolist() for n, v in ex.run_diagnostics(tr).items()}
+            rows.append((max(s**2 + u**2 for s, u in zip(cols["star_centered"], cols["mean_u"])),
+                         ex._trapz([2.0 * g for g in cols["gradient_energy"]], tr.times),
+                         ex._trapz(cols["well_mass"], tr.times),
+                         ex._trapz(cols["conjugate_mass"], tr.times)))
         means = np.mean(rows, axis=0)
         key = f"eps={base.eps:g},lam={base.lam:g}"
         names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
@@ -443,6 +490,36 @@ class TestRegularity:
         rep = ex.regularity_monitor(traj, growth="cubic")
         assert rep.passed
         assert rep.metrics["xi_l2"][0] <= rep.metrics["cubic_bound"][0]
+
+    @pytest.mark.parametrize("modes", [(64,), (8, 12)])
+    def test_monitor_equals_per_state_loop(self, modes):
+        # the per-state form of every metric, with Python float powers
+        domain = Domain((10.0,) * len(modes), modes)
+        cfg = study_config(eps=1e-2, t_final=0.03)
+        op = nz.diffusion_operator(domain, 6, sigma=0.3, kind="multiplicative")
+        traj = sp.simulate(random_field(domain, np.random.default_rng(9), scale=0.5), cfg,
+                           nz.NoiseModel(nz.WienerProcess(6, seed=3), op))
+        eig = neumann_eigensystem(domain)
+        ts = traj.times
+        sup_grad, lap_sq, emb = 0.0, [], 0.0
+        for s in traj:
+            c = s.w.coeffs / (1.0 + cfg.eps * eig.mu)
+            sup_grad = max(sup_grad, math.sqrt(float(np.sum(eig.weights * eig.mu * c**2))))
+            lap_sq.append(float(np.sum(eig.weights * eig.mu**2 * c**2)))
+            l6 = integrate_grid(domain, to_grid(s.u) ** 6) ** (1.0 / 6.0)
+            emb = max(emb, l6 / norm(s.u, "V1"))
+        xi_l2 = math.sqrt(ex._trapz([norm(s.xi, "H") ** 2 for s in traj], ts))
+        want = {
+            "sup_grad_smoothed_w": sup_grad,
+            "eps_lap_smoothed_w_l2": cfg.eps * math.sqrt(ex._trapz(lap_sq, ts)),
+            "xi_l2": xi_l2,
+            "xi_grad_l2": math.sqrt(ex._trapz(
+                [float(np.sum(eig.weights * eig.mu * s.xi.coeffs**2)) for s in traj], ts)),
+            "v3_path": math.sqrt(ex._trapz([norm(s.u, "V3") ** 2 for s in traj], ts)),
+            "embedding_constant": emb,
+        }
+        got = ex.regularity_monitor(traj, growth="cubic").metrics
+        assert {k: got[k][0] for k in want} == want
 
     def test_growth_mismatch(self, long_domain):
         cfg = make_config("exponential", ("negative_identity", 1.0), t_final=5e-3)

@@ -236,6 +236,21 @@ class TestYosida:
         fd = (mn.yosida(quartic, lam, r + h) - mn.yosida(quartic, lam, r - h)) / (2 * h)
         assert np.max(np.abs(d - fd)) < 1e-5 * (1 + np.max(np.abs(d)))
 
+    def test_derivative_past_exponential_overflow(self):
+        # cosh(J) overflows past J = 710.5, where the derivative is its limit 1/lam
+        graph = mn.make_graph("exponential")
+        lam = 1e-12
+        r = np.concatenate([RNG.uniform(-30, 30, 100), np.logspace(290, 300, 20)])
+        r = np.concatenate([r, -r])
+        d = mn.yosida_derivative(graph, lam, r)
+        with np.errstate(over="ignore"):
+            bp = np.cosh(mn.resolvent(graph, lam, r))
+        big = np.isinf(bp)
+        assert big.any() and np.all(d[big] == 1.0 / lam)
+        assert np.array_equal(d[~big], bp[~big] / (1.0 + lam * bp[~big]))
+        assert np.all((d >= 0) & (d <= (1.0 + 1e-15) / lam))  # one rounding above 1/lam at most
+        assert mn.yosida_derivative(graph, lam, 1e300) == 1.0 / lam
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
@@ -262,6 +277,11 @@ class TestEnvelope:
             gap = quartic.beta_hat(r) - mn.moreau_envelope(quartic, lam, r)
             want = 0.5 * lam * quartic.beta(r) ** 2
             assert gap == pytest.approx(want, rel=0.05)
+
+    def test_scalar_overflow_is_inf(self):
+        graph = mn.make_graph("sixth_power_well")
+        assert mn.moreau_envelope(graph, 1e-4, 1e300) == np.inf
+        assert mn.moreau_envelope(graph, 1e-4, np.array([1e300]))[0] == np.inf
 
 
 class TestConjugate:

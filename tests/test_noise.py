@@ -302,35 +302,37 @@ class TestNoiseModel:
         with pytest.raises(noise.DimensionMismatch):
             noise.NoiseModel(noise.WienerProcess(5, seed=1), op)
 
-    def test_increment_field_additive(self, long_domain):
-        op = noise.diffusion_operator(long_domain, 4)
-        model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
-        f, dW = model.increment_field(None, 3, 0.05)
-        assert np.array_equal(dW, model.process.increments_at(3, 0.05))
-        assert np.array_equal(f.coeffs,
-                              noise.apply_diffusion(op, None, dW).coeffs)
-
-    def test_increment_field_multiplicative_uses_state(self, long_domain):
-        op = noise.diffusion_operator(long_domain, 4, kind="multiplicative")
-        model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
-        v = random_field(long_domain, RNG, scale=0.5)
-        f, dW = model.increment_field(v, 0, 0.05)
-        assert np.array_equal(f.coeffs, noise.apply_diffusion(op, v, dW).coeffs)
-
 
 class TestIncrementStack:
-    """Rows of a member stack equal each member's increment_field bitwise."""
+    """Row m is apply_diffusion of state m and member m's increments at its step, bitwise."""
 
+    @pytest.mark.parametrize("steps", (7, (7, 0, 3, 7, 12)))
     @pytest.mark.parametrize("kind", ("additive", "multiplicative"))
     @pytest.mark.parametrize("modes", ((64,), (8, 12)))
-    def test_rows_equal_increment_field(self, kind, modes):
+    def test_rows_equal_apply_diffusion(self, kind, modes, steps):
         domain = Domain((10.0,) * len(modes), modes)
         op = noise.diffusion_operator(domain, 6, kind=kind, sigma=0.4)
         models = [noise.NoiseModel(noise.WienerProcess(6, seed=s), op) for s in (3, 1, 4, 1, 5)]
         states = [random_field(domain, RNG, scale=2.0) for _ in models]
-        stack = noise.increment_stack(models, np.stack([v.coeffs for v in states]), 7, 0.02)
-        for m, (model, v) in enumerate(zip(models, states)):
-            assert np.array_equal(stack[m], model.increment_field(v, 7, 0.02)[0].coeffs)
+        stack = noise.increment_stack(models, np.stack([v.coeffs for v in states]), steps, 0.02)
+        for m, (model, v, s) in enumerate(zip(models, states, np.broadcast_to(steps, 5))):
+            dW = model.process.increments_at(s, 0.02)
+            assert np.array_equal(stack[m], noise.apply_diffusion(op, v, dW).coeffs)
+
+    def test_additive_rows_ignore_the_state(self, long_domain):
+        op = noise.diffusion_operator(long_domain, 4)
+        model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
+        states = np.stack([random_field(long_domain, RNG, scale=0.5).coeffs for _ in range(2)])
+        stack = noise.increment_stack((model, model), states, 3, 0.05)
+        want = noise.apply_diffusion(op, None, model.process.increments_at(3, 0.05)).coeffs
+        assert np.array_equal(stack[0], want) and np.array_equal(stack[1], want)
+
+    def test_multiplicative_rows_use_the_state(self, long_domain):
+        op = noise.diffusion_operator(long_domain, 4, kind="multiplicative")
+        model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
+        states = np.stack([random_field(long_domain, RNG, scale=0.5).coeffs for _ in range(2)])
+        stack = noise.increment_stack((model, model), states, 0, 0.05)
+        assert not np.array_equal(stack[0], stack[1])
 
     def test_members_share_one_operator(self, long_domain):
         ops = [noise.diffusion_operator(long_domain, 4) for _ in range(2)]

@@ -311,28 +311,6 @@ class TestSourceTerms:
         want = 1.3 / (mu2 + 1.0 / 1.01)
         assert traj[-1].u.coeffs[2] == pytest.approx(want, abs=1e-10)
 
-    def test_source_path_indexes_by_step(self, long_domain, study_field):
-        ga = random_field(long_domain, np.random.default_rng(1), scale=0.3)
-        gb = random_field(long_domain, np.random.default_rng(2), scale=0.3)
-        base = dict(dt=1e-3, newton_tol=1e-12)
-        one = make_config("quartic_double_well", ("negative_identity", 1.0),
-                          t_final=1e-3, source=ga, **base)
-        st_single = sp.step(sp.initial_state(study_field, one), one)
-        path = make_config("quartic_double_well", ("negative_identity", 1.0),
-                           t_final=2e-3, source_path=(ga, gb), **base)
-        st_path = sp.step(sp.initial_state(study_field, path), path)
-        assert np.array_equal(st_path.u.coeffs, st_single.u.coeffs)
-        # past the end of the table the last entry keeps applying
-        st2 = sp.step(st_path, path)
-        two = make_config("quartic_double_well", ("negative_identity", 1.0),
-                          t_final=1e-3, source=gb, **base)
-        st2_direct = sp.step(
-            sp.SolverState(u=st_single.u, w=st_single.w, xi=st_single.xi,
-                           noise_ledger=st_single.noise_ledger, t=st_single.t,
-                           step_index=0),
-            two)
-        assert np.allclose(st2.u.coeffs, st2_direct.u.coeffs, rtol=0, atol=1e-14)
-
     def test_source_domain_checked(self, long_domain, unit_domain, study_field):
         g = SpectralField(unit_domain, np.zeros(unit_domain.modes))
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), source=g)
