@@ -467,7 +467,11 @@ def _run_study(config, solver, data):
     if config.mode == "continuous_dependence":
         grid = tuple(sorted(set(config.eps_grid)))
         offset_dir = basis_field(data.u0.domain, config.offset_mode)
-        offset = (config.star_offset / norm(offset_dir, "star")) * offset_dir
+        scale = config.star_offset / norm(offset_dir, "star")
+        if not math.isfinite(scale):
+            raise ValueError(f"star_offset {config.star_offset!r} gives an offset "
+                             "outside float range")
+        offset = scale * offset_dir
         data2 = replace(data, u0=data.u0 + offset)
         report = ex.continuous_dependence_study(data, data2, grid, config.seed, solver)
     elif config.mode == "vanishing_viscosity":

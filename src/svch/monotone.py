@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import wrightomega
 
 __all__ = [
     "NoConvergence",
@@ -232,6 +231,8 @@ def _sinh_resolvent(lam, r):
     clipped to [0, |r|/(1 + lam)].  lam*sinh(J) is lam*e^(J - 700)*sinh(700)
     above J = 700, so nothing overflows for |r| up to 1e300.
     """
+    from scipy.special import wrightomega
+
     a = np.abs(r)
     c = np.log(0.5 * lam)
     J = np.clip(np.log(wrightomega(a + c)) - c, 0.0, a / (1.0 + lam))

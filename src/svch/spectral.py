@@ -26,18 +26,20 @@ Conventions
   stack goes through in one call and each row equals its solo transform
   bitwise.  Grids with at most ``_MATRIX_ENTRIES`` (m x n) entries per axis
   take cached dense cosine matrices, one BLAS product per batch row (which
-  keeps rows bitwise independent); larger grids take the DCT.
+  keeps rows bitwise independent); larger grids take the DCT, and
+  ``scipy.fft`` is imported at the first such transform, so that
+  ``import svch`` loads numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "NonZeroMean",
@@ -59,6 +61,9 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-13
+
+# finite input that overflows gives non-finite output, and no warning
+_silent = np.errstate(over="ignore", invalid="ignore")
 
 
 class NonZeroMean(ValueError):
@@ -95,6 +100,16 @@ class Domain:
             raise ValueError("side lengths must be positive")
         if any(m < 2 for m in modes):
             raise ValueError("need at least 2 modes per axis")
+        # the extreme eigenvalues in float range: the star norm divides by
+        # the smallest nonzero one and the V3 norm cubes the largest
+        mu_min = min((math.pi / L) * (math.pi / L) for L in lengths)
+        mu_max = sum(((m - 1) * math.pi / L) * ((m - 1) * math.pi / L)
+                     for L, m in zip(lengths, modes))
+        if mu_min < sys.float_info.min or not math.isfinite(mu_max * mu_max * mu_max):
+            raise ValueError(f"lengths {lengths!r} with modes {modes!r} put the "
+                             "Laplacian's eigenvalues outside float range")
+        if not math.isfinite(math.prod(lengths)):
+            raise ValueError(f"lengths {lengths!r} give a volume outside float range")
 
     @property
     def dimension(self) -> int:
@@ -162,10 +177,12 @@ class SpectralField:
     def mean(self) -> float:
         return float(self.coeffs.flat[0])
 
+    @_silent
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_domain(self, other)
         return SpectralField(self.domain, self.coeffs + other.coeffs)
 
+    @_silent
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_domain(self, other)
         return SpectralField(self.domain, self.coeffs - other.coeffs)
@@ -173,6 +190,7 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.domain, -self.coeffs)
 
+    @_silent
     def __rmul__(self, a: float) -> "SpectralField":
         return SpectralField(self.domain, float(a) * self.coeffs)
 
@@ -239,6 +257,8 @@ def _synthesis(coeffs: np.ndarray, modes: Sequence[int], factor: int = 2) -> np.
     if all(factor * m * m <= _MATRIX_ENTRIES for m in modes):
         return _by_matrices(np.asarray(coeffs, dtype=float),
                             [_cosine_matrices(m, factor * m)[0] for m in modes])
+    from scipy import fft as sfft
+
     out = np.array(coeffs, dtype=float)
     for ax, m in enumerate(modes, start=out.ndim - len(modes)):
         out[_along(ax, slice(1, None))] *= 0.5
@@ -253,6 +273,8 @@ def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     grid = out.shape[out.ndim - len(modes):]
     if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
         return _by_matrices(out, [_cosine_matrices(m, n)[1] for m, n in zip(modes, grid)])
+    from scipy import fft as sfft
+
     for ax, m in enumerate(modes, start=out.ndim - len(modes)):
         n = out.shape[ax]
         out = sfft.dct(out, type=2, axis=ax)[_along(ax, slice(0, m))] / n
@@ -375,6 +397,7 @@ def norm(v: SpectralField, kind: str = "H", eps: float = 0.0) -> float:
     return float(_norms(v.domain, v.coeffs[None], kind, eps)[0])
 
 
+@_silent
 def _norms(domain: Domain, coeffs: np.ndarray, kind: str, eps: float = 0.0) -> np.ndarray:
     # norm of every row of a (B, *modes) coefficient stack
     eig = neumann_eigensystem(domain)

@@ -383,6 +383,8 @@ REPRODUCED = {
     "ensemble_members": "[run]\nmode = ensemble\n[noise]\nkind = additive\n"
                         f"[sweep]\nmembers = {10**400}\n",
     "smoothing_level": f"[noise]\nkind = additive\nsmoothing_level = {10**400}\n",
+    # the star norm divides by (pi/L)^2, which underflows to 0
+    "domain_length": "[domain]\nlengths = 1e308\n",
     # every halving of a non-finite state fails again, one stack frame each
     "halving_depth": "[solver]\nmax_rejections = 2000\n[initial]\ncoefficients = 1:1e308\n",
 }
@@ -404,6 +406,17 @@ def test_run_time_config_error_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unrepresentable_star_offset_is_a_config_error(tmp_path, capsys):
+    # 1e308 over the star norm of the offset mode overflows
+    ini = tmp_path / "run.ini"
+    ini.write_text(SHORT + "[run]\nmode = continuous_dependence\n[domain]\nlengths = 1.0\n"
+                   "[sweep]\neps_grid = 0.01\nstar_offset = 1e308\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert "star_offset" in capsys.readouterr().err
     assert not out.exists()
 
 

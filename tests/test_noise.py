@@ -167,6 +167,15 @@ class TestDiffusionOperator:
             with pytest.raises(ValueError, match=r"overflow.*\(B1\)"):
                 noise.diffusion_operator(Domain((1.0,), (8,)), 4, rho=-1e308)
 
+    def test_overflowing_lipschitz_is_silent(self):
+        # the squared sup norms overflow although sigma is finite: the
+        # constant is inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = noise.diffusion_operator(Domain((1.0,), (8,)), 4, kind="multiplicative",
+                                          sigma=1e308)
+        assert op.lipschitz == np.inf
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma must be >= 0"):
             noise.diffusion_operator(Domain((1.0,), (8,)), 4, sigma=-1.0)

@@ -389,6 +389,18 @@ class TestNorms:
         f = random_field(unit_domain, RNG, mean=0.0)
         assert sp.norm(f, "H") <= sp.norm(f, "V2") <= sp.norm(f, "V3") * (1 + 1e-13)
 
+    def test_overflow_is_silent(self, unit_domain):
+        # finite coefficients whose squares or sums overflow give inf, with
+        # no warning
+        big = sp.basis_field(unit_domain, 1, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("H", "V1", "V2", "V3", "star", "one_eps"):
+                assert sp.norm(big, kind, eps=0.1) == np.inf
+            huge = 1e300 * sp.basis_field(unit_domain, 1, 1e300)
+            assert np.isinf((huge + huge).coeffs).any()
+            assert np.isnan((huge - 1e300 * huge).coeffs).any()
+
 
 class TestValidation:
     def test_domain_rejects_bad_dimension(self):
@@ -403,6 +415,22 @@ class TestValidation:
     def test_domain_rejects_non_finite_length(self, value):
         with pytest.raises(ValueError, match="lengths must be finite"):
             sp.Domain((1.0, value), (4, 4))
+
+    @pytest.mark.parametrize("lengths", [(1e308,), (1e-300,), (1.0, 1e300), (1e154, 1e155)])
+    def test_domain_rejects_eigenvalues_outside_float_range(self, lengths):
+        # (pi/L)^2 underflows, the largest eigenvalue's cube overflows, or the
+        # volume overflows; each is rejected before any array is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lengths"):
+                sp.Domain(lengths, (8,) * len(lengths))
+
+    @pytest.mark.parametrize("lengths, modes", SIDES + [
+        ((10.0,), (64,)), ((20.0, 20.0), (64, 64)), ((10.0,), (32,)), ((1e150,), (8,)),
+        ((1e-50,), (8,))])
+    def test_domain_accepts_lengths_in_float_range(self, lengths, modes):
+        eig = sp.neumann_eigensystem(sp.Domain(lengths, modes))
+        assert np.all(np.isfinite(eig.mu ** 3)) and np.all(eig.mu.ravel()[1:] > 0)
 
     def test_field_shape_checked(self, unit_domain):
         with pytest.raises(ValueError):
