@@ -237,17 +237,17 @@ def _cosine_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return C, A
 
 
+@_silent
 def _by_matrices(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     # last axis as y @ M1, first as M0^T @ y, on (rows, 1, m) or (rows, m0, m1):
     # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence;
-    # the errstate keeps non-finite input as silent as the DCT is
+    # _silent keeps non-finite input as silent as the DCT is
     d = len(mats)
     lead = x.shape[:x.ndim - d]
-    with np.errstate(invalid="ignore", over="ignore"):
-        if d == 1:
-            y = x.reshape(-1, 1, x.shape[-1]) @ mats[0]
-        else:
-            y = mats[0].T @ (x.reshape((-1,) + x.shape[-2:]) @ mats[1])
+    if d == 1:
+        y = x.reshape(-1, 1, x.shape[-1]) @ mats[0]
+    else:
+        y = mats[0].T @ (x.reshape((-1,) + x.shape[-2:]) @ mats[1])
     return y.reshape(lead + y.shape[-d:])
 
 

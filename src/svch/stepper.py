@@ -25,7 +25,9 @@ Newton's method runs matrix-free: the Jacobian is diagonal plus
 dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
 definite in the Parseval metric, so the linear solves use the in-repo
-preconditioned conjugate gradients ``cg`` (tolerance newton_tol/10, cap 500).
+preconditioned conjugate gradients ``cg`` (cap 500).  Each correction is
+solved to max(newton_tol/10, 1e-3 * min(1, |F|) * |b|) for its member's
+Newton residual F and right-hand side b: an inexact Newton forcing term.
 
 The solver core advances (B, *modes) member stacks and ``simulate`` runs
 its time loop on one row; a ``Batch`` runs the same loop on the members of
@@ -207,13 +209,15 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
     """Preconditioned conjugate gradients on a stack of SPD systems.
 
     b and the diagonal preconditioner are (B, n) stacks; matvec(p, rows)
-    applies the operators of members ``rows``.  A member leaves the working
-    set once |r| < atol or after maxiter updates; callback sees the active
-    iterates after each update.  Returns (x, members that hit maxiter).
+    applies the operators of members ``rows``.  atol is a scalar or a (B,)
+    array of per-member tolerances.  A member leaves the working set once
+    |r| < atol or after maxiter updates; callback sees the active iterates
+    after each update.  Returns (x, members that hit maxiter).
     """
     x = np.empty_like(b)
     rows = np.arange(len(b))
     xa, r, pre = np.zeros_like(b), b.copy(), precond
+    atol = np.broadcast_to(atol, rows.shape)
     p = rho_prev = None
     for it in range(maxiter):
         done = np.sqrt(np.vecdot(r, r)) < atol
@@ -222,7 +226,7 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
             keep = np.flatnonzero(~done)
             if not len(keep):
                 return x, 0
-            rows, xa, r, pre = rows[keep], xa[keep], r[keep], pre[keep]
+            rows, xa, r, pre, atol = rows[keep], xa[keep], r[keep], pre[keep], atol[keep]
             if it:
                 p, rho_prev = p[keep], rho_prev[keep]
         z = pre * r
@@ -241,6 +245,13 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
             callback(xa)
     x[rows] = xa
     return x, len(rows)
+
+
+# CG stops a correction at _FORCING * min(1, |F|) of its initial residual: a
+# forcing term proportional to |F| keeps Newton q-quadratic (Dembo, Eisenstat
+# and Steihaug 1982); the looser min(0.1, |F|) and min(0.1, 0.01 |F|) cost
+# extra Newton iterations and dt-halvings far from the root
+_FORCING = 1e-3
 
 
 @mn._silent
@@ -316,7 +327,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
         if not go:
             break
         if len(go) < len(rows):
-            rows, c, grid, J, F, rhs, q = (a[go] for a in (rows, c, grid, J, F, rhs, q))
+            rows, c, grid, J, F, rhs, q, rnorm = (
+                a[go] for a in (rows, c, grid, J, F, rhs, q, rnorm))
 
         rho = mn.yosida_derivative(graph, lam, grid, J)
         if implicit_pi and pert.pi_prime is not None:
@@ -333,7 +345,9 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
             t2 = _analysis(weight * _synthesis(sqmu * y / sq, modes), modes)
             return _rows(diag * y + coupling * t2)
 
-        x, _ = cg(matvec, bhat, precond, tol / 10.0, config.cg_max_iter)
+        eta = _FORCING * np.minimum(1.0, rnorm)
+        atol = np.maximum(tol / 10.0, eta * np.sqrt(np.vecdot(bhat, bhat)))
+        x, _ = cg(matvec, bhat, precond, atol, config.cg_max_iter)
         c = c + sqmu * x.reshape(c.shape) / sq
 
     iterations = [len(r) - 1 for r in residuals]

@@ -219,6 +219,33 @@ class TestNewtonBehavior:
         for rk, rk1 in pairs:
             assert rk1 <= 100.0 * rk * rk
 
+    def test_cg_tolerance_follows_the_newton_residual(self, long_domain, monkeypatch):
+        """Each correction is solved to max(tol/10, 1e-3 min(1, |F|) |b|); the polish to tol/10."""
+        u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          lam=1e-2, dt=5e-2, t_final=5e-2, newton_tol=1e-12)
+        calls = []
+        cg = sp.cg
+
+        def recording(matvec, b, precond, atol, maxiter, callback=None):
+            calls.append((b.copy(), np.array(atol, dtype=float)))
+            return cg(matvec, b, precond, atol, maxiter, callback)
+
+        monkeypatch.setattr(sp, "cg", recording)
+        r = sp.step(sp.initial_state(u0, cfg), cfg).newton_residuals
+        tol = cfg.newton_tol
+        assert len(calls) == len(r) - 1
+        polish = 0
+        for res, (b, atol) in zip(r, calls):
+            assert atol.shape == (1,)
+            want = max(tol / 10.0, 1e-3 * min(1.0, res) * float(np.sqrt(np.vecdot(b, b))[0]))
+            assert atol[0] == want
+            if res <= tol:
+                polish += 1
+                assert atol[0] == tol / 10.0
+        assert polish == 1
+        assert max(a[0] for _, a in calls) > 1e3 * tol  # the rule is not the old constant
+
     def test_rejection_then_success(self, long_domain):
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
@@ -645,6 +672,40 @@ class TestBatchedCore:
             want = np.linalg.solve(dense, b[m])
             assert np.max(np.abs(x[m] - want)) <= 1e-11 * (1 + np.max(np.abs(want)))
 
+    def test_pcg_stops_each_member_at_its_own_tolerance(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        q = np.linalg.qr(rng.standard_normal((4, n, n)))[0]
+        mats = q @ (np.geomspace(1.0, 1e3, n)[:, None] * q.transpose(0, 2, 1))
+        b = rng.standard_normal((4, n))
+        precond = 1.0 / np.diagonal(mats, axis1=1, axis2=2)
+        atol = np.array([1e-2, 1e-10, 1e-4, 1e-7])
+
+        def run(members, tols):
+            # per member: its iterate after each of its updates
+            seen, iterates = [], {m: [] for m in members}
+
+            def matvec(p, rows):
+                seen[:] = [members[k] for k in rows]
+                return np.stack([mats[m] @ p[k] for k, m in enumerate(seen)])
+
+            def callback(xa):
+                for m, xk in zip(seen, xa, strict=True):
+                    iterates[m].append(xk.copy())
+
+            x, info = sp.cg(matvec, b[members], precond[members], tols, 200, callback)
+            assert info == 0
+            return x, iterates
+
+        x, iterates = run([0, 1, 2, 3], atol)
+        assert len({len(v) for v in iterates.values()}) == 4
+        for m in range(4):
+            solo, solo_iterates = run([m], float(atol[m]))
+            assert np.array_equal(x[m], solo[0])
+            assert len(iterates[m]) == len(solo_iterates[m])
+            # the residual falls below atol[m] at the last update and not before
+            res = [np.linalg.norm(b[m] - mats[m] @ xk) for xk in iterates[m]]
+            assert res[-1] < 2 * atol[m] and res[-2] > atol[m] / 2
 
 def test_import_path_holds_no_scipy_sparse():
     """The stepper's CG is the in-repo loop; ``import svch.cli`` stays light."""
