@@ -330,8 +330,6 @@ def validate_config(config: RunConfig) -> None:
 
     if config.noise_kind == "multiplicative" and not config.mean_zero:
         raise ValidationError("multiplicative noise must be declared mean-zero, violates (B2)")
-    if config.noise_kind != "none" and config.smoothing_level < 0:
-        raise ValidationError("smoothing_level must be >= 0, violates (B4)")
     if config.mode == "ensemble" and config.members < 8:
         raise ValidationError("ensemble needs at least 8 members")
     if config.mode == "continuous_dependence":
@@ -387,7 +385,7 @@ def _build(config: RunConfig):
             mean_zero=config.mean_zero,
             clamp_bound=config.clamp_bound,
         )
-        if config.smoothing_level > 0:
+        if config.smoothing_level != 0:
             operator = nz.smooth(operator, config.smoothing_level)
         try:  # the Wiener process owns the seed's range
             nz.WienerProcess(operator.mode_count, config.seed)
@@ -588,7 +586,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)  # validation reads no seed
+            config = replace(config, seed=args.seed)  # run's _build checks it
     except (ParseError, ValidationError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -17,11 +17,14 @@ biharmonic term) is implicit and the concave reaction is taken at the old
 state, which makes the scheme unconditionally gradient-stable for the
 regularized free energy; "fully_implicit" treats pi at the new state too.
 
-The constant mode never appears in the spatial operator (mu_0 = 0), so its
-update u+_D = u_D + mean(noise_field) is performed exactly; the reported
-mean identity therefore holds to accumulated rounding only.
+The constant mode never appears in the spatial operator (mu_0 = 0), so
+Newton's start c0 = u + (I - eps*Lap)^{-1} noise_field, the step's closed
+form without that operator, makes the exact update u+_D = u_D +
+mean(noise_field); the mean identity holds to accumulated rounding only.
 
-Newton's method runs matrix-free: the Jacobian is diagonal plus
+Newton's method stops at the first iterate whose residual F has H-norm at
+most newton_tol; a member still above it after newton_max_iter corrections
+fails.  It runs matrix-free: the Jacobian is diagonal plus
 dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
 definite in the Parseval metric, so the linear solves use the in-repo
@@ -136,9 +139,10 @@ class SolverConfig:
             raise ValueError("newton_tol below 1e-14 is not resolvable in double precision")
         if self.splitting not in ("convex_splitting", "fully_implicit"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
-        for name in ("newton_max_iter", "cg_max_iter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # a failing step spends newton_max_iter on each of up to 1024 substeps
+        for name, top in (("newton_max_iter", 100), ("cg_max_iter", math.inf)):
+            if not 0 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must lie in [0, {top}], got {getattr(self, name)!r}")
         # a substep below 2**-52 of its step is lost in the rounding of the
         # step's time; _advance also recurses once per halving
         if not 0 <= self.max_rejections <= 52:
@@ -292,14 +296,12 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
     coupling = dt * sqmu * sq
 
     n = len(u)
-    c = u.copy()
-    _rows(c)[:, 0] = _rows(rhs)[:, 0]  # exact mean update: the spatial operator kills mode 0
+    c = rhs / visc  # the step without its spatial operator; exact on mode 0, where visc = 1
     out = [np.empty_like(u) for _ in range(3)]
     residuals = [[] for _ in range(n)]
-    polish = [1] * n  # one extra update unless already at the rounding floor
     failed = {}
     rows = np.arange(n)
-    for it in range(config.newton_max_iter + 2):
+    for it in range(config.newton_max_iter + 1):
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
         grid = _synthesis(c, modes)
         J = mn.resolvent(graph, lam, grid)
@@ -315,14 +317,13 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
             residuals[m].append(res)
             if not math.isfinite(res):
                 failed[m] = NewtonDiverged("non-finite Newton residual", residual=res)
-            elif res <= tol and (polish[m] == 0 or res <= 1e-14):
+            elif res <= tol:
                 out[0][m], out[1][m], out[2][m] = c[k], w_co[k], xi[k]
-            elif res > tol and it >= config.newton_max_iter:
+            elif it == config.newton_max_iter:
                 failed[m] = NewtonDiverged(
                     f"Newton did not reach {tol:g} in {config.newton_max_iter} iterations",
                     residual=res)
             else:
-                polish[m] -= res <= tol
                 go.append(k)
         if not go:
             break

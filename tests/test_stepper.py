@@ -22,6 +22,7 @@ from svch.spectral import (
     SpectralField,
     _analysis,
     _synthesis,
+    from_grid,
     inner,
     neumann_eigensystem,
     norm,
@@ -220,7 +221,7 @@ class TestNewtonBehavior:
             assert rk1 <= 100.0 * rk * rk
 
     def test_cg_tolerance_follows_the_newton_residual(self, long_domain, monkeypatch):
-        """Each correction is solved to max(tol/10, 1e-3 min(1, |F|) |b|); the polish to tol/10."""
+        """Each correction is solved to max(tol/10, 1e-3 min(1, |F|) |b|); none once |F| <= tol."""
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           lam=1e-2, dt=5e-2, t_final=5e-2, newton_tol=1e-12)
@@ -235,16 +236,28 @@ class TestNewtonBehavior:
         r = sp.step(sp.initial_state(u0, cfg), cfg).newton_residuals
         tol = cfg.newton_tol
         assert len(calls) == len(r) - 1
-        polish = 0
         for res, (b, atol) in zip(r, calls):
             assert atol.shape == (1,)
             want = max(tol / 10.0, 1e-3 * min(1.0, res) * float(np.sqrt(np.vecdot(b, b))[0]))
             assert atol[0] == want
-            if res <= tol:
-                polish += 1
-                assert atol[0] == tol / 10.0
-        assert polish == 1
+        assert all(res > tol for res in r[:-1]) and r[-1] <= tol
         assert max(a[0] for _, a in calls) > 1e3 * tol  # the rule is not the old constant
+
+    def test_newton_starts_from_the_step_without_its_spatial_operator(self, long_domain):
+        """The first residual is |dt mu w(c0)| at c0 = ((1 + eps mu) u + noise) / (1 + eps mu)."""
+        u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        noise = random_field(long_domain, np.random.default_rng(6), scale=0.1)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          eps=0.3, dt=5e-2, t_final=5e-2)
+        st = sp.step(sp.initial_state(u0, cfg), cfg, noise)
+        eig = neumann_eigensystem(long_domain)
+        visc = 1.0 + cfg.eps * eig.mu
+        c0 = SpectralField(long_domain, (visc * u0.coeffs + noise.coeffs) / visc)
+        well = from_grid(long_domain, mn.yosida(cfg.graph, cfg.lam, to_grid(c0)))
+        reaction = from_grid(long_domain, cfg.perturbation.pi(to_grid(u0)))  # convex splitting
+        w = eig.mu * c0.coeffs + well.coeffs + reaction.coeffs
+        want = norm(SpectralField(long_domain, cfg.dt * eig.mu * w))
+        assert st.newton_residuals[0] == pytest.approx(want, rel=1e-12)
 
     def test_rejection_then_success(self, long_domain):
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
@@ -462,6 +475,11 @@ class TestConfigAndTrajectory:
         sp.SolverConfig(graph=quartic, perturbation=neg_id, max_rejections=52)
         with pytest.raises(ValueError, match="max_rejections"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, max_rejections=53)
+
+    def test_newton_iterations_bounded(self, quartic, neg_id):
+        sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_max_iter=100)
+        with pytest.raises(ValueError, match="newton_max_iter"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_max_iter=101)
 
     def test_step_count_overflow_rejected(self, quartic, neg_id):
         with pytest.raises(ValueError, match="overflows"):
