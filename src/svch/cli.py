@@ -330,8 +330,11 @@ def validate_config(config: RunConfig) -> None:
 
     if config.noise_kind == "multiplicative" and not config.mean_zero:
         raise ValidationError("multiplicative noise must be declared mean-zero, violates (B2)")
-    if config.mode == "ensemble" and config.members < 8:
-        raise ValidationError("ensemble needs at least 8 members")
+    if config.mode == "ensemble":
+        if config.members < ex.MIN_MEMBERS:
+            raise ValidationError(f"ensemble needs at least {ex.MIN_MEMBERS} members")
+        if config.noise_kind == "none":
+            raise ValidationError("ensemble mode needs a noise section with kind != none")
     if config.mode == "continuous_dependence":
         if config.star_offset <= 0:
             raise ValidationError("star_offset must be positive")
@@ -391,7 +394,7 @@ def _build(config: RunConfig):
             nz.WienerProcess(operator.mode_count, config.seed)
         except ValueError as err:
             raise ValueError(f"run.seed: {err}") from err
-    return domain, u0, solver, ex.ProblemData(u0, operator=operator)
+    return solver, ex.ProblemData(u0, operator=operator)
 
 
 def _fmt(value) -> str:
@@ -426,11 +429,7 @@ def _write_summary(path: Path, hash_: str, payload: dict) -> None:
 
 
 def _run_simulate(config, solver, data):
-    noise = None
-    if data.operator is not None:
-        noise = nz.NoiseModel(nz.WienerProcess(data.operator.mode_count, config.seed),
-                              data.operator)
-    traj = st.simulate(data.u0, solver, noise)
+    traj = st.simulate(data.u0, solver, ex._noise(data.operator, config.seed))
     columns = ex.run_diagnostics(traj)
     assertions = ex.check_invariants(traj, columns)
     header = list(columns)
@@ -497,8 +496,6 @@ def _run_study(config, solver, data):
 
 
 def _run_ensemble(config, solver, data):
-    if data.operator is None:
-        raise ValidationError("ensemble mode needs a noise section with kind != none")
     grid = tuple((e, l) for e in config.eps_grid[:2] for l in config.lam_grid[:2])
     report = ex.ensemble_expectations(data, solver, config.members, config.seed,
                                       grid=grid)
@@ -524,7 +521,7 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
     """
     failure = None
     try:
-        _domain, _u0, solver, data = _build(config)
+        solver, data = _build(config)
         if config.mode == "simulate":
             header, rows, summary = _run_simulate(config, solver, data)
         elif config.mode == "ensemble":

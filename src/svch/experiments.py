@@ -3,7 +3,7 @@ Diagnostics and convergence studies built on top of the solver.
 
 Everything here consumes trajectories from ``stepper.simulate`` and reduces
 them to per-step diagnostic columns, pathwise norms, and sweep reports.  Every
-reduction works on (N+1, *modes) stacks of the states' coefficients, never
+reduction reads the trajectory's (N+1, *modes) stacks, or slices of them, never
 state by state.  Pathwise L2(0,T; X) norms use the trapezoid rule over the
 recorded step times; sweeps share the driving noise across runs by reusing the
 (seed, step, mode) keyed increments, so refinement studies compare solutions
@@ -165,12 +165,6 @@ def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
 # per-trajectory diagnostics
 
 
-def _stack(states, field: str) -> np.ndarray:
-    # the (N, *modes) stack of one field of the states: the one place that
-    # reads coefficients state by state
-    return np.stack([getattr(s, field).coeffs for s in states])
-
-
 # states per chunk of grid-sized temporaries: about this many grid points
 _CHUNK_POINTS = 4096
 
@@ -228,15 +222,12 @@ def run_diagnostics(traj: Trajectory) -> dict:
 
     States are diagnosed as stacks of about _CHUNK_POINTS grid points.
     """
-    states = traj.states
-    domain = states[0].u.domain
     parts = []
-    for k in _chunks(len(states), domain):
-        chunk = states[k]
-        mean_process = states[0].u.mean + _rows(_stack(chunk, "noise_ledger"))[:, 0]
-        cols = _diagnostic_columns(traj.config, _stack(chunk, "u"), _stack(chunk, "w"),
-                                   _stack(chunk, "xi"), mean_process, domain)
-        _require_finite(cols, [s.step_index for s in chunk])
+    for k in _chunks(len(traj), traj.domain):
+        mean_process = _rows(traj.u)[0, 0] + _rows(traj.noise_ledger[k])[:, 0]
+        cols = _diagnostic_columns(traj.config, traj.u[k], traj.w[k], traj.xi[k],
+                                   mean_process, traj.domain)
+        _require_finite(cols, range(len(traj))[k])
         parts.append(cols)
     return {"t": traj.times,
             **{n: np.concatenate([p[n] for p in parts]) for n in DIAGNOSTIC_FIELDS[1:]}}
@@ -250,26 +241,23 @@ def check_invariants(traj: Trajectory, columns=None) -> list:
     runs without a source, which is exactly when the splitting guarantees it.
     """
     cfg = traj.config
-    states = traj.states
-    domain = states[0].u.domain
     columns = run_diagnostics(traj) if columns is None else columns
-    u = _stack(states, "u")
+    u = traj.u
     out = []
 
-    # split steps satisfy the identity per substep instead
-    kept = np.flatnonzero([s.rejections == 0 for s in states[1:]])
+    # split steps satisfy the identity per substep instead; step n starts at row n
+    kept = np.flatnonzero([r == 0 for r in traj.rejections])
     res = 0.0
     if len(kept):
         noise = None
         if traj.noise is not None:
-            noise = increment_stack((traj.noise,) * len(kept), u[kept],
-                                    [states[i].step_index for i in kept], cfg.dt)
-        res = float(_evolution_residuals(domain, cfg, u[kept], u[kept + 1],
-                                         _stack(states, "w")[kept + 1], noise).max())
+            noise = increment_stack((traj.noise,) * len(kept), u[kept], kept, cfg.dt)
+        res = float(_evolution_residuals(traj.domain, cfg, u[kept], u[kept + 1],
+                                         traj.w[kept + 1], noise).max())
     out.append(Assertion("evolution_identity", res <= 10 * cfg.newton_tol,
                          value=res, bound=10 * cfg.newton_tol))
 
-    shift = _rows(u)[:, 0] - states[0].u.mean - _rows(_stack(states, "noise_ledger"))[:, 0]
+    shift = _rows(u)[:, 0] - _rows(u)[0, 0] - _rows(traj.noise_ledger)[:, 0]
     mean_err = float(np.abs(shift).max())
     out.append(Assertion("mean_identity", mean_err <= 1e-12, value=mean_err, bound=1e-12))
 
@@ -293,18 +281,17 @@ def _trapz(values, times) -> float:
 
 
 def _u_difference(a: Trajectory, b: Trajectory) -> np.ndarray:
-    if len(a.states) != len(b.states):
+    if len(a) != len(b):
         raise PreconditionViolated("trajectories have different step counts")
-    return _stack(a.states, "u") - _stack(b.states, "u")
+    return a.u - b.u
 
 
 def path_l2_distance(a: Trajectory, b: Trajectory, kind: str = "V1") -> float:
-    domain = a.states[0].u.domain
-    return math.sqrt(_trapz(_pow(_norms(domain, _u_difference(a, b), kind), 2), a.times))
+    return math.sqrt(_trapz(_pow(_norms(a.domain, _u_difference(a, b), kind), 2), a.times))
 
 
 def sup_norm(traj: Trajectory, kind: str = "V1") -> float:
-    return float(_norms(traj.states[0].u.domain, _stack(traj.states, "u"), kind).max())
+    return float(_norms(traj.domain, traj.u, kind).max())
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +488,10 @@ def yosida_convergence_study(
     )
 
 
+# fewest members ensemble_expectations takes; the CLI refuses fewer at validation
+MIN_MEMBERS = 8
+
+
 def member_seed(seed: int, member: int) -> int:
     """Deterministic per-member seed, independent of execution order."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(member,))
@@ -518,14 +509,14 @@ def ensemble_expectations(
     """Monte Carlo estimates of the pathwise energies with standard errors.
 
     The members of a grid point step as one ``Batch``, with rows in
-    ``order``, and their trajectories are diagnosed one at a time; each
+    ``order``, and each member's trajectory is diagnosed from its stacks; each
     member equals its solo run, and the estimates are stored by member index
     and reduced in index order, so any order gives identical output.  ``grid``
     is an optional list of (eps, lam) pairs over which uniformity of the
     estimates is reported.
     """
-    if members < 8:
-        raise PreconditionViolated("need at least 8 ensemble members")
+    if members < MIN_MEMBERS:
+        raise PreconditionViolated(f"need at least {MIN_MEMBERS} ensemble members")
     if order is None:
         order = range(members)
     order = list(order)
@@ -591,11 +582,10 @@ def regularity_monitor(traj: Trajectory, growth: Optional[str] = None) -> SweepR
     """
     cfg = traj.config
     ts = traj.times
-    domain = traj.states[0].u.domain
+    domain = traj.domain
     eig = neumann_eigensystem(domain)
-    u = _stack(traj.states, "u")
-    xi = _stack(traj.states, "xi")
-    smoothed_w = _stack(traj.states, "w") / (1.0 + cfg.eps * eig.mu)
+    u, xi = traj.u, traj.xi
+    smoothed_w = traj.w / (1.0 + cfg.eps * eig.mu)
     lap_sq = _rows(eig.weights * eig.mu**2 * smoothed_w**2).sum(axis=1)
     xi_l2 = math.sqrt(_trapz(_pow(_norms(domain, xi, "H"), 2), ts))
     metrics = {

@@ -32,12 +32,12 @@ preconditioned conjugate gradients ``cg`` (cap 500).  Each correction is
 solved to max(newton_tol/10, 1e-3 * min(1, |F|) * |b|) for its member's
 Newton residual F and right-hand side b: an inexact Newton forcing term.
 
-The solver core advances (B, *modes) member stacks and ``simulate`` runs
-its time loop on one row; a ``Batch`` runs the same loop on the members of
-an ensemble and hands each member's trajectory out through ``simulate``.
-Each member has its own Newton and CG convergence and leaves the working
-set once done, and per-member scalars are sums over contiguous rows, so a
-member equals its solo run bitwise.  A member whose Newton iteration fails
+The solver core advances (B, *modes) member stacks: ``simulate`` marches one
+row, a ``Batch`` the members of an ensemble, and each march stacks its rows
+into read-only (N+1, *modes) trajectory arrays once, when it ends.  Each
+member has its own Newton and CG convergence and leaves the working set once
+done, and per-member scalars are sums over contiguous rows, so a member
+equals its solo run bitwise.  A member whose Newton iteration fails
 repeats the step alone by dt-halving.  The solve is silent on non-finite
 input: an overflow shows as a labelled NewtonDiverged, not as a warning.
 """
@@ -155,7 +155,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolverState:
-    """Solution snapshot plus the bookkeeping the diagnostics consume.
+    """One state as fields: the input and output of ``step``, and a row of a Trajectory.
 
     w is the chemical potential actually used by the step that produced the
     state (under convex splitting its reaction part is evaluated at the
@@ -176,24 +176,43 @@ class SolverState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States from t=0 to t_final together with their generating config."""
+    """A run from t=0 to t_final as read-only stacks, with its generating config.
 
-    states: tuple
+    u, w, xi and noise_ledger are (N+1, *modes) arrays and times is (N+1,),
+    one row per state as in SolverState; newton_iterations, newton_residuals
+    and rejections hold one entry per step.  Indexing and iteration give the
+    SolverState of a row, built on request.
+    """
+
+    domain: Domain
+    u: np.ndarray
+    w: np.ndarray
+    xi: np.ndarray
+    noise_ledger: np.ndarray
+    times: np.ndarray
+    newton_iterations: tuple
+    newton_residuals: tuple
+    rejections: tuple
     config: SolverConfig
     noise: Optional[NoiseModel] = None
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def states(self) -> tuple:
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.states)
+        return (self[n] for n in range(len(self)))
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
 
-    def __getitem__(self, i):
-        return self.states[i]
+    def __getitem__(self, n) -> SolverState:
+        n = range(len(self))[n]
+        fields = (SpectralField(self.domain, a[n]) for a in (self.u, self.w, self.xi,
+                                                             self.noise_ledger))
+        effort = () if n == 0 else (self.newton_iterations[n - 1],
+                                    self.newton_residuals[n - 1], self.rejections[n - 1])
+        return SolverState(*fields, float(self.times[n]), n, *effort)
 
 
 # ---------------------------------------------------------------------------
@@ -406,34 +425,9 @@ def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
 
 
 def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
-    domain = u0.domain
-    w, xi = _chemical_potential(u0.coeffs, config, domain)
-    zero = SpectralField(domain, np.zeros(domain.modes))
-    return SolverState(
-        u=u0,
-        w=SpectralField(domain, w),
-        xi=SpectralField(domain, xi),
-        noise_ledger=zero,
-        t=0.0,
-        step_index=0,
-    )
-
-
-def _successor(state: SolverState, config: SolverConfig, c, w, xi, ledger, iters,
-               residuals, depths) -> SolverState:
-    # the state one step after state, from one member's rows of the step
-    domain = state.u.domain
-    return SolverState(
-        u=SpectralField(domain, c),
-        w=SpectralField(domain, w),
-        xi=SpectralField(domain, xi),
-        noise_ledger=SpectralField(domain, ledger),
-        t=state.t + config.dt,
-        step_index=state.step_index + 1,
-        newton_iterations=iters,
-        newton_residuals=tuple(residuals),
-        rejections=depths,
-    )
+    w, xi = _chemical_potential(u0.coeffs, config, u0.domain)
+    return SolverState(u0, *(SpectralField(u0.domain, a)
+                             for a in (w, xi, np.zeros(u0.domain.modes))), 0.0, 0)
 
 
 def step(state: SolverState, config: SolverConfig,
@@ -448,41 +442,55 @@ def step(state: SolverState, config: SolverConfig,
     ledger = state.noise_ledger.coeffs
     if field is not None:
         ledger = ledger + field[0]
-    return _successor(state, config, c, w, xi, ledger, iters, residuals, depths)
+    return SolverState(*(SpectralField(domain, a) for a in (c, w, xi, ledger)),
+                       state.t + config.dt, state.step_index + 1, iters, tuple(residuals),
+                       depths)
 
 
-def _march(u0: SpectralField, config: SolverConfig, noises):
-    # the (B, *modes) stacks of every step of the members driven by noises
+def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
+    # the trajectories of the members driven by noises, marched as one stack
     domain = u0.domain
     if any(n is not None and n.operator.domain != domain for n in noises):
         raise ValueError("noise field lives on a different domain")
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
     ledger = np.zeros_like(c)
+    fields = [[c], *([np.repeat(a[None], len(noises), axis=0)]
+                     for a in _chemical_potential(u0.coeffs, config, domain)), [ledger]]
+    times, effort = [0.0], []
     for s in range(config.n_steps):
         field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
         c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s)
         ledger = ledger if field is None else ledger + field
-        yield c, w, xi, ledger, iters, residuals, depths
+        for rows, a in zip(fields, (c, w, xi, ledger)):
+            rows.append(a)
+        effort.append((iters, [tuple(r) for r in residuals], depths))
+        times.append(times[-1] + config.dt)
+    # u, w, xi and ledger as (B, N+1, *modes) stacks; each field's rows go
+    # before the next field is stacked
+    stacks = [np.stack(fields.pop(0), axis=1) for _ in range(4)]
+    times = np.array(times)
+    for a in (*stacks, times):
+        a.setflags(write=False)
+    effort = list(zip(*effort))  # iterations, residuals and rejections: N lists of B
+    return [Trajectory(domain, *(a[m] for a in stacks), times,
+                       *(tuple(step[m] for step in column) for column in effort),
+                       config, noise)
+            for m, noise in enumerate(noises)]
 
 
 def simulate(u0: SpectralField, config: SolverConfig,
              noise: Optional[NoiseModel] = None, batch: Optional["Batch"] = None) -> Trajectory:
-    """Integrate from u0 to t_final; returns every state including the first.
+    """Integrate from u0 to t_final; the Trajectory holds every state, the first included.
 
     With ``batch``, a ``Batch`` of members sharing u0 and config with
     ``noise`` among them, the trajectory is this member's rows of the batch.
     """
-    steps, m = (_march(u0, config, (noise,)), 0) if batch is None else batch.rows(
-        u0, config, noise)
-    state = initial_state(u0, config)
-    states = [state]
-    for stacks in steps:
-        state = _successor(state, config, *(a[m] for a in stacks))
-        states.append(state)
-    return Trajectory(states=tuple(states), config=config, noise=noise)
+    if batch is None:
+        return _trajectories(u0, config, (noise,))[0]
+    return batch.member(u0, config, noise)
 
 
-# stored steps of one Batch group: at most about this many bytes, or one member
+# stacks of one Batch group: at most about this many bytes, or one member
 _BATCH_BYTES = 1 << 22
 
 
@@ -491,31 +499,29 @@ class Batch:
 
     ``simulate(u0, config, noise, batch)`` hands out the trajectory of the
     member driven by noise.  Members are integrated in groups of consecutive
-    ``noises`` whose stored steps take at most _BATCH_BYTES, and only the
-    group of the last requested member is kept; a member too large to share
-    a group runs alone and is streamed, as a solo run.
+    ``noises`` whose stacks take at most _BATCH_BYTES, or of one member, and
+    only the trajectories of the last requested member's group are kept.
     """
 
     def __init__(self, u0: SpectralField, config: SolverConfig, noises):
         self.u0, self.config, self.noises = u0, config, tuple(noises)
-        member = 4 * config.n_steps * u0.coeffs.nbytes  # c, w, xi and ledger of every step
+        member = 4 * (config.n_steps + 1) * u0.coeffs.nbytes  # u, w, xi and ledger rows
         self.size = max(1, _BATCH_BYTES // member)
-        self._group, self._steps = None, None
+        self._group, self._trajectories = None, None
 
-    def rows(self, u0: SpectralField, config: SolverConfig, noise: Optional[NoiseModel]):
-        """The stored steps of the group holding ``noise`` and its row in them."""
+    def member(self, u0: SpectralField, config: SolverConfig,
+               noise: Optional[NoiseModel]) -> Trajectory:
+        """The trajectory of the member driven by ``noise``."""
         m = next((k for k, n in enumerate(self.noises) if n is noise), None)
         if u0 is not self.u0 or config is not self.config or m is None:
             raise ValueError("the member does not belong to this batch")
-        if self.size == 1:
-            return _march(u0, config, (noise,)), 0  # nothing to share: stream the solo run
         group, row = divmod(m, self.size)
         if group != self._group:
-            self._steps = None  # the previous group goes before the next is integrated
+            self._trajectories = None  # the previous group goes before the next is integrated
             lo = group * self.size
-            self._steps = list(_march(u0, config, self.noises[lo:lo + self.size]))
+            self._trajectories = _trajectories(u0, config, self.noises[lo:lo + self.size])
             self._group = group
-        return self._steps, row
+        return self._trajectories[row]
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,14 @@ class TestStudyModes:
 
     def test_ensemble_requires_noise(self, tmp_path, capsys):
         text = SHORT + "[run]\nmode = ensemble\n"
-        cfg = cli.parse_config(text, env={})
-        assert cli.run(cfg, tmp_path, quiet=True) == 2
-        assert "config error" in capsys.readouterr().err
+        with pytest.raises(cli.ValidationError, match="needs a noise section"):
+            cli.parse_config(text, env={})
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -403,8 +408,9 @@ def test_reproduced_input_is_a_config_error(text, tmp_path, capsys):
 
 
 def test_run_time_config_error_writes_nothing(tmp_path, capsys):
+    # a negative viscosity in a sweep grid is refused by the study, at run time
     ini = tmp_path / "run.ini"
-    ini.write_text(SHORT + "[run]\nmode = ensemble\n")
+    ini.write_text(SHORT + "[run]\nmode = vanishing_viscosity\n[sweep]\neps_grid = 0.1, -0.1\n")
     out = tmp_path / "out"
     assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err

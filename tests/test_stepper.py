@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from svch import experiments as ex
 from svch import monotone as mn
 from svch import noise as nz
 from svch import stepper as sp
@@ -499,8 +500,79 @@ class TestConfigAndTrajectory:
         traj = sp.simulate(study_field, cfg)
         assert len(traj) == 6
         assert np.allclose(traj.times, np.arange(6) * 1e-3)
-        assert traj[0].u is study_field
+        assert np.array_equal(traj[0].u.coeffs, study_field.coeffs)
         assert [s.step_index for s in traj] == list(range(6))
+
+    def test_trajectory_stacks_are_read_only(self, long_domain, study_field):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          dt=1e-3, t_final=5e-3)
+        op = nz.diffusion_operator(long_domain, 4, sigma=0.1)
+        traj = sp.simulate(study_field, cfg, nz.NoiseModel(nz.WienerProcess(4, 3), op))
+        for name in ("u", "w", "xi", "noise_ledger", "times"):
+            stack = getattr(traj, name)
+            assert stack.shape[0] == len(traj) and not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 1.0
+
+    def test_indexed_states_equal_the_rows(self, long_domain, study_field):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          dt=1e-3, t_final=5e-3)
+        op = nz.diffusion_operator(long_domain, 4, sigma=0.1)
+        traj = sp.simulate(study_field, cfg, nz.NoiseModel(nz.WienerProcess(4, 3), op))
+        assert len(traj.states) == len(traj) == len(traj.newton_iterations) + 1
+        for n in (0, 1, len(traj) - 1, -1, -len(traj)):
+            state, row = traj[n], n % len(traj)
+            for name in ("u", "w", "xi", "noise_ledger"):
+                assert np.array_equal(getattr(state, name).coeffs, getattr(traj, name)[row])
+            assert (state.t, state.step_index) == (traj.times[row], row)
+        assert traj[-1].newton_iterations == traj.newton_iterations[-1] > 0
+        assert traj[-1].newton_residuals == traj.newton_residuals[-1]
+        assert (traj[0].newton_iterations, traj[0].newton_residuals) == (0, ())
+        with pytest.raises(IndexError):
+            traj[len(traj)]
+
+    def test_no_field_per_step_from_simulate_to_diagnostics(self, long_domain, study_field,
+                                                            monkeypatch):
+        op = nz.diffusion_operator(long_domain, 4, sigma=0.1)
+        model = nz.NoiseModel(nz.WienerProcess(4, 3), op)
+        built = []
+        original = SpectralField.__post_init__
+        monkeypatch.setattr(SpectralField, "__post_init__",
+                            lambda self: built.append(1) or original(self))
+        counts = []
+        for t_final in (5e-3, 5e-2):
+            cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                              dt=1e-3, t_final=t_final)
+            built.clear()
+            traj = sp.simulate(study_field, cfg, model)
+            ex.check_invariants(traj, ex.run_diagnostics(traj))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_storage_grows_with_the_march(self, long_domain, study_field, monkeypatch,
+                                          batched):
+        # 10**12 steps: stacks sized up front would not fit in memory
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          dt=1e-12, t_final=1.0)
+        assert cfg.n_steps >= 10**12 - 1
+        original = sp._advance
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def advance(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise Stop
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "_advance", advance)
+        batch = sp.Batch(study_field, cfg, [None]) if batched else None
+        with pytest.raises(Stop):
+            sp.simulate(study_field, cfg, None, batch)
+        assert len(calls) == 2
 
     def test_noise_domain_checked(self, long_domain, unit_domain, study_field):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0))
@@ -626,7 +698,7 @@ class TestBatchedCore:
                           lam=1e-2, dt=0.02, t_final=0.1)
         op = nz.diffusion_operator(long_domain, 8, sigma=0.1)
         noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in range(8)]
-        member = 4 * cfg.n_steps * u0.coeffs.nbytes  # stored steps of one member
+        member = 4 * (cfg.n_steps + 1) * u0.coeffs.nbytes  # stored rows of one member
         calls = []
         original = sp._advance
         monkeypatch.setattr(sp, "_advance", lambda *a, **k: calls.append(len(a[0]))
@@ -635,17 +707,17 @@ class TestBatchedCore:
         batch = sp.Batch(u0, cfg, noises)
         for model in noises:
             traj = sp.simulate(u0, cfg, model, batch)
-            stored = sum(a.nbytes for stacks in batch._steps for a in stacks[:4])
+            stored = sum(getattr(t, f).nbytes for t in batch._trajectories
+                         for f in ("u", "w", "xi", "noise_ledger"))
             assert stored <= sp._BATCH_BYTES
         assert calls == [3] * cfg.n_steps * 2 + [2] * cfg.n_steps
         monkeypatch.setattr(sp, "_advance", original)
         solo = sp.simulate(u0, cfg, noises[-1])
         assert all(np.array_equal(a.u.coeffs, b.u.coeffs) for a, b in zip(traj, solo))
-        # a member larger than the budget is streamed as a solo run: nothing stored
+        # a member larger than the budget runs alone, as a solo run
         monkeypatch.setattr(sp, "_BATCH_BYTES", member - 1)
         batch = sp.Batch(u0, cfg, noises)
         traj = sp.simulate(u0, cfg, noises[-1], batch)
-        assert batch._steps is None
         assert all(np.array_equal(a.u.coeffs, b.u.coeffs) for a, b in zip(traj, solo))
 
     def test_batch_rejects_a_foreign_member(self, long_domain, study_field):
