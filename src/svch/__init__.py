@@ -17,6 +17,7 @@ The package is organized around five building blocks:
 
 from .spectral import (
     Domain,
+    EigenSystem,
     NonZeroMean,
     SpectralField,
     apply_helmholtz_inverse,
@@ -42,6 +43,7 @@ from .monotone import (
     make_graph,
     make_perturbation,
     moreau_envelope,
+    polynomial_degree,
     resolvent,
     yosida,
     yosida_derivative,
@@ -56,6 +58,7 @@ from .noise import (
     coarsen_increments,
     diffusion_operator,
     hs_norm,
+    increment_stack,
     increment_table,
     integral_ledger,
     smooth,
@@ -77,7 +80,6 @@ from .stepper import (
 from .experiments import (
     DIAGNOSTIC_FIELDS,
     Assertion,
-    GrowthMismatch,
     NonFinite,
     PreconditionViolated,
     ProblemData,

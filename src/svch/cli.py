@@ -18,12 +18,13 @@ Precedence: command-line flags > SVCH_<SECTION>_<KEY> environment variables >
 config file > defaults.  parse_config(emit_config(c)) == c exactly; floats
 are emitted with repr so the round trip is bit-faithful.
 
-Validation builds the problem once; each failure names the assumption it
-violates, as the library constructor that checks it labels it: (H1) potential
-on the whole real line, (H2) positive regularization lam, (H3) finite
-Lipschitz reaction, (H4) nonnegative viscosity eps, (B1) finite Hilbert-Schmidt
-noise data, (B2) mean-zero multiplicative noise, (B3) positive truncation
-bound, (B4) nonnegative integer smoothing level.
+Validation builds the problem once, with every sweep grid value in its
+solver config; each failure names the assumption it violates, as the library
+constructor that checks it labels it: (H1) potential on the whole real line,
+(H2) positive regularization lam, (H3) finite Lipschitz reaction, (H4)
+nonnegative viscosity eps, (B1) finite Hilbert-Schmidt noise data, (B2)
+mean-zero multiplicative noise, (B3) positive truncation bound, (B4)
+nonnegative integer smoothing level.
 
 Outputs (fixed names inside --out): ``config.ini`` echoes the effective
 config; ``series.csv`` holds the per-step diagnostics (simulate) or one row
@@ -324,7 +325,11 @@ def validate_config(config: RunConfig) -> None:
             f"config asks for {size} values at once (modes x noise modes x members), "
             f"over the budget of {GRID_BUDGET}")
     try:
-        _build(config)
+        solver, _ = _build(config)
+        for eps in config.eps_grid:
+            replace(solver, eps=eps)
+        for lam in config.lam_grid:
+            replace(solver, lam=lam)
     except ValueError as err:
         raise ValidationError(str(err)) from err
 
@@ -460,7 +465,6 @@ def _sweep_rows(report):
 
 
 def _run_study(config, solver, data):
-    seed = config.seed if data.operator is not None else None
     if config.mode == "continuous_dependence":
         grid = tuple(sorted(set(config.eps_grid)))
         offset_dir = basis_field(data.u0.domain, config.offset_mode)
@@ -473,14 +477,13 @@ def _run_study(config, solver, data):
         report = ex.continuous_dependence_study(data, data2, grid, config.seed, solver)
     elif config.mode == "vanishing_viscosity":
         grid = tuple(sorted(set(config.eps_grid), reverse=True))
-        report = ex.vanishing_viscosity_study(data, grid, seed, solver)
+        report = ex.vanishing_viscosity_study(data, grid, config.seed, solver)
     elif config.mode == "yosida_sweep":
         grid = tuple(sorted(set(config.lam_grid), reverse=True))
-        report = ex.yosida_convergence_study(data, grid, seed, solver)
+        report = ex.yosida_convergence_study(data, grid, config.seed, solver)
     elif config.mode == "regularity":
         grid = tuple(sorted(set(config.eps_grid)))
-        growth = "cubic" if mn.polynomial_degree(solver.graph) == 3 else None
-        report = ex.regularity_study(data, grid, seed, solver, growth=growth)
+        report = ex.regularity_study(data, grid, config.seed, solver)
     else:
         raise AssertionError(config.mode)
 

@@ -42,7 +42,6 @@ from .stepper import (
 __all__ = [
     "NonFinite",
     "PreconditionViolated",
-    "GrowthMismatch",
     "Assertion",
     "DIAGNOSTIC_FIELDS",
     "SweepReport",
@@ -67,10 +66,6 @@ class NonFinite(ArithmeticError):
 
 class PreconditionViolated(ValueError):
     """Study input does not satisfy the documented compatibility conditions."""
-
-
-class GrowthMismatch(TypeError):
-    """A growth-specific bound was requested for the wrong nonlinearity class."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,6 @@ class SweepReport:
     values: tuple
     metrics: dict
     assertions: tuple
-    distances: Optional[tuple] = None
     mc_mean: Optional[dict] = None
     mc_stderr: Optional[dict] = None
     members: Optional[int] = None
@@ -431,7 +425,6 @@ def vanishing_viscosity_study(
             "sup_star_sq": tuple(sup_star_sq),
         },
         assertions=tuple(assertions),
-        distances=tuple(dists),
     )
 
 
@@ -484,7 +477,6 @@ def yosida_convergence_study(
             "sup_star_sq": tuple(sup_star_sq),
         },
         assertions=tuple(assertions),
-        distances=tuple(consec),
     )
 
 
@@ -530,8 +522,9 @@ def ensemble_expectations(
     mc_stderr: dict = {}
     assertions = []
     per_point_means: dict = {n: [] for n in names}
-    for eps, lam in grid:
-        cfg = _config(data, base, eps, lam)
+    # every grid point's config is checked before the first member runs
+    configs = [_config(data, base, eps, lam) for eps, lam in grid]
+    for (eps, lam), cfg in zip(grid, configs):
         noises = [_noise(data.operator, member_seed(seed, m)) for m in order]
         batch = Batch(data.u0, cfg, noises)
         rows = np.empty((members, len(names)))
@@ -572,13 +565,14 @@ def ensemble_expectations(
 # regularity monitoring
 
 
-def regularity_monitor(traj: Trajectory, growth: Optional[str] = None) -> SweepReport:
+def regularity_monitor(traj: Trajectory) -> SweepReport:
     """Path norms that stay bounded for smooth data, on one trajectory.
 
     The smoothed w is R w, R the Helmholtz inverse at the run's viscosity.
-    With growth="cubic" also checks the pointwise-cubic bound
-    |xi|_{L2(0,T;H)} <= 2 * C * (1 + sup_t |u|_V1^3) where C is assembled
-    from the measured V1 -> L6 embedding constant of the trajectory itself.
+    When the run's graph has cubic growth (polynomial degree 3) also checks
+    the pointwise-cubic bound |xi|_{L2(0,T;H)} <= 2 * C * (1 + sup_t |u|_V1^3)
+    where C is assembled from the measured V1 -> L6 embedding constant of the
+    trajectory itself.
     """
     cfg = traj.config
     ts = traj.times
@@ -597,12 +591,7 @@ def regularity_monitor(traj: Trajectory, growth: Optional[str] = None) -> SweepR
     }
     assertions = [Assertion("regularity_norms_finite",
                             all(math.isfinite(v[0]) for v in metrics.values()))]
-    if growth == "cubic":
-        if polynomial_degree(cfg.graph) != 3:
-            raise GrowthMismatch(
-                f"cubic growth bound requested for graph {cfg.graph.name!r} "
-                f"with growth {cfg.graph.growth!r}"
-            )
+    if polynomial_degree(cfg.graph) == 3:
         v1 = _norms(domain, u, "V1")
         l6_sixth = np.concatenate([_integrals(domain, _synthesis(u[k], domain.modes) ** 6)
                                    for k in _chunks(len(u), domain)])
@@ -628,15 +617,18 @@ def regularity_study(
     eps_grid: Sequence[float],
     seed: Optional[int],
     base: SolverConfig,
-    growth: Optional[str] = None,
 ) -> SweepReport:
-    """Regularity monitor across a viscosity grid, with uniformity checks."""
+    """Regularity monitor across a viscosity grid, with uniformity checks.
+
+    The cubic-growth bound is checked at every viscosity exactly when the
+    graph has cubic growth, as in regularity_monitor.
+    """
     _require_monotone(eps_grid, "increasing", "eps grid")
     metrics: dict = {}
     assertions = []
     for eps in eps_grid:
         tr = _run(data, base, seed, eps=eps)
-        rep = regularity_monitor(tr, growth=growth)
+        rep = regularity_monitor(tr)
         for k, v in rep.metrics.items():
             metrics.setdefault(k, []).append(v[0])
         assertions.extend(

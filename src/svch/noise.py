@@ -95,16 +95,14 @@ class DiffusionOperator:
     columns[k] holds the coefficients of the image of the k-th noise
     direction.  For kind "multiplicative" the image at state v is
     clamp(v) * column_k minus its spatial mean, with clamp(v) the truncation
-    of v to [-clamp_bound, clamp_bound].
+    of v to [-clamp_bound, clamp_bound].  The operator is its columns: every
+    property of it is worked out from them on request.
     """
 
     domain: Domain
     kind: str
     columns: np.ndarray  # (K, *modes)
-    mean_zero: bool
     clamp_bound: float
-    smoothing_level: int
-    lipschitz: float
 
     def __post_init__(self):
         cols = np.array(self.columns, dtype=float)
@@ -115,16 +113,20 @@ class DiffusionOperator:
     def mode_count(self) -> int:
         return self.columns.shape[0]
 
+    @property
+    def lipschitz(self) -> float:
+        """Lipschitz constant of v -> B(v) in Hilbert-Schmidt norm; 0 for additive noise.
 
-def _lipschitz(domain: Domain, kind: str, columns: np.ndarray) -> float:
-    # root sum of the squared column sup norms (the clamp has slope 1), the sup
-    # norms estimated on the dealiased grid; additive noise ignores the state;
-    # a sum that overflows gives inf without a warning
-    if kind != "multiplicative":
-        return 0.0
-    vals = np.abs(_synthesis(columns, domain.modes))
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(vals.max(axis=tuple(range(1, vals.ndim))) ** 2)))
+        An object of the paper, the Lipschitz hypothesis on B(u); no run path
+        needs it.  It is the root sum of the squared column sup norms (the
+        clamp has slope 1), the sup norms estimated on the dealiased grid; a
+        sum that overflows gives inf without a warning.
+        """
+        if self.kind != "multiplicative":
+            return 0.0
+        vals = np.abs(_synthesis(self.columns, self.domain.modes))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(vals.max(axis=tuple(range(1, vals.ndim))) ** 2)))
 
 
 def diffusion_operator(
@@ -139,8 +141,9 @@ def diffusion_operator(
     """Default operator: e_k -> sigma*(1 + mu_k)^{-rho} * (k-th basis function).
 
     Modes are taken in eigenvalue-sorted order, so k = 0 is the constant
-    function unless mean_zero is set (which zeroes constant-mode content of
-    every column).
+    function unless mean_zero is set, which zeroes the constant-mode content
+    of every column; a multiplicative operator is always mean-zero.  Nothing
+    is synthesized: the operator holds only its columns.
     """
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown diffusion kind {kind!r}")
@@ -168,30 +171,23 @@ def diffusion_operator(
             flat[k, idx] = sigma * (1.0 + mu_flat[idx]) ** (-rho)
     if not np.isfinite(cols).all():
         raise ValueError(f"noise columns overflow at sigma={sigma!r}, rho={rho!r}, violates (B1)")
-    mean_zero = mean_zero or kind == "multiplicative"
-    if mean_zero:
+    if mean_zero or kind == "multiplicative":
         flat[:, eig.order[0]] = 0.0
-    return DiffusionOperator(
-        domain=domain,
-        kind=kind,
-        columns=cols,
-        mean_zero=bool(mean_zero),
-        clamp_bound=float(clamp_bound),
-        smoothing_level=0,
-        lipschitz=_lipschitz(domain, kind, cols),
-    )
+    return DiffusionOperator(domain=domain, kind=kind, columns=cols,
+                             clamp_bound=float(clamp_bound))
 
 
 def smooth(op: DiffusionOperator, level: int) -> DiffusionOperator:
-    """Elliptically smoothed operator: columns hit by (I - Laplacian/level)^{-3}."""
+    """Elliptically smoothed operator: columns hit by (I - Laplacian/level)^{-3}.
+
+    The result keeps the kind and clamp bound and holds the new columns alone.
+    """
     if not 1 <= level <= sys.float_info.max:
         raise ValueError(f"smoothing level must lie in [1, {sys.float_info.max:g}], got {level}, "
                          "violates (B4)")
     eig = neumann_eigensystem(op.domain)
     factor = (1.0 + eig.mu / float(level)) ** (-3)
-    cols = op.columns * factor[None, ...]
-    return replace(op, columns=cols, smoothing_level=int(level),
-                   lipschitz=_lipschitz(op.domain, op.kind, cols))
+    return replace(op, columns=op.columns * factor[None, ...])
 
 
 def hs_norm(op: DiffusionOperator) -> float:

@@ -188,7 +188,7 @@ def test_ac7_vanishing_viscosity():
         assert by_name[name].passed
     elapsed = time.perf_counter() - t0
     assert elapsed <= 300.0
-    d = rep.distances
+    d = rep.metrics["v1_distance_to_limit"]
     report("AC7 vanishing viscosity",
            f"distances {d[0]:.2e} -> {d[-1]:.2e}, {elapsed:.1f}s")
 
@@ -219,7 +219,7 @@ def test_ac9_regularity_monitor():
                        dt=1e-3, t_final=0.1, newton_tol=1e-11)
     rep = ex.regularity_study(
         ex.ProblemData(u0=study_ic(dom), operator=op),
-        (1e-3, 1e-2, 1e-1), seed=1009, base=base, growth="cubic")
+        (1e-3, 1e-2, 1e-1), seed=1009, base=base)
     by_name = {a.name: a for a in rep.assertions}
     for key in ("sup_grad_smoothed_w_uniform_in_eps", "xi_l2_uniform_in_eps"):
         assert by_name[key].passed and by_name[key].value <= 10.0

@@ -117,6 +117,13 @@ class TestValidationLabels:
     def test_smoothing_condition(self):
         self.check("[noise]\nkind = additive\nsmoothing_level = -1\n", r"\(B4\)")
 
+    @pytest.mark.parametrize("mode", cli.MODES)
+    @pytest.mark.parametrize("sweep,label", [("eps_grid = 0.1, -0.1", r"\(H4\)"),
+                                             ("lam_grid = 0.1, 0", r"\(H2\)")])
+    def test_sweep_grid_conditions(self, mode, sweep, label):
+        # every grid value is a solver setting, refused at parse time in every mode
+        self.check(f"[run]\nmode = {mode}\n[sweep]\n{sweep}\n", rf"violates {label}")
+
     def test_mode_and_grid_checks(self):
         self.check("[run]\nmode = warp\n", "unknown mode")
         self.check("[solver]\ndt = 0.2\nt_final = 0.1\n", "exceed")
@@ -408,9 +415,10 @@ def test_reproduced_input_is_a_config_error(text, tmp_path, capsys):
 
 
 def test_run_time_config_error_writes_nothing(tmp_path, capsys):
-    # a negative viscosity in a sweep grid is refused by the study, at run time
+    # an offset whose squared star norm underflows is refused by the study, at run time
     ini = tmp_path / "run.ini"
-    ini.write_text(SHORT + "[run]\nmode = vanishing_viscosity\n[sweep]\neps_grid = 0.1, -0.1\n")
+    ini.write_text(SHORT + "[run]\nmode = continuous_dependence\n"
+                   "[sweep]\neps_grid = 0.01\nstar_offset = 1e-200\n")
     out = tmp_path / "out"
     assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err

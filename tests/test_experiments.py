@@ -355,14 +355,14 @@ class TestVanishingViscosity:
         rep = ex.vanishing_viscosity_study(data, (1e-1, 1e-2, 1e-3), seed=21,
                                            base=study_config())
         assert rep.passed
-        d = rep.distances
+        d = rep.metrics["v1_distance_to_limit"]
         assert d[0] > d[1] > d[2] > 0
 
     def test_trailing_zero_has_self_distance_zero(self, long_domain):
         data = ex.ProblemData(u0=study_ic(long_domain))
         rep = ex.vanishing_viscosity_study(data, (1e-1, 1e-2, 0.0), seed=None,
                                            base=study_config())
-        assert rep.distances[-1] == 0.0
+        assert rep.metrics["v1_distance_to_limit"][-1] == 0.0
         assert rep.passed
 
     def test_sequence_validation(self, long_domain):
@@ -474,6 +474,14 @@ class TestEnsembles:
         assert any(n.startswith("sup_star_sq_uniform") for n in names)
         assert rep.passed
 
+    def test_bad_grid_point_runs_no_member(self, long_domain, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"\(H2\)"):
+            ex.ensemble_expectations(self._data(long_domain), study_config(), members=8,
+                                     seed=7, grid=((1e-2, 1e-2), (1e-2, -1.0)))
+        assert calls == []
+
     def test_membership_validation(self, long_domain):
         data = self._data(long_domain)
         with pytest.raises(ex.PreconditionViolated, match="at least 8"):
@@ -486,7 +494,7 @@ class TestEnsembles:
 class TestRegularity:
     def test_monitor_with_cubic_growth(self, long_domain):
         traj = sp.simulate(study_ic(long_domain), study_config(eps=1e-2))
-        rep = ex.regularity_monitor(traj, growth="cubic")
+        rep = ex.regularity_monitor(traj)
         assert rep.passed
         assert rep.metrics["xi_l2"][0] <= rep.metrics["cubic_bound"][0]
 
@@ -517,19 +525,20 @@ class TestRegularity:
             "v3_path": math.sqrt(ex._trapz([norm(s.u, "V3") ** 2 for s in traj], ts)),
             "embedding_constant": emb,
         }
-        got = ex.regularity_monitor(traj, growth="cubic").metrics
+        got = ex.regularity_monitor(traj).metrics
         assert {k: got[k][0] for k in want} == want
 
-    def test_growth_mismatch(self, long_domain):
+    def test_non_cubic_growth_has_no_cubic_bound(self, long_domain):
         cfg = make_config("exponential", ("negative_identity", 1.0), t_final=5e-3)
         traj = sp.simulate(study_ic(long_domain), cfg)
-        with pytest.raises(ex.GrowthMismatch):
-            ex.regularity_monitor(traj, growth="cubic")
+        rep = ex.regularity_monitor(traj)
+        assert "cubic_bound" not in rep.metrics
+        assert [a.name for a in rep.assertions] == ["regularity_norms_finite"]
 
     def test_study_uniform_in_eps(self, long_domain):
         op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
         data = ex.ProblemData(u0=study_ic(long_domain), operator=op)
         rep = ex.regularity_study(data, (1e-3, 1e-2, 1e-1), seed=21,
-                                  base=study_config(), growth="cubic")
+                                  base=study_config())
         assert rep.passed
         assert len(rep.metrics["xi_l2"]) == 3

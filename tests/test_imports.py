@@ -173,3 +173,14 @@ def test_no_module_imports_scipy_at_module_level():
         assert "numpy" in names or path.name == "__init__.py", path.name
         bad = [n for n in names if n == "scipy" or n.startswith("scipy.")]
         assert not bad, f"{path.name} imports {bad} at module level"
+
+
+def test_every_module_export_is_a_package_export():
+    # one export surface: the package re-exports each module's public names;
+    # cli is the front end and keeps its own
+    from importlib import import_module
+
+    for name in ("spectral", "monotone", "noise", "stepper", "experiments"):
+        module = import_module(f"svch.{name}")
+        missing = [n for n in module.__all__ if getattr(svch, n, None) is not getattr(module, n)]
+        assert not missing, f"svch does not export {missing} from svch.{name}"
