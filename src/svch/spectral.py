@@ -412,7 +412,7 @@ def _norms(domain: Domain, coeffs: np.ndarray, kind: str, eps: float = 0.0) -> n
     elif kind == "V2":
         val = (w * (1.0 + mu**2) * c2).sum(axis=1)
     elif kind == "V3":
-        val = (w * (1.0 + mu**3) * c2).sum(axis=1)
+        val = (w * (1.0 + mu * mu * mu) * c2).sum(axis=1)
     elif kind == "star":
         # mu > 0 on every mode but the constant one, flat index 0
         val = c2[:, 0] + (w[1:] * c2[:, 1:] / mu[1:]).sum(axis=1)

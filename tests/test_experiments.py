@@ -374,6 +374,12 @@ class TestVanishingViscosity:
             ex.vanishing_viscosity_study(data, (1e-2, -1e-3), seed=None,
                                          base=study_config())
 
+    def test_negative_viscosity_names_h4(self, long_domain):
+        data = ex.ProblemData(u0=study_ic(long_domain))
+        with pytest.raises(ex.PreconditionViolated,
+                           match=r"^eps must be >= 0, got -0\.1, violates \(H4\)$"):
+            ex.vanishing_viscosity_study(data, (0.1, -0.1), None, study_config())
+
 
 class TestYosidaConvergence:
     def test_cauchy_in_lam(self, long_domain):
@@ -390,9 +396,15 @@ class TestYosidaConvergence:
         with pytest.raises(ex.PreconditionViolated, match="decreasing"):
             ex.yosida_convergence_study(data, (1e-3, 1e-2), seed=None,
                                         base=study_config())
-        with pytest.raises(ex.PreconditionViolated, match="positive"):
+        with pytest.raises(ex.PreconditionViolated, match=r"lam must be > 0, got 0\.0"):
             ex.yosida_convergence_study(data, (1e-2, 0.0), seed=None,
                                         base=study_config())
+
+    def test_negative_lam_names_h2(self, long_domain):
+        data = ex.ProblemData(u0=study_ic(long_domain))
+        with pytest.raises(ex.PreconditionViolated,
+                           match=r"^lam must be > 0, got -0\.1, violates \(H2\)$"):
+            ex.yosida_convergence_study(data, (0.1, -0.1), None, study_config())
 
 
 class TestEnsembles:
@@ -527,6 +539,23 @@ class TestRegularity:
         }
         got = ex.regularity_monitor(traj).metrics
         assert {k: got[k][0] for k in want} == want
+
+    def test_embedding_constant_matches_libm_sixth_powers_2d(self):
+        # the monitor multiplies out its sixth powers; a per-state oracle
+        # takes them point by point with libm pow
+        domain = Domain((10.0, 6.0), (24, 16))
+        op = nz.diffusion_operator(domain, 6, sigma=0.3, kind="multiplicative")
+        traj = sp.simulate(random_field(domain, np.random.default_rng(5), scale=0.5),
+                           study_config(eps=1e-2, t_final=0.03),
+                           nz.NoiseModel(nz.WienerProcess(6, seed=4), op))
+        emb = 0.0
+        for s in traj:
+            g = to_grid(s.u)
+            sixth = np.reshape([math.pow(x, 6) for x in g.ravel()], g.shape)
+            l6 = math.pow(integrate_grid(domain, sixth), 1 / 6)
+            emb = max(emb, l6 / norm(s.u, "V1"))
+        got = ex.regularity_monitor(traj).metrics["embedding_constant"][0]
+        assert abs(got - emb) <= 1e-14 * emb
 
     def test_non_cubic_growth_has_no_cubic_bound(self, long_domain):
         cfg = make_config("exponential", ("negative_identity", 1.0), t_final=5e-3)

@@ -5,6 +5,7 @@ Independent oracles: scipy.optimize.brentq per scalar, the Cardano closed
 form for the cubic graph, analytic conjugates, and dense grid maximization.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,86 @@ class TestFixedCostResolvents:
                 assert np.all(np.isfinite(graph.resolvent_closed(lam, r)))
                 bad = mn.resolvent(graph, lam, np.array([np.inf, -np.inf, np.nan]))
                 assert not np.isfinite(bad).any()
+
+
+def libm_pow(x, n):
+    """math.pow(x, n) for integer n >= 0, with inf where it overflows."""
+    try:
+        return math.pow(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def libm_quintic_resolvent(lam, r):
+    """The sixth-power well's six Newton steps on one point, powers by libm pow."""
+    a = abs(r)
+    J = min(a, math.pow(a, 0.2) * math.pow(lam, -0.2))
+    for _ in range(6):
+        l4 = lam * math.pow(J, 4)
+        J = J - (J + J * l4 - a) / (1.0 + 5.0 * l4)
+    return math.copysign(J, r)
+
+
+def assert_matches_libm(got, want):
+    # 1e-15 relative; a subnormal value to one subnormal spacing, which the
+    # oracle's own double rounding (pow, then the division) already reaches
+    want = np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = np.isnan(want) | (got == want)
+    with np.errstate(invalid="ignore"):
+        ok |= np.abs(got - want) <= np.maximum(1e-15 * np.abs(want),
+                                               np.finfo(float).smallest_subnormal)
+    assert ok.all(), (got[~ok], want[~ok])
+
+
+class TestPolynomialPowers:
+    """Integer powers by multiplication against per-point libm pow."""
+
+    NAMES = ("quartic_double_well", "sixth_power_well", "linear")
+    A = np.logspace(-100, 70, 1701)
+    R = np.concatenate([A, -A])
+    EXTREMES = np.array([1e100, -1e100, np.nan])
+
+    @staticmethod
+    def libm(graph, r):
+        # beta, beta_hat and beta_prime of r^p at every point
+        p = mn.polynomial_degree(graph)
+        return {"beta": [libm_pow(x, p) for x in r],
+                "beta_hat": [libm_pow(x, p + 1) / (p + 1) for x in r],
+                "beta_prime": [p * libm_pow(x, p - 1) for x in r]}
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("r", [R, EXTREMES], ids=["log_spaced", "extremes"])
+    def test_graph_functions_match_libm(self, name, r):
+        graph = mn.make_graph(name)
+        for field, want in self.libm(graph, r).items():
+            with np.errstate(all="ignore"):
+                assert_matches_libm(getattr(graph, field)(r), want)
+
+    def test_python_floats_overflow_to_signed_inf(self):
+        # Python's float ** raises OverflowError; its multiplication gives inf
+        graph = mn.make_graph("sixth_power_well")
+        assert graph.beta(-1e100) == -np.inf
+        assert graph.beta_hat(-1e100) == graph.beta_prime(-1e100) == np.inf
+        assert mn.make_graph("quartic_double_well").beta_hat(1e100) == np.inf
+
+    @pytest.mark.parametrize("lam", LAMBDAS + (1e-4,))
+    def test_quintic_resolvent_matches_libm(self, lam):
+        graph = mn.make_graph("sixth_power_well")
+        r = np.concatenate([self.R, self.EXTREMES])
+        assert_matches_libm(mn.resolvent(graph, lam, r),
+                            [libm_quintic_resolvent(lam, x) for x in r])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_resolvent_and_envelope_silent_at_extremes(self, name):
+        graph = mn.make_graph(name)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            for lam in LAMBDAS:
+                for f in (mn.resolvent, mn.moreau_envelope):
+                    out = f(graph, lam, self.EXTREMES)
+                    assert np.isfinite(out[:2]).all() and np.isnan(out[2])
+                    assert math.isfinite(f(graph, lam, -1e100))
 
 
 class TestYosida:
