@@ -55,11 +55,9 @@ from .noise import (
     NoiseModel,
     WienerProcess,
     apply_diffusion,
-    coarsen_increments,
     diffusion_operator,
     hs_norm,
     increment_stack,
-    increment_table,
     integral_ledger,
     smooth,
 )

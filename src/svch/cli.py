@@ -402,19 +402,12 @@ def _build(config: RunConfig):
     return solver, ex.ProblemData(u0, operator=operator)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, hash_: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# artifact_version={ARTIFACT_VERSION} config_hash={hash_}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)  # csv writes floats by repr
 
 
 def _assertion_dicts(assertions):

@@ -34,7 +34,6 @@ from .stepper import (
     Batch,
     SolverConfig,
     Trajectory,
-    _LABELS,
     _energy_parts,
     _evolution_residuals,
     simulate,
@@ -125,6 +124,8 @@ def _uniformity(name: str, values, factor: float) -> Assertion:
 
 def _require_monotone(values, direction, what):
     arr = np.asarray(values, dtype=float)
+    if not len(arr):
+        raise PreconditionViolated(f"{what} must not be empty")
     diffs = np.diff(arr)
     ok = (diffs > 0).all() if direction == "increasing" else (diffs < 0).all()
     if len(arr) > 1 and not ok:
@@ -133,6 +134,8 @@ def _require_monotone(values, direction, what):
 
 def _config(data: ProblemData, base: SolverConfig, eps: Optional[float] = None,
             lam: Optional[float] = None) -> SolverConfig:
+    # the studies build every grid point's config before their first run, so
+    # a value SolverConfig refuses is refused, with its message, up front
     updates = {}
     if eps is not None:
         updates["eps"] = float(eps)
@@ -140,7 +143,10 @@ def _config(data: ProblemData, base: SolverConfig, eps: Optional[float] = None,
         updates["lam"] = float(lam)
     if data.source is not None:
         updates["source"] = data.source
-    return replace(base, **updates) if updates else base
+    try:
+        return replace(base, **updates) if updates else base
+    except ValueError as err:
+        raise PreconditionViolated(str(err)) from err
 
 
 def _noise(operator: Optional[DiffusionOperator], seed: Optional[int]) -> Optional[NoiseModel]:
@@ -151,9 +157,8 @@ def _noise(operator: Optional[DiffusionOperator], seed: Optional[int]) -> Option
     return NoiseModel(WienerProcess(operator.mode_count, seed), operator)
 
 
-def _run(data: ProblemData, base: SolverConfig, seed: Optional[int],
-         eps: Optional[float] = None, lam: Optional[float] = None) -> Trajectory:
-    return simulate(data.u0, _config(data, base, eps, lam), _noise(data.operator, seed))
+def _run(data: ProblemData, cfg: SolverConfig, seed: Optional[int]) -> Trajectory:
+    return simulate(data.u0, cfg, _noise(data.operator, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +187,7 @@ def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
 def _diagnostic_columns(cfg: SolverConfig, u, w, xi, mean_process, domain) -> dict:
     """The DIAGNOSTIC_FIELDS but t, in order, of a (B, *modes) state stack.
 
-    mean_process is u0's mean plus the noise ledger's mean, per row.  One
+    mean_process is u0's mean plus the noise mean, per row.  One
     resolvent evaluation serves the well mass and the conjugate mass.
     """
     modes = domain.modes
@@ -221,7 +226,7 @@ def run_diagnostics(traj: Trajectory) -> dict:
     """
     parts = []
     for k in _chunks(len(traj), traj.domain):
-        mean_process = _rows(traj.u)[0, 0] + _rows(traj.noise_ledger[k])[:, 0]
+        mean_process = _rows(traj.u)[0, 0] + traj.noise_mean[k]
         cols = _diagnostic_columns(traj.config, traj.u[k], traj.w[k], traj.xi[k],
                                    mean_process, traj.domain)
         _require_finite(cols, range(len(traj))[k])
@@ -254,7 +259,7 @@ def check_invariants(traj: Trajectory, columns=None) -> list:
     out.append(Assertion("evolution_identity", res <= 10 * cfg.newton_tol,
                          value=res, bound=10 * cfg.newton_tol))
 
-    shift = _rows(u)[:, 0] - _rows(u)[0, 0] - _rows(traj.noise_ledger)[:, 0]
+    shift = _rows(u)[:, 0] - _rows(u)[0, 0] - traj.noise_mean
     mean_err = float(np.abs(shift).max())
     out.append(Assertion("mean_identity", mean_err <= 1e-12, value=mean_err, bound=1e-12))
 
@@ -340,22 +345,15 @@ def continuous_dependence_study(
         b = g2 if g2 is not None else 0.0 * data2.u0
         denom += base.t_final * norm(a - b, "star") ** 2
     if op1 is not None and op2 is not None and not np.array_equal(op1.columns, op2.columns):
-        w = neumann_eigensystem(op1.domain).weights
-        mu = neumann_eigensystem(op1.domain).mu
-        diff = op1.columns - op2.columns
-        # star-norm style weight on each column difference
-        nz = mu > 0
-        col_sq = (diff[..., nz] ** 2 * (w[nz] / mu[nz])).sum() + diff.reshape(
-            op1.mode_count, -1)[:, 0] @ diff.reshape(op1.mode_count, -1)[:, 0]
-        denom += base.t_final * float(col_sq)
+        col_star = _norms(op1.domain, op1.columns - op2.columns, "star")
+        denom += base.t_final * float(_pow(col_star, 2).sum())
     if denom <= 0:
         raise PreconditionViolated("data distance is zero; the ratio is undefined")
+    configs = {eps: (_config(data1, base, eps), _config(data2, base, eps)) for eps in eps_grid}
 
     def _ratio(eps, with_noise):
-        d1 = data1 if with_noise else replace(data1, operator=None)
-        d2 = data2 if with_noise else replace(data2, operator=None)
-        t1 = _run(d1, base, seed if with_noise else None, eps=eps)
-        t2 = _run(d2, base, seed if with_noise else None, eps=eps)
+        t1, t2 = (simulate(d.u0, cfg, _noise(d.operator, seed) if with_noise else None)
+                  for d, cfg in zip((data1, data2), configs[eps]))
         diff = _u_difference(t1, t2)
         domain = data1.u0.domain
         sup_star = float(_pow(_norms(domain, diff, "star"), 2).max())
@@ -394,15 +392,13 @@ def vanishing_viscosity_study(
     A trailing eps of exactly 0 is allowed and gives self-distance 0.
     """
     _require_monotone(eps_sequence, "decreasing", "eps sequence")
-    for e in eps_sequence:
-        if e < 0:
-            raise PreconditionViolated(f"eps must be >= 0, got {e!r}{_LABELS['eps']}")
-    limit = _run(data, base, seed, eps=0.0)
+    configs = [_config(data, base, eps) for eps in eps_sequence]
+    limit = _run(data, _config(data, base, 0.0), seed)
     dists = []
     sizes = []
     sup_star_sq = []
-    for eps in eps_sequence:
-        tr = limit if eps == 0.0 else _run(data, base, seed, eps=eps)
+    for eps, cfg in zip(eps_sequence, configs):
+        tr = limit if eps == 0.0 else _run(data, cfg, seed)
         dists.append(path_l2_distance(tr, limit, "V1"))
         sizes.append(eps * sup_norm(tr, "V1"))
         sup_star_sq.append(sup_norm(tr, "star") ** 2)
@@ -445,10 +441,8 @@ def yosida_convergence_study(
     L1(Q) mass and of the conjugate mass.
     """
     _require_monotone(lam_sequence, "decreasing", "lam sequence")
-    for l in lam_sequence:
-        if l <= 0:
-            raise PreconditionViolated(f"lam must be > 0, got {l!r}{_LABELS['lam']}")
-    trajectories = [_run(data, base, seed, lam=l) for l in lam_sequence]
+    configs = [_config(data, base, lam=lam) for lam in lam_sequence]
+    trajectories = [_run(data, cfg, seed) for cfg in configs]
     consec = [path_l2_distance(a, b, "V1")
               for a, b in zip(trajectories, trajectories[1:])]
     w_l1 = []
@@ -521,6 +515,8 @@ def ensemble_expectations(
         raise PreconditionViolated("order must be a permutation of the members")
     if grid is None:
         grid = ((base.eps, base.lam),)
+    if not len(grid):
+        raise PreconditionViolated("(eps, lam) grid must not be empty")
 
     names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
     mc_mean: dict = {}
@@ -629,11 +625,11 @@ def regularity_study(
     graph has cubic growth, as in regularity_monitor.
     """
     _require_monotone(eps_grid, "increasing", "eps grid")
+    configs = [_config(data, base, eps) for eps in eps_grid]
     metrics: dict = {}
     assertions = []
-    for eps in eps_grid:
-        tr = _run(data, base, seed, eps=eps)
-        rep = regularity_monitor(tr)
+    for eps, cfg in zip(eps_grid, configs):
+        rep = regularity_monitor(_run(data, cfg, seed))
         for k, v in rep.metrics.items():
             metrics.setdefault(k, []).append(v[0])
         assertions.extend(

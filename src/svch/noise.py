@@ -5,7 +5,7 @@ The driving noise is W(t) = sum_{k<K} W_k(t) e_k with independent scalar
 Brownian motions W_k.  Increments are drawn from a counter-based generator
 (Philox) keyed by (seed, step): mode k is the k-th draw of the step's block,
 so every increment is a pure function of (seed, step, mode) and paths can be
-re-materialized in any order, refined, or shared across solver runs.
+re-materialized in any order or shared across solver runs.
 
 A diffusion operator maps the K noise directions to spatial fields.  The
 default additive operator sends e_k to sigma * (1 + mu_k)^{-rho} times the
@@ -37,8 +37,6 @@ __all__ = [
     "apply_diffusion",
     "increment_stack",
     "integral_ledger",
-    "increment_table",
-    "coarsen_increments",
 ]
 
 
@@ -73,19 +71,6 @@ class WienerProcess:
         bg = np.random.Philox(key=self.seed, counter=[0, 0, 0, int(step)])
         z = np.random.Generator(bg).standard_normal(self.mode_count)
         return z * math.sqrt(dt)
-
-
-def increment_table(process: WienerProcess, n_steps: int, dt: float) -> np.ndarray:
-    """All increments of a path as an (n_steps, K) array."""
-    return np.stack([process.increments_at(s, dt) for s in range(n_steps)])
-
-
-def coarsen_increments(table: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive groups of rows: the same Brownian path at factor*dt."""
-    n, K = table.shape
-    if n % factor != 0:
-        raise ValueError("number of steps must be divisible by the coarsening factor")
-    return table.reshape(n // factor, factor, K).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +248,7 @@ def integral_ledger(op: DiffusionOperator, process: WienerProcess, n_steps: int,
     Sums apply_diffusion over steps 0..n_steps-1 in order, which is exactly
     the bookkeeping the solver performs; the mean of the result tracks the
     mean shift injected into the solution.  An object of the paper, kept as
-    the reference for the solver's noise ledger.
+    the reference for the solver's noise mean, which equals its mean bitwise.
     """
     if op.kind != "additive":
         raise KindMismatch("the integral ledger is defined for additive noise")

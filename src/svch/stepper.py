@@ -34,12 +34,14 @@ Newton residual F and right-hand side b: an inexact Newton forcing term.
 
 The solver core advances (B, *modes) member stacks: ``simulate`` marches one
 row, a ``Batch`` the members of an ensemble, and each march stacks its rows
-into read-only (N+1, *modes) trajectory arrays once, when it ends.  Each
-member has its own Newton and CG convergence and leaves the working set once
-done, and per-member scalars are sums over contiguous rows, so a member
-equals its solo run bitwise.  A member whose Newton iteration fails
-repeats the step alone by dt-halving.  The solve is silent on non-finite
-input: an overflow shows as a labelled NewtonDiverged, not as a warning.
+once, when it ends, into read-only (N+1, *modes) arrays of u, w and xi and an
+(N+1,) array of the noise mean, the only part of the noise integral any check
+reads.  Each member has its own Newton and CG convergence and leaves the
+working set once done, and per-member scalars are sums over contiguous rows,
+so a member equals its solo run bitwise.  A member whose Newton iteration
+fails repeats the step alone by dt-halving.  The solve is silent on
+non-finite input: an overflow shows as a labelled NewtonDiverged, not as a
+warning.
 """
 
 from __future__ import annotations
@@ -160,13 +162,14 @@ class SolverState:
     w is the chemical potential actually used by the step that produced the
     state (under convex splitting its reaction part is evaluated at the
     previous state); xi is the projected regularized-graph value
-    beta_lam(u).  noise_ledger accumulates the injected noise fields.
+    beta_lam(u).  noise_mean accumulates the means of the injected noise
+    fields, the mean of the stochastic integral sum B dW.
     """
 
     u: SpectralField
     w: SpectralField
     xi: SpectralField
-    noise_ledger: SpectralField
+    noise_mean: float
     t: float
     step_index: int
     newton_iterations: int = 0
@@ -178,7 +181,7 @@ class SolverState:
 class Trajectory:
     """A run from t=0 to t_final as read-only stacks, with its generating config.
 
-    u, w, xi and noise_ledger are (N+1, *modes) arrays and times is (N+1,),
+    u, w and xi are (N+1, *modes) arrays, noise_mean and times are (N+1,),
     one row per state as in SolverState; newton_iterations, newton_residuals
     and rejections hold one entry per step.  Indexing and iteration give the
     SolverState of a row, built on request.
@@ -188,7 +191,7 @@ class Trajectory:
     u: np.ndarray
     w: np.ndarray
     xi: np.ndarray
-    noise_ledger: np.ndarray
+    noise_mean: np.ndarray
     times: np.ndarray
     newton_iterations: tuple
     newton_residuals: tuple
@@ -208,11 +211,11 @@ class Trajectory:
 
     def __getitem__(self, n) -> SolverState:
         n = range(len(self))[n]
-        fields = (SpectralField(self.domain, a[n]) for a in (self.u, self.w, self.xi,
-                                                             self.noise_ledger))
+        fields = (SpectralField(self.domain, a[n]) for a in (self.u, self.w, self.xi))
         effort = () if n == 0 else (self.newton_iterations[n - 1],
                                     self.newton_residuals[n - 1], self.rejections[n - 1])
-        return SolverState(*fields, float(self.times[n]), n, *effort)
+        return SolverState(*fields, float(self.noise_mean[n]), float(self.times[n]), n,
+                           *effort)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +429,7 @@ def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
 
 def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
     w, xi = _chemical_potential(u0.coeffs, config, u0.domain)
-    return SolverState(u0, *(SpectralField(u0.domain, a)
-                             for a in (w, xi, np.zeros(u0.domain.modes))), 0.0, 0)
+    return SolverState(u0, *(SpectralField(u0.domain, a) for a in (w, xi)), 0.0, 0.0, 0)
 
 
 def step(state: SolverState, config: SolverConfig,
@@ -439,10 +441,8 @@ def step(state: SolverState, config: SolverConfig,
     field = None if noise_field is None else noise_field.coeffs[None]
     c, w, xi, iters, residuals, depths = (x[0] for x in _advance(
         state.u.coeffs[None], field, config, domain, config.dt, state.step_index))
-    ledger = state.noise_ledger.coeffs
-    if field is not None:
-        ledger = ledger + field[0]
-    return SolverState(*(SpectralField(domain, a) for a in (c, w, xi, ledger)),
+    mean = state.noise_mean if field is None else state.noise_mean + noise_field.mean
+    return SolverState(*(SpectralField(domain, a) for a in (c, w, xi)), mean,
                        state.t + config.dt, state.step_index + 1, iters, tuple(residuals),
                        depths)
 
@@ -453,20 +453,20 @@ def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
     if any(n is not None and n.operator.domain != domain for n in noises):
         raise ValueError("noise field lives on a different domain")
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
-    ledger = np.zeros_like(c)
+    mean = np.zeros(len(noises))
     fields = [[c], *([np.repeat(a[None], len(noises), axis=0)]
-                     for a in _chemical_potential(u0.coeffs, config, domain)), [ledger]]
+                     for a in _chemical_potential(u0.coeffs, config, domain)), [mean]]
     times, effort = [0.0], []
     for s in range(config.n_steps):
         field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
         c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s)
-        ledger = ledger if field is None else ledger + field
-        for rows, a in zip(fields, (c, w, xi, ledger)):
+        mean = mean if field is None else mean + _rows(field)[:, 0]
+        for rows, a in zip(fields, (c, w, xi, mean)):
             rows.append(a)
         effort.append((iters, [tuple(r) for r in residuals], depths))
         times.append(times[-1] + config.dt)
-    # u, w, xi and ledger as (B, N+1, *modes) stacks; each field's rows go
-    # before the next field is stacked
+    # u, w and xi as (B, N+1, *modes) stacks and the noise mean as (B, N+1);
+    # each field's rows go before the next field is stacked
     stacks = [np.stack(fields.pop(0), axis=1) for _ in range(4)]
     times = np.array(times)
     for a in (*stacks, times):
@@ -505,7 +505,7 @@ class Batch:
 
     def __init__(self, u0: SpectralField, config: SolverConfig, noises):
         self.u0, self.config, self.noises = u0, config, tuple(noises)
-        member = 4 * (config.n_steps + 1) * u0.coeffs.nbytes  # u, w, xi and ledger rows
+        member = (3 * u0.coeffs.nbytes + 8) * (config.n_steps + 1)  # u, w, xi and mean rows
         self.size = max(1, _BATCH_BYTES // member)
         self._group, self._trajectories = None, None
 

@@ -125,7 +125,7 @@ def test_ac4_mean_identities():
 
     op = nz.diffusion_operator(dom, 8, sigma=0.3)  # injects mean content
     traj = sp.simulate(u0, cfg, nz.NoiseModel(nz.WienerProcess(8, seed=1004), op))
-    worst = max(abs(s.u.mean - u0.mean - s.noise_ledger.mean) for s in traj)
+    worst = max(abs(s.u.mean - u0.mean - s.noise_mean) for s in traj)
     assert worst <= 1e-12
 
     op_m = nz.diffusion_operator(dom, 8, sigma=0.3, kind="multiplicative")

@@ -159,7 +159,7 @@ class TestDiagnostics:
         for k, state in enumerate(traj):
             grad, well, reaction = sp.free_energy_parts(state.u, cfg)
             centered = state.u.coeffs.copy()
-            centered[0] -= u0_mean + state.noise_ledger.mean
+            centered[0] -= u0_mean + state.noise_mean
             assert (cols["gradient_energy"][k], cols["well_mass"][k],
                     cols["reaction_mass"][k]) == (grad, well, reaction)
             assert cols["star_centered"][k] == norm(SpectralField(long_domain, centered), "star")
@@ -301,6 +301,40 @@ class TestContinuousDependence:
         assert max(ratios) / min(ratios) < 10.0
         assert max(ratios) < 50.0  # difference energy is controlled by the data
 
+    def test_operator_difference_adds_its_star_norm(self, long_domain):
+        # the column term of the data distance against its hand-rolled form:
+        # t_final times the squared star norms of the column differences
+        d1, d2 = self._pair(long_domain)
+        d2 = replace(d2, operator=nz.smooth(d1.operator, 4))
+        base, eps = study_config(), 1e-2
+        rep = ex.continuous_dependence_study(d1, d2, eps_grid=(eps,), seed=21, base=base)
+        eig = neumann_eigensystem(long_domain)
+        w, mu = eig.weights, eig.mu
+        diff = (d1.operator.columns - d2.operator.columns).reshape(8, -1)
+        pos = mu.ravel() > 0
+        col_sq = (diff[:, pos] ** 2 * (w.ravel()[pos] / mu.ravel()[pos])).sum()
+        col_sq += diff[:, 0] @ diff[:, 0]
+        assert col_sq > 0
+        denom = norm(d1.u0 - d2.u0, "star") ** 2 + base.t_final * float(col_sq)
+        t1, t2 = (sp.simulate(d.u0, replace(base, eps=eps),
+                              nz.NoiseModel(nz.WienerProcess(8, 21), d.operator))
+                  for d in (d1, d2))
+        diffs = [SpectralField(long_domain, c) for c in t1.u - t2.u]
+        numerator = (max(norm(d, "star") ** 2 for d in diffs)
+                     + eps * max(norm(d, "H") ** 2 for d in diffs)
+                     + ex._trapz([float(np.sum(w * mu * d.coeffs**2)) for d in diffs], t1.times))
+        assert rep.metrics["ratio"][0] == pytest.approx(numerator / denom, rel=1e-14)
+
+    def test_bad_last_grid_value_runs_nothing(self, long_domain, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+        d1, d2 = self._pair(long_domain)
+        with pytest.raises(ex.PreconditionViolated,
+                           match=r"^eps must be finite, got inf, violates \(H4\)$"):
+            ex.continuous_dependence_study(d1, d2, eps_grid=(0.0, 1e-2, math.inf), seed=21,
+                                           base=study_config())
+        assert calls == []
+
     def test_zero_distance_rejected(self, long_domain):
         d1, _ = self._pair(long_domain)
         with pytest.raises(ex.PreconditionViolated, match="zero"):
@@ -346,6 +380,26 @@ class TestContinuousDependence:
         with pytest.raises(ValueError, match=r"eps must be >= 0.*\(H4\)"):
             ex.continuous_dependence_study(d1, d2, eps_grid=(-1e-3, 1e-2), seed=21,
                                            base=study_config())
+
+
+EMPTY_GRID_STUDIES = {
+    "continuous_dependence": lambda d, base: ex.continuous_dependence_study(d, d, (), 1, base),
+    "vanishing_viscosity": lambda d, base: ex.vanishing_viscosity_study(d, (), 1, base),
+    "yosida_convergence": lambda d, base: ex.yosida_convergence_study(d, (), 1, base),
+    "regularity": lambda d, base: ex.regularity_study(d, (), 1, base),
+    "ensemble": lambda d, base: ex.ensemble_expectations(d, base, 8, 1, grid=()),
+}
+
+
+@pytest.mark.parametrize("study", sorted(EMPTY_GRID_STUDIES))
+def test_empty_grid_runs_nothing(long_domain, monkeypatch, study):
+    calls = []
+    monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+    data = ex.ProblemData(u0=study_ic(long_domain),
+                          operator=nz.diffusion_operator(long_domain, 8, sigma=0.3))
+    with pytest.raises(ex.PreconditionViolated, match="must not be empty"):
+        EMPTY_GRID_STUDIES[study](data, study_config())
+    assert calls == []
 
 
 class TestVanishingViscosity:
@@ -433,7 +487,7 @@ class TestEnsembles:
         rep = ex.ensemble_expectations(data, base, members=8, seed=3)
         rows = []
         for m in range(8):
-            tr = ex._run(data, base, ex.member_seed(3, m), eps=base.eps, lam=base.lam)
+            tr = ex._run(data, base, ex.member_seed(3, m))
             cols = {n: v.tolist() for n, v in ex.run_diagnostics(tr).items()}
             rows.append((max(s**2 + u**2 for s, u in zip(cols["star_centered"], cols["mean_u"])),
                          ex._trapz([2.0 * g for g in cols["gradient_energy"]], tr.times),
@@ -556,6 +610,15 @@ class TestRegularity:
             emb = max(emb, l6 / norm(s.u, "V1"))
         got = ex.regularity_monitor(traj).metrics["embedding_constant"][0]
         assert abs(got - emb) <= 1e-14 * emb
+
+    def test_bad_last_grid_value_runs_nothing(self, long_domain, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+        data = ex.ProblemData(u0=study_ic(long_domain))
+        with pytest.raises(ex.PreconditionViolated,
+                           match=r"^eps must be finite, got inf, violates \(H4\)$"):
+            ex.regularity_study(data, (1e-2, 1e-1, math.inf), None, study_config())
+        assert calls == []
 
     def test_non_cubic_growth_has_no_cubic_bound(self, long_domain):
         cfg = make_config("exponential", ("negative_identity", 1.0), t_final=5e-3)

@@ -38,7 +38,8 @@ class TestWienerProcess:
 
     def test_moments_within_four_sigma(self):
         K, n, dt = 10, 10_000, 0.3
-        table = noise.increment_table(noise.WienerProcess(K, seed=2024), n, dt)
+        p = noise.WienerProcess(K, seed=2024)
+        table = np.stack([p.increments_at(s, dt) for s in range(n)])
         draws = table.ravel()  # 1e5 iid N(0, dt) samples
         m = draws.size
         assert abs(draws.mean()) < 4 * np.sqrt(dt / m)
@@ -61,33 +62,6 @@ class TestWienerProcess:
         assert top.increments_at(0, 0.1).shape == (3,)
         with pytest.raises(ValueError, match=str(2**128)):
             noise.WienerProcess(3, seed=2**128)
-
-
-class TestIncrementTable:
-    def test_rows_match_pointwise_sampling(self):
-        p = noise.WienerProcess(3, seed=8)
-        table = noise.increment_table(p, 5, 0.2)
-        assert table.shape == (5, 3)
-        for s in range(5):
-            assert np.array_equal(table[s], p.increments_at(s, 0.2))
-
-    def test_coarsen_sums_groups_exactly(self):
-        table = noise.increment_table(noise.WienerProcess(4, seed=9), 12, 0.05)
-        coarse = noise.coarsen_increments(table, 4)
-        assert coarse.shape == (3, 4)
-        for i in range(3):
-            assert np.array_equal(coarse[i], table[4 * i : 4 * i + 4].sum(axis=0))
-
-    def test_coarsen_preserves_endpoint(self):
-        table = noise.increment_table(noise.WienerProcess(2, seed=1), 16, 0.1)
-        fine_end = table.sum(axis=0)
-        coarse_end = noise.coarsen_increments(table, 4).sum(axis=0)
-        assert np.allclose(fine_end, coarse_end, rtol=1e-14, atol=1e-15)
-
-    def test_coarsen_divisibility(self):
-        table = noise.increment_table(noise.WienerProcess(2, seed=1), 10, 0.1)
-        with pytest.raises(ValueError):
-            noise.coarsen_increments(table, 3)
 
 
 class TestDiffusionOperator:
@@ -307,7 +281,7 @@ class TestIntegralLedger:
         op = noise.diffusion_operator(long_domain, 6, sigma=0.3, rho=1.0)
         p = noise.WienerProcess(6, seed=12)
         led = noise.integral_ledger(op, p, 15, 0.02)
-        table = noise.increment_table(p, 15, 0.02)
+        table = np.stack([p.increments_at(s, 0.02) for s in range(15)])
         # constant direction is mode 0, profile sigma*(1+0)^{-rho} = sigma
         assert led.mean == pytest.approx(0.3 * table[:, 0].sum(), rel=1e-13)
 

@@ -153,8 +153,29 @@ class TestConservation:
         op = nz.diffusion_operator(long_domain, 8, sigma=0.5)
         traj = sp.simulate(study_field, cfg, nz.NoiseModel(nz.WienerProcess(8, seed=3), op))
         for st in traj:
-            want = study_field.mean + st.noise_ledger.mean
+            want = study_field.mean + st.noise_mean
             assert abs(st.u.mean - want) < 1e-13
+
+    @pytest.mark.parametrize("halved", [False, True])
+    def test_noise_mean_is_the_integral_ledger_mean(self, long_domain, study_field, halved):
+        # noise.integral_ledger is the reference for the noise mean, to the bit;
+        # the halved case is the setup of TestBatchedCore's halved row
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.01 if halved else 0.5)
+        process = nz.WienerProcess(8, seed=3)
+        if halved:
+            cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                              lam=1e-2, dt=0.5, t_final=0.5, newton_tol=1e-11,
+                              newton_max_iter=4, max_rejections=4)
+            u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
+        else:
+            cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                              dt=1e-2, t_final=0.05)
+            u0 = study_field
+        traj = sp.simulate(u0, cfg, nz.NoiseModel(process, op))
+        assert (max(traj.rejections) > 0) == halved
+        assert traj.noise_mean[-1] != 0.0
+        for n in range(len(traj)):
+            assert traj.noise_mean[n] == nz.integral_ledger(op, process, n, cfg.dt).mean
 
     def test_mean_exactly_constant_without_mean_input(self, long_domain, study_field):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
@@ -295,7 +316,7 @@ class TestNewtonBehavior:
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         st = sp.step(sp.initial_state(u0, cfg), cfg, n)
         assert st.rejections >= 1
-        assert np.array_equal(st.noise_ledger.coeffs, n.coeffs)
+        assert st.noise_mean == n.mean
         assert abs(st.u.mean - (u0.mean + n.mean)) < 1e-14
 
 
@@ -508,7 +529,7 @@ class TestConfigAndTrajectory:
                           dt=1e-3, t_final=5e-3)
         op = nz.diffusion_operator(long_domain, 4, sigma=0.1)
         traj = sp.simulate(study_field, cfg, nz.NoiseModel(nz.WienerProcess(4, 3), op))
-        for name in ("u", "w", "xi", "noise_ledger", "times"):
+        for name in ("u", "w", "xi", "noise_mean", "times"):
             stack = getattr(traj, name)
             assert stack.shape[0] == len(traj) and not stack.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -522,8 +543,9 @@ class TestConfigAndTrajectory:
         assert len(traj.states) == len(traj) == len(traj.newton_iterations) + 1
         for n in (0, 1, len(traj) - 1, -1, -len(traj)):
             state, row = traj[n], n % len(traj)
-            for name in ("u", "w", "xi", "noise_ledger"):
+            for name in ("u", "w", "xi"):
                 assert np.array_equal(getattr(state, name).coeffs, getattr(traj, name)[row])
+            assert state.noise_mean == traj.noise_mean[row]
             assert (state.t, state.step_index) == (traj.times[row], row)
         assert traj[-1].newton_iterations == traj.newton_iterations[-1] > 0
         assert traj[-1].newton_residuals == traj.newton_residuals[-1]
@@ -614,7 +636,7 @@ class TestBatchedCore:
                 assert np.array_equal(c[m], state.u.coeffs)
                 assert np.array_equal(w[m], state.w.coeffs)
                 assert np.array_equal(xi[m], state.xi.coeffs)
-                assert np.array_equal(ledger, state.noise_ledger.coeffs)
+                assert ledger.flat[0] == state.noise_mean
                 assert tuple(res[m]) == state.newton_residuals
                 assert (iters[m], depths[m]) == (state.newton_iterations, state.rejections)
 
@@ -686,10 +708,10 @@ class TestBatchedCore:
             solo = sp.simulate(u0, cfg, model)
             assert traj.noise is model and len(traj) == len(solo)
             for a, b in zip(traj, solo):
-                for f in ("u", "w", "xi", "noise_ledger"):
+                for f in ("u", "w", "xi"):
                     assert np.array_equal(getattr(a, f).coeffs, getattr(b, f).coeffs)
-                assert (a.t, a.step_index, a.newton_iterations, a.newton_residuals,
-                        a.rejections) == (b.t, b.step_index, b.newton_iterations,
+                assert (a.noise_mean, a.t, a.step_index, a.newton_iterations, a.newton_residuals,
+                        a.rejections) == (b.noise_mean, b.t, b.step_index, b.newton_iterations,
                                           b.newton_residuals, b.rejections)
 
     def test_batch_keeps_one_bounded_group(self, long_domain, monkeypatch):
@@ -698,7 +720,7 @@ class TestBatchedCore:
                           lam=1e-2, dt=0.02, t_final=0.1)
         op = nz.diffusion_operator(long_domain, 8, sigma=0.1)
         noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in range(8)]
-        member = 4 * (cfg.n_steps + 1) * u0.coeffs.nbytes  # stored rows of one member
+        member = (3 * u0.coeffs.nbytes + 8) * (cfg.n_steps + 1)  # stored rows of one member
         calls = []
         original = sp._advance
         monkeypatch.setattr(sp, "_advance", lambda *a, **k: calls.append(len(a[0]))
@@ -708,7 +730,7 @@ class TestBatchedCore:
         for model in noises:
             traj = sp.simulate(u0, cfg, model, batch)
             stored = sum(getattr(t, f).nbytes for t in batch._trajectories
-                         for f in ("u", "w", "xi", "noise_ledger"))
+                         for f in ("u", "w", "xi", "noise_mean"))
             assert stored <= sp._BATCH_BYTES
         assert calls == [3] * cfg.n_steps * 2 + [2] * cfg.n_steps
         monkeypatch.setattr(sp, "_advance", original)
