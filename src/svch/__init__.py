@@ -71,9 +71,7 @@ from .stepper import (
     drift,
     evolution_residual,
     free_energy_parts,
-    initial_state,
     simulate,
-    step,
 )
 from .experiments import (
     DIAGNOSTIC_FIELDS,

@@ -362,9 +362,13 @@ def validate_config(config: RunConfig) -> None:
 def _build(config: RunConfig):
     domain = Domain(tuple(config.lengths), tuple(config.modes))
     coeffs = np.zeros(domain.modes)
+    seen = set()
     for idx, val in config.initial:
         if not 0 <= idx < coeffs.size:
             raise ValueError(f"initial coefficient index {idx} out of range [0, {coeffs.size})")
+        if idx in seen:
+            raise ValueError(f"initial coefficient index {idx} is given twice")
+        seen.add(idx)
         coeffs.flat[idx] = val
     u0 = SpectralField(domain, coeffs)
     graph = mn.make_graph(config.potential)
@@ -492,7 +496,9 @@ def _run_study(config, solver, data):
 
 
 def _run_ensemble(config, solver, data):
-    grid = tuple((e, l) for e in config.eps_grid[:2] for l in config.lam_grid[:2])
+    # the first two distinct values of each grid, in their given order
+    eps, lam = (tuple(dict.fromkeys(g))[:2] for g in (config.eps_grid, config.lam_grid))
+    grid = tuple((e, l) for e in eps for l in lam)
     report = ex.ensemble_expectations(data, solver, config.members, config.seed,
                                       grid=grid)
     header = ["estimate", "mean", "stderr"]
@@ -535,9 +541,8 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    echo = emit_config(config)
-    hash_ = hashlib.sha256(echo.encode("utf-8")).hexdigest()
-    (out / "config.ini").write_text(echo)
+    (out / "config.ini").write_text(emit_config(config))
+    hash_ = config_hash(config)
     if failure is not None:
         print(f"solver failure: {failure}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ from .monotone import polynomial_degree
 from .noise import DiffusionOperator, NoiseModel, WienerProcess, increment_stack
 from .spectral import (
     SpectralField,
+    _grad_sq,
     _integrals,
     _norms,
     _rows,
@@ -283,8 +284,11 @@ def _trapz(values, times) -> float:
 
 
 def _u_difference(a: Trajectory, b: Trajectory) -> np.ndarray:
-    if len(a) != len(b):
-        raise PreconditionViolated("trajectories have different step counts")
+    # a pathwise distance pairs the states of equal times on one domain
+    if a.domain != b.domain:
+        raise PreconditionViolated("trajectories live on different domains")
+    if not np.array_equal(a.times, b.times):
+        raise PreconditionViolated("trajectories have different time grids")
     return a.u - b.u
 
 
@@ -298,12 +302,6 @@ def sup_norm(traj: Trajectory, kind: str = "V1") -> float:
 
 # ---------------------------------------------------------------------------
 # studies
-
-
-def _grad_sq(domain, coeffs: np.ndarray) -> np.ndarray:
-    # |grad v|_H^2 of every row of a (B, *modes) stack
-    eig = neumann_eigensystem(domain)
-    return _rows(eig.weights * eig.mu * coeffs**2).sum(axis=1)
 
 
 def continuous_dependence_study(
@@ -504,7 +502,7 @@ def ensemble_expectations(
     member equals its solo run, and the estimates are stored by member index
     and reduced in index order, so any order gives identical output.  ``grid``
     is an optional list of (eps, lam) pairs over which uniformity of the
-    estimates is reported.
+    estimates is reported; a point may not repeat.
     """
     if members < MIN_MEMBERS:
         raise PreconditionViolated(f"need at least {MIN_MEMBERS} ensemble members")
@@ -517,6 +515,10 @@ def ensemble_expectations(
         grid = ((base.eps, base.lam),)
     if not len(grid):
         raise PreconditionViolated("(eps, lam) grid must not be empty")
+    points = [tuple(p) for p in grid]
+    repeated = [p for k, p in enumerate(points) if p in points[:k]]
+    if repeated:
+        raise PreconditionViolated(f"(eps, lam) grid repeats the point {repeated[0]}")
 
     names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
     mc_mean: dict = {}
@@ -553,7 +555,7 @@ def ensemble_expectations(
                                           per_point_means[n], 100.0))
     return SweepReport(
         variable="(eps,lam)",
-        values=tuple(tuple(p) for p in grid),
+        values=tuple(points),
         metrics={},
         assertions=tuple(assertions),
         mc_mean=mc_mean,

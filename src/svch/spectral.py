@@ -397,6 +397,12 @@ def norm(v: SpectralField, kind: str = "H", eps: float = 0.0) -> float:
     return float(_norms(v.domain, v.coeffs[None], kind, eps)[0])
 
 
+def _grad_sq(domain: Domain, coeffs: np.ndarray) -> np.ndarray:
+    # |grad v|_H^2 of every row of a (B, *modes) coefficient stack
+    eig = neumann_eigensystem(domain)
+    return _rows(eig.weights * eig.mu * coeffs**2).sum(axis=1)
+
+
 @_silent
 def _norms(domain: Domain, coeffs: np.ndarray, kind: str, eps: float = 0.0) -> np.ndarray:
     # norm of every row of a (B, *modes) coefficient stack

@@ -59,6 +59,7 @@ from .spectral import (
     Domain,
     SpectralField,
     _analysis,
+    _grad_sq,
     _integrals,
     _rows,
     _synthesis,
@@ -71,8 +72,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "Trajectory",
-    "initial_state",
-    "step",
     "simulate",
     "Batch",
     "free_energy_parts",
@@ -157,7 +156,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolverState:
-    """One state as fields: the input and output of ``step``, and a row of a Trajectory.
+    """One state as fields: a row of a Trajectory, built on request.
 
     w is the chemical potential actually used by the step that produced the
     state (under convex splitting its reaction part is evaluated at the
@@ -427,26 +426,6 @@ def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
     return (w if g is None else w - g), xi
 
 
-def initial_state(u0: SpectralField, config: SolverConfig) -> SolverState:
-    w, xi = _chemical_potential(u0.coeffs, config, u0.domain)
-    return SolverState(u0, *(SpectralField(u0.domain, a) for a in (w, xi)), 0.0, 0.0, 0)
-
-
-def step(state: SolverState, config: SolverConfig,
-         noise_field: Optional[SpectralField] = None) -> SolverState:
-    """One backward Euler step driven by an already-assembled noise field."""
-    domain = state.u.domain
-    if noise_field is not None and noise_field.domain != domain:
-        raise ValueError("noise field lives on a different domain")
-    field = None if noise_field is None else noise_field.coeffs[None]
-    c, w, xi, iters, residuals, depths = (x[0] for x in _advance(
-        state.u.coeffs[None], field, config, domain, config.dt, state.step_index))
-    mean = state.noise_mean if field is None else state.noise_mean + noise_field.mean
-    return SolverState(*(SpectralField(domain, a) for a in (c, w, xi)), mean,
-                       state.t + config.dt, state.step_index + 1, iters, tuple(residuals),
-                       depths)
-
-
 def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
     # the trajectories of the members driven by noises, marched as one stack
     domain = u0.domain
@@ -543,8 +522,7 @@ def free_energy_parts(u: SpectralField, config: SolverConfig):
 def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
     # free_energy_parts of every row of a (B, *modes) stack, given its grid
     # values and their resolvent
-    eig = neumann_eigensystem(domain)
-    grad = 0.5 * _rows(eig.weights * eig.mu * c**2).sum(axis=1)
+    grad = 0.5 * _grad_sq(domain, c)
     well = _integrals(domain, mn.moreau_envelope(config.graph, config.lam, grid, J))
     reaction = _integrals(domain, config.perturbation.pi_hat(grid))
     return grad, well, reaction

@@ -134,6 +134,7 @@ class TestValidationLabels:
         self.check("[run]\nmode = ensemble\n[sweep]\nmembers = 4\n", "at least 8")
         self.check("[initial]\ncoefficients = 99:0.1\n[domain]\nmodes = 16\n",
                    "out of range")
+        self.check("[initial]\ncoefficients = 1:0.4, 1:0.5\n", "index 1 is given twice")
         self.check("[run]\nmode = continuous_dependence\n[sweep]\noffset_mode = 0\n",
                    "offset_mode")
 
@@ -277,6 +278,14 @@ class TestStudyModes:
         _, header, rows = read_series(tmp_path / "series.csv")
         assert header == ["estimate", "mean", "stderr"]
         assert len(rows) == 4 * 2  # four estimates over a 2-point grid
+
+    def test_ensemble_grid_takes_distinct_values(self, tmp_path):
+        text = NOISY + "[run]\nmode = ensemble\n[sweep]\nmembers = 8\n" \
+            "eps_grid = 0.01, 0.01, 0.0, 0.1\nlam_grid = 0.01, 0.01\n"
+        cfg = cli.parse_config(text, env={})
+        assert cli.run(cfg, tmp_path, quiet=True) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["grid"] == [[0.01, 0.01], [0.0, 0.01]]
 
     def test_ensemble_requires_noise(self, tmp_path, capsys):
         text = SHORT + "[run]\nmode = ensemble\n"

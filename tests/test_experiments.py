@@ -273,6 +273,18 @@ class TestPathNorms:
         with pytest.raises(ex.PreconditionViolated):
             ex.path_l2_distance(a, b)
 
+    def test_time_grid_and_domain_mismatch(self, long_domain):
+        # equal step counts: states of different times or domains are not paired
+        a = sp.simulate(study_ic(long_domain), study_config(dt=0.01, t_final=0.05))
+        b = sp.simulate(study_ic(long_domain), study_config(dt=0.02, t_final=0.1))
+        short = Domain((5.0,), (64,))
+        c = sp.simulate(study_ic(short), study_config(dt=0.01, t_final=0.05))
+        assert len(a) == len(b) == len(c)
+        with pytest.raises(ex.PreconditionViolated, match="time grids"):
+            ex.path_l2_distance(a, b)
+        with pytest.raises(ex.PreconditionViolated, match="domains"):
+            ex.path_l2_distance(a, c)
+
     def test_distinct_seeds_give_distinct_paths(self, long_domain):
         op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
         data = ex.ProblemData(u0=study_ic(long_domain), operator=op)
@@ -546,6 +558,14 @@ class TestEnsembles:
         with pytest.raises(ValueError, match=r"\(H2\)"):
             ex.ensemble_expectations(self._data(long_domain), study_config(), members=8,
                                      seed=7, grid=((1e-2, 1e-2), (1e-2, -1.0)))
+        assert calls == []
+
+    def test_repeated_grid_point_refused(self, long_domain, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+        with pytest.raises(ex.PreconditionViolated, match="repeats"):
+            ex.ensemble_expectations(self._data(long_domain), study_config(), members=8,
+                                     seed=7, grid=((1e-2, 1e-2), (0.0, 1e-2), (1e-2, 1e-2)))
         assert calls == []
 
     def test_membership_validation(self, long_domain):

@@ -50,10 +50,10 @@ class TestSingleModeClosedForm:
         c0[k] = amp
         cfg = make_config("linear", ("zero",), eps=eps, dt=1e-3, t_final=1e-3,
                           lam=1e-2)
-        st = sp.step(sp.initial_state(SpectralField(dom, c0), cfg), cfg)
+        u1 = sp.simulate(SpectralField(dom, c0), cfg).u[1]
         want = amp * one_mode_factor(mu, eps, 1e-3, 1e-2)
-        assert st.u.coeffs[k] == pytest.approx(want, abs=1e-13)
-        others = np.delete(st.u.coeffs, k)
+        assert u1[k] == pytest.approx(want, abs=1e-13)
+        others = np.delete(u1, k)
         assert np.max(np.abs(others)) < 1e-13
 
     def test_linear_graph_with_mode_noise(self):
@@ -65,11 +65,10 @@ class TestSingleModeClosedForm:
         n = np.zeros(8)
         n[0], n[k] = 0.02, -0.07
         cfg = make_config("linear", ("zero",), dt=1e-3, t_final=1e-3, lam=1e-2)
-        st = sp.step(sp.initial_state(SpectralField(dom, c0), cfg), cfg,
-                     SpectralField(dom, n))
+        u1 = sp._advance(c0[None], n[None], cfg, dom, cfg.dt, 0)[0][0]
         denom = 1.0 + 1e-3 * mu * (mu + 1.0 / 1.01)
-        assert st.u.coeffs[k] == pytest.approx((0.5 - 0.07) / denom, abs=1e-13)
-        assert st.u.coeffs[0] == 0.02  # exact mean update
+        assert u1[k] == pytest.approx((0.5 - 0.07) / denom, abs=1e-13)
+        assert u1[0] == 0.02  # exact mean update
 
     def test_constant_state_is_a_bitwise_fixed_point(self, long_domain):
         c0 = np.zeros(64)
@@ -234,8 +233,7 @@ class TestNewtonBehavior:
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           lam=1e-2, dt=5e-2, t_final=5e-2, newton_tol=1e-12)
-        st = sp.step(sp.initial_state(u0, cfg), cfg)
-        r = st.newton_residuals
+        r = sp.simulate(u0, cfg).newton_residuals[0]
         pairs = [(r[i], r[i + 1]) for i in range(len(r) - 1)
                  if 1e-8 <= r[i] <= 1e-2]
         assert len(pairs) >= 2
@@ -255,7 +253,7 @@ class TestNewtonBehavior:
             return cg(matvec, b, precond, atol, maxiter, callback)
 
         monkeypatch.setattr(sp, "cg", recording)
-        r = sp.step(sp.initial_state(u0, cfg), cfg).newton_residuals
+        r = sp._advance(u0.coeffs[None], None, cfg, long_domain, cfg.dt, 0)[4][0]
         tol = cfg.newton_tol
         assert len(calls) == len(r) - 1
         for res, (b, atol) in zip(r, calls):
@@ -271,7 +269,7 @@ class TestNewtonBehavior:
         noise = random_field(long_domain, np.random.default_rng(6), scale=0.1)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           eps=0.3, dt=5e-2, t_final=5e-2)
-        st = sp.step(sp.initial_state(u0, cfg), cfg, noise)
+        res = sp._advance(u0.coeffs[None], noise.coeffs[None], cfg, long_domain, cfg.dt, 0)[4]
         eig = neumann_eigensystem(long_domain)
         visc = 1.0 + cfg.eps * eig.mu
         c0 = SpectralField(long_domain, (visc * u0.coeffs + noise.coeffs) / visc)
@@ -279,16 +277,16 @@ class TestNewtonBehavior:
         reaction = from_grid(long_domain, cfg.perturbation.pi(to_grid(u0)))  # convex splitting
         w = eig.mu * c0.coeffs + well.coeffs + reaction.coeffs
         want = norm(SpectralField(long_domain, cfg.dt * eig.mu * w))
-        assert st.newton_residuals[0] == pytest.approx(want, rel=1e-12)
+        assert res[0][0] == pytest.approx(want, rel=1e-12)
 
     def test_rejection_then_success(self, long_domain):
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           lam=1e-2, dt=0.5, t_final=0.5, newton_tol=1e-11,
                           newton_max_iter=4, max_rejections=4)
-        st = sp.step(sp.initial_state(u0, cfg), cfg)
-        assert st.rejections == 2
-        assert st.t == 0.5  # the full interval was still covered
+        traj = sp.simulate(u0, cfg)
+        assert traj.rejections[0] == 2
+        assert traj.times[1] == 0.5  # the full interval was still covered
 
     def test_step_rejected_after_halvings(self, long_domain):
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
@@ -296,7 +294,7 @@ class TestNewtonBehavior:
                           lam=1e-2, dt=0.2, t_final=0.2, newton_tol=1e-11,
                           newton_max_iter=2, max_rejections=4)
         with pytest.raises(sp.StepRejected) as exc:
-            sp.step(sp.initial_state(u0, cfg), cfg)
+            sp.simulate(u0, cfg)
         assert exc.value.suggested_dt == pytest.approx(0.2 / 32.0)
 
     def test_immediate_rejection_suggests_half(self, long_domain):
@@ -305,7 +303,7 @@ class TestNewtonBehavior:
                           lam=1e-2, dt=0.2, t_final=0.2, newton_tol=1e-11,
                           newton_max_iter=0, max_rejections=0)
         with pytest.raises(sp.StepRejected) as exc:
-            sp.step(sp.initial_state(u0, cfg), cfg)
+            sp.simulate(u0, cfg)
         assert exc.value.suggested_dt == pytest.approx(0.1)
 
     def test_rejected_step_keeps_noise_ledger_once(self, long_domain, study_field):
@@ -314,10 +312,11 @@ class TestNewtonBehavior:
                           newton_max_iter=4, max_rejections=4)
         n = random_field(long_domain, np.random.default_rng(8), scale=0.01)
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
-        st = sp.step(sp.initial_state(u0, cfg), cfg, n)
-        assert st.rejections >= 1
-        assert st.noise_mean == n.mean
-        assert abs(st.u.mean - (u0.mean + n.mean)) < 1e-14
+        # the noise mean of a halved march: test_noise_mean_is_the_integral_ledger_mean[True]
+        c, _, _, _, _, depths = sp._advance(u0.coeffs[None], n.coeffs[None], cfg, long_domain,
+                                            cfg.dt, 0)
+        assert depths[0] >= 1
+        assert abs(c[0].flat[0] - (u0.mean + n.mean)) < 1e-14
 
 
 class TestOneResolventPerIteration:
@@ -328,7 +327,6 @@ class TestOneResolventPerIteration:
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config(graph, ("negative_identity", 1.0), lam=1e-2, dt=5e-2,
                           t_final=5e-2, newton_tol=1e-11, splitting=splitting)
-        state = sp.initial_state(u0, cfg)
         calls = []
         original = mn.resolvent
 
@@ -337,13 +335,14 @@ class TestOneResolventPerIteration:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mn, "resolvent", counting)
-        new = sp.step(state, cfg)
-        assert new.rejections == 0
-        assert len(calls) == len(new.newton_residuals)
+        c, _, xi, _, res, depths = sp._advance(u0.coeffs[None], None, cfg, long_domain,
+                                               cfg.dt, 0)
+        assert depths[0] == 0
+        assert len(calls) == len(res[0])
         monkeypatch.undo()
         modes = long_domain.modes
-        want = _analysis(mn.yosida(cfg.graph, cfg.lam, _synthesis(new.u.coeffs, modes)), modes)
-        assert np.array_equal(new.xi.coeffs, want)
+        want = _analysis(mn.yosida(cfg.graph, cfg.lam, _synthesis(c[0], modes)), modes)
+        assert np.array_equal(xi[0], want)
 
 
 class TestDriftMonotonicity:
@@ -598,9 +597,9 @@ class TestConfigAndTrajectory:
 
     def test_noise_domain_checked(self, long_domain, unit_domain, study_field):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0))
-        bad = SpectralField(unit_domain, np.zeros(unit_domain.modes))
+        bad = nz.NoiseModel(nz.WienerProcess(4, seed=1), nz.diffusion_operator(unit_domain, 4))
         with pytest.raises(ValueError, match="different domain"):
-            sp.step(sp.initial_state(study_field, cfg), cfg, bad)
+            sp.simulate(study_field, cfg, bad)
 
     def test_recorded_w_matches_scheme(self, long_domain, study_field):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
@@ -683,12 +682,13 @@ class TestBatchedCore:
             np.stack([f.coeffs for f in fields]), noise, cfg, long_domain, cfg.dt, 0)
         assert depths == [0, 0, 2, 0]
         for m, f in enumerate(fields):
-            solo = sp.step(sp.initial_state(f, cfg), cfg, SpectralField(long_domain, noise[m]))
-            assert np.array_equal(c[m], solo.u.coeffs)
-            assert np.array_equal(w[m], solo.w.coeffs)
-            assert np.array_equal(xi[m], solo.xi.coeffs)
-            assert tuple(res[m]) == solo.newton_residuals
-            assert (iters[m], depths[m]) == (solo.newton_iterations, solo.rejections)
+            c1, w1, xi1, iters1, res1, depths1 = sp._advance(
+                f.coeffs[None], noise[m][None], cfg, long_domain, cfg.dt, 0)
+            assert np.array_equal(c[m], c1[0])
+            assert np.array_equal(w[m], w1[0])
+            assert np.array_equal(xi[m], xi1[0])
+            assert res[m] == res1[0]
+            assert (iters[m], depths[m]) == (iters1[0], depths1[0])
 
     def test_batch_hands_out_solo_trajectories(self, long_domain, monkeypatch):
         u0 = random_field(long_domain, np.random.default_rng(4), scale=0.3)
