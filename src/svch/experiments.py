@@ -12,6 +12,7 @@ of the same stochastic realization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -81,8 +82,9 @@ class Assertion:
 
 # run_diagnostics' columns, in order.  star_centered is the star norm of u
 # minus its mean process value; well_mass integrates the regularized
-# double-well primitive, reaction_mass pi_hat (the possibly negative offset)
-# and conjugate_mass beta_hat* at beta_lam(u), by Fenchel-Young
+# double-well primitive, reaction_mass is -s/2 |u|_H^2 for the reaction
+# slope s (the possibly negative offset, by Parseval) and conjugate_mass
+# integrates beta_hat* at beta_lam(u), by Fenchel-Young
 DIAGNOSTIC_FIELDS = (
     "t", "mean_u", "star_centered", "h_norm", "v1_norm", "v2_norm",
     "v3_norm", "energy", "gradient_energy", "well_mass", "reaction_mass",
@@ -349,6 +351,9 @@ def continuous_dependence_study(
         raise PreconditionViolated("data distance is zero; the ratio is undefined")
     configs = {eps: (_config(data1, base, eps), _config(data2, base, eps)) for eps in eps_grid}
 
+    # a noise-free study marches its smallest-viscosity pair once, for the
+    # cap and for its own ratio
+    @functools.cache
     def _ratio(eps, with_noise):
         t1, t2 = (simulate(d.u0, cfg, _noise(d.operator, seed) if with_noise else None)
                   for d, cfg in zip((data1, data2), configs[eps]))
@@ -367,8 +372,8 @@ def continuous_dependence_study(
         r = _ratio(eps, with_noise=op1 is not None)
         ratios.append(r)
         finite = math.isfinite(r)
-        assertions.append(Assertion(f"ratio_finite_eps={eps:g}", finite, value=r))
-        assertions.append(Assertion(f"ratio_capped_eps={eps:g}",
+        assertions.append(Assertion(f"ratio_finite_eps={float(eps)!r}", finite, value=r))
+        assertions.append(Assertion(f"ratio_capped_eps={float(eps)!r}",
                                     finite and r <= k_cap, value=r, bound=k_cap))
     assertions.append(_uniformity("ratio_uniform_in_eps", ratios, 10.0))
     return SweepReport(
@@ -542,7 +547,7 @@ def ensemble_expectations(
             )
         mean = rows.mean(axis=0)
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(members)
-        key = f"eps={eps:g},lam={lam:g}"
+        key = f"eps={float(eps)!r},lam={float(lam)!r}"
         for j, n in enumerate(names):
             mc_mean[f"{n}[{key}]"] = float(mean[j])
             mc_stderr[f"{n}[{key}]"] = float(stderr[j])
@@ -635,7 +640,7 @@ def regularity_study(
         for k, v in rep.metrics.items():
             metrics.setdefault(k, []).append(v[0])
         assertions.extend(
-            Assertion(f"{a.name}[eps={eps:g}]", a.passed, a.value, a.bound)
+            Assertion(f"{a.name}[eps={float(eps)!r}]", a.passed, a.value, a.bound)
             for a in rep.assertions
         )
     for key in ("sup_grad_smoothed_w", "xi_l2"):

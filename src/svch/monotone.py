@@ -76,13 +76,13 @@ class MonotoneGraph:
 
 @dataclass(frozen=True)
 class LipschitzPerturbation:
-    """Lipschitz reaction term pi with antiderivative pi_hat and constant."""
+    """The reaction pi(r) = -lipschitz * r, with primitive -lipschitz * r^2 / 2.
+
+    A reaction is its slope: diagonal in the cosine basis, it acts on coefficients.
+    """
 
     name: str
-    pi: Callable
-    pi_hat: Callable
     lipschitz: float
-    pi_prime: Optional[Callable] = None
 
 
 def _as_array(r):
@@ -327,21 +327,9 @@ def make_perturbation(name: str, scale: float = 1.0) -> LipschitzPerturbation:
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if name == "negative_identity":
-        return LipschitzPerturbation(
-            name="negative_identity",
-            pi=lambda r: -scale * np.asarray(r, dtype=float),
-            pi_hat=lambda r: -0.5 * scale * np.asarray(r, dtype=float) ** 2,
-            lipschitz=float(scale),
-            pi_prime=lambda r: -scale * np.ones_like(np.asarray(r, dtype=float)),
-        )
+        return LipschitzPerturbation("negative_identity", float(scale))
     if name == "zero":
-        return LipschitzPerturbation(
-            name="zero",
-            pi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            pi_hat=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            lipschitz=0.0,
-            pi_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
+        return LipschitzPerturbation("zero", 0.0)
     raise UnsupportedGraph(f"unknown perturbation {name!r}")
 
 

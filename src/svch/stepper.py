@@ -7,10 +7,11 @@ One step solves
     (I - eps*Lap) u+ - dt * Lap[ -Lap u+ + beta_lam(u+) + pi_split - g ]
         = (I - eps*Lap) u + noise_field
 
-for the coefficients of u+.  The regularized graph beta_lam and the
-reaction pi are evaluated pseudo-spectrally on the dealiased midpoint grid
-by calling spectral's transform pair (``_synthesis``/``_analysis``) directly
-on raw coefficient arrays.  The noise field of a step is the row that
+for the coefficients of u+.  Only the regularized graph beta_lam is
+evaluated pseudo-spectrally, on the dealiased midpoint grid, by calling
+spectral's transform pair (``_synthesis``/``_analysis``) directly on raw
+coefficient arrays.  The reaction pi(r) = -s*r is diagonal in the cosine
+basis and acts on coefficients.  The noise field of a step is the row that
 ``noise.increment_stack`` returns for the pre-step state.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
@@ -29,8 +30,9 @@ dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
 definite in the Parseval metric, so the linear solves use the in-repo
 preconditioned conjugate gradients ``cg`` (cap 500).  Each correction is
-solved to max(newton_tol/10, 1e-3 * min(1, |F|) * |b|) for its member's
-Newton residual F and right-hand side b: an inexact Newton forcing term.
+solved to max(min(newton_tol, |b|)/10, 1e-3 * min(1, |F|) * |b|) for its
+member's Newton residual F and right-hand side b: an inexact Newton forcing
+term.
 
 The solver core advances (B, *modes) member stacks: ``simulate`` marches one
 row, a ``Batch`` the members of an ensemble, and each march stacks its rows
@@ -293,7 +295,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
     sq = np.sqrt(wgt)
     sqmu = np.sqrt(mu)
     graph = config.graph
-    pert = config.perturbation
+    s = config.perturbation.lipschitz
     lam = config.lam
     tol = config.newton_tol
     implicit_pi = config.splitting == "fully_implicit"
@@ -306,10 +308,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
 
     # explicit part of the bracket: reaction at the old state and the source
     gq = _g_coeffs(config, domain)
-    if implicit_pi:
-        q = np.zeros_like(u)
-    else:
-        q = _analysis(pert.pi(_synthesis(u, modes)), modes)
+    q = np.zeros_like(u) if implicit_pi else -s * u
     if gq is not None:
         q = q - gq
 
@@ -327,7 +326,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
         grid = _synthesis(c, modes)
         J = mn.resolvent(graph, lam, grid)
         xi = _analysis((grid - J) / lam, modes)
-        b = xi + _analysis(pert.pi(grid), modes) if implicit_pi else xi
+        b = xi - s * c if implicit_pi else xi
         w_co = mu * c + b + q
         F = visc * c + dtmu * w_co - rhs
         rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
@@ -353,8 +352,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
                 a[go] for a in (rows, c, grid, J, F, rhs, q, rnorm))
 
         rho = mn.yosida_derivative(graph, lam, grid, J)
-        if implicit_pi and pert.pi_prime is not None:
-            rho = rho + pert.pi_prime(grid)
+        if implicit_pi:
+            rho = rho - s
         rho_bar = np.maximum(_rows(rho).mean(axis=1), 0.0)
         precond = 1.0 / (diag.ravel() + dtmu.ravel() * rho_bar[:, None])
         bhat = np.zeros((len(rows), c[0].size))
@@ -367,8 +366,11 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
             t2 = _analysis(weight * _synthesis(sqmu * y / sq, modes), modes)
             return _rows(diag * y + coupling * t2)
 
+        # the floor follows |bhat| below tol: |F|_H can exceed |bhat| by up to
+        # sqrt(max mu), and a fixed tol/10 would stall Newton just above tol
         eta = _FORCING * np.minimum(1.0, rnorm)
-        atol = np.maximum(tol / 10.0, eta * np.sqrt(np.vecdot(bhat, bhat)))
+        bnorm = np.sqrt(np.vecdot(bhat, bhat))
+        atol = np.maximum(np.minimum(tol, bnorm) / 10.0, eta * bnorm)
         x, _ = cg(matvec, bhat, precond, atol, config.cg_max_iter)
         c = c + sqmu * x.reshape(c.shape) / sq
 
@@ -421,7 +423,7 @@ def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
     eig = neumann_eigensystem(domain)
     grid = _synthesis(c, domain.modes)
     xi = _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
-    w = eig.mu * c + xi + _analysis(config.perturbation.pi(grid), domain.modes)
+    w = eig.mu * c + xi - config.perturbation.lipschitz * c
     g = _g_coeffs(config, domain)
     return (w if g is None else w - g), xi
 
@@ -520,11 +522,13 @@ def free_energy_parts(u: SpectralField, config: SolverConfig):
 
 
 def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
-    # free_energy_parts of every row of a (B, *modes) stack, given its grid
-    # values and their resolvent
+    # free_energy_parts of every row of a (B, *modes) stack, given the grid
+    # values the well needs and their resolvent; the reaction mass
+    # -s/2 |c|_H^2 is exact by Parseval
     grad = 0.5 * _grad_sq(domain, c)
     well = _integrals(domain, mn.moreau_envelope(config.graph, config.lam, grid, J))
-    reaction = _integrals(domain, config.perturbation.pi_hat(grid))
+    weights = neumann_eigensystem(domain).weights
+    reaction = -0.5 * config.perturbation.lipschitz * _rows(weights * c**2).sum(axis=1)
     return grad, well, reaction
 
 

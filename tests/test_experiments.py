@@ -100,7 +100,8 @@ class TestDiagnostics:
         cfg = study_config(dt=1e-3, t_final=2e-3)
         u0 = study_ic(long_domain)
         reaction = ex.run_diagnostics(sp.simulate(u0, cfg))["reaction_mass"][0]
-        want = fine_quadrature(u0, cfg.perturbation.pi_hat)
+        s = cfg.perturbation.lipschitz
+        want = fine_quadrature(u0, lambda v: -0.5 * s * v**2)
         assert reaction == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("lam", (1e-3, 1e-2, 0.1))
@@ -381,6 +382,24 @@ class TestContinuousDependence:
             ex.continuous_dependence_study(d1, d2, eps_grid=(0.0, 1e-2), seed=21,
                                            base=study_config())
 
+    def test_noise_free_study_marches_each_pair_once(self, long_domain, monkeypatch):
+        # the cap's noise-free pair at the smallest viscosity is that grid
+        # point's own pair
+        calls = []
+        simulate = ex.simulate
+
+        def counting(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        d1, d2 = (replace(d, operator=None) for d in self._pair(long_domain))
+        base = study_config(t_final=5e-3)
+        want = ex.continuous_dependence_study(d1, d2, (0.0, 1e-2, 1e-1), 21, base)
+        monkeypatch.setattr(ex, "simulate", counting)
+        rep = ex.continuous_dependence_study(d1, d2, (0.0, 1e-2, 1e-1), 21, base)
+        assert len(calls) == 6
+        assert rep.metrics == want.metrics and rep.assertions == want.assertions
+
     def test_grid_must_increase(self, long_domain):
         d1, d2 = self._pair(long_domain)
         with pytest.raises(ex.PreconditionViolated, match="increasing"):
@@ -412,6 +431,24 @@ def test_empty_grid_runs_nothing(long_domain, monkeypatch, study):
     with pytest.raises(ex.PreconditionViolated, match="must not be empty"):
         EMPTY_GRID_STUDIES[study](data, study_config())
     assert calls == []
+
+
+def test_grid_values_equal_to_six_digits_keep_their_own_labels(long_domain):
+    # each label carries its grid value by repr, so no estimate is overwritten
+    # and no assertion name repeats
+    near = (0.01, 0.0100000001)
+    op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
+    data = ex.ProblemData(u0=study_ic(long_domain), operator=op)
+    c2 = data.u0.coeffs.copy()
+    c2[1] = 0.35
+    data2 = ex.ProblemData(u0=SpectralField(long_domain, c2), operator=op)
+    base = study_config(t_final=5e-3)
+    ensemble = ex.ensemble_expectations(data, base, 8, 1, grid=[(e, 1e-2) for e in near])
+    assert len(ensemble.mc_mean) == len(ensemble.mc_stderr) == 8
+    for rep in (ex.regularity_study(data, near, 1, base),
+                ex.continuous_dependence_study(data, data2, near, 1, base)):
+        names = [a.name for a in rep.assertions]
+        assert len(set(names)) == len(names)
 
 
 class TestVanishingViscosity:
@@ -506,7 +543,7 @@ class TestEnsembles:
                          ex._trapz(cols["well_mass"], tr.times),
                          ex._trapz(cols["conjugate_mass"], tr.times)))
         means = np.mean(rows, axis=0)
-        key = f"eps={base.eps:g},lam={base.lam:g}"
+        key = f"eps={base.eps!r},lam={base.lam!r}"
         names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
         for name, want in zip(names, means):
             assert rep.mc_mean[f"{name}[{key}]"] == want

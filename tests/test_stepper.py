@@ -70,6 +70,28 @@ class TestSingleModeClosedForm:
         assert u1[k] == pytest.approx((0.5 - 0.07) / denom, abs=1e-13)
         assert u1[0] == 0.02  # exact mean update
 
+    @pytest.mark.parametrize("slope", (0.0, 0.5))
+    @pytest.mark.parametrize("eps", (0.0, 0.1))
+    @pytest.mark.parametrize("modes", ((16,), (8, 8)))
+    def test_noisy_linear_trajectory_follows_its_mode_recursion(self, modes, eps, slope):
+        """Linear graph, additive noise and the reaction -s*u: every mode follows
+        u+ = ((1 + eps mu + dt mu s) u + field) / (1 + eps mu + dt mu (mu + 1/(1 + lam)))."""
+        dom = Domain((2.0,) * len(modes), modes)
+        u0 = random_field(dom, np.random.default_rng(7), scale=0.5)
+        op = nz.diffusion_operator(dom, 6, sigma=0.3)
+        process = nz.WienerProcess(6, seed=11)
+        cfg = make_config("linear", ("negative_identity", slope), eps=eps, dt=1e-2,
+                          t_final=0.1)
+        traj = sp.simulate(u0, cfg, nz.NoiseModel(process, op))
+        mu = neumann_eigensystem(dom).mu
+        visc = 1.0 + eps * mu
+        c = u0.coeffs
+        for n in range(cfg.n_steps):
+            field = nz.apply_diffusion(op, None, process.increments_at(n, cfg.dt)).coeffs
+            c = (((visc + cfg.dt * mu * slope) * c + field)
+                 / (visc + cfg.dt * mu * (mu + 1.0 / (1.0 + cfg.lam))))
+            assert np.max(np.abs(traj.u[n + 1] - c)) <= 1e-13 * np.max(np.abs(c))
+
     def test_constant_state_is_a_bitwise_fixed_point(self, long_domain):
         c0 = np.zeros(64)
         c0[0] = 0.7
@@ -241,7 +263,8 @@ class TestNewtonBehavior:
             assert rk1 <= 100.0 * rk * rk
 
     def test_cg_tolerance_follows_the_newton_residual(self, long_domain, monkeypatch):
-        """Each correction is solved to max(tol/10, 1e-3 min(1, |F|) |b|); none once |F| <= tol."""
+        """Each correction is solved to max(min(tol, |b|)/10, 1e-3 min(1, |F|) |b|);
+        none once |F| <= tol."""
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           lam=1e-2, dt=5e-2, t_final=5e-2, newton_tol=1e-12)
@@ -258,10 +281,27 @@ class TestNewtonBehavior:
         assert len(calls) == len(r) - 1
         for res, (b, atol) in zip(r, calls):
             assert atol.shape == (1,)
-            want = max(tol / 10.0, 1e-3 * min(1.0, res) * float(np.sqrt(np.vecdot(b, b))[0]))
+            bnorm = float(np.sqrt(np.vecdot(b, b))[0])
+            want = max(min(tol, bnorm) / 10.0, 1e-3 * min(1.0, res) * bnorm)
             assert atol[0] == want
         assert all(res > tol for res in r[:-1]) and r[-1] <= tol
         assert max(a[0] for _, a in calls) > 1e3 * tol  # the rule is not the old constant
+
+    def test_newton_does_not_stall_just_above_its_tolerance(self, long_domain):
+        """A CG floor of tol/10 in the scaled metric could hand back a zero correction.
+
+        |F|_H can exceed the scaled right-hand side |b| by up to sqrt(max mu):
+        with that floor, step 0 here repeats the residual 1.0010577e-12 until
+        Newton gives up and the step is halved.
+        """
+        c = np.zeros(long_domain.modes)
+        c[1:6] = np.random.default_rng(3).uniform(-0.5, 0.5, 5)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
+                          dt=1e-3, t_final=5e-3, newton_tol=1e-12)
+        traj = sp.simulate(SpectralField(long_domain, c), cfg)
+        assert traj.rejections == (0,) * 5
+        for r in traj.newton_residuals:
+            assert len(set(r)) == len(r) and r[-1] <= cfg.newton_tol
 
     def test_newton_starts_from_the_step_without_its_spatial_operator(self, long_domain):
         """The first residual is |dt mu w(c0)| at c0 = ((1 + eps mu) u + noise) / (1 + eps mu)."""
@@ -274,7 +314,8 @@ class TestNewtonBehavior:
         visc = 1.0 + cfg.eps * eig.mu
         c0 = SpectralField(long_domain, (visc * u0.coeffs + noise.coeffs) / visc)
         well = from_grid(long_domain, mn.yosida(cfg.graph, cfg.lam, to_grid(c0)))
-        reaction = from_grid(long_domain, cfg.perturbation.pi(to_grid(u0)))  # convex splitting
+        s = cfg.perturbation.lipschitz
+        reaction = from_grid(long_domain, -s * to_grid(u0))  # convex splitting
         w = eig.mu * c0.coeffs + well.coeffs + reaction.coeffs
         want = norm(SpectralField(long_domain, cfg.dt * eig.mu * w))
         assert res[0][0] == pytest.approx(want, rel=1e-12)
@@ -601,17 +642,21 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match="different domain"):
             sp.simulate(study_field, cfg, bad)
 
-    def test_recorded_w_matches_scheme(self, long_domain, study_field):
+    @pytest.mark.parametrize("splitting", ("convex_splitting", "fully_implicit"))
+    def test_recorded_w_matches_scheme(self, long_domain, study_field, splitting):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
-                          dt=1e-3, t_final=5e-3, newton_tol=1e-12)
+                          dt=1e-3, t_final=5e-3, newton_tol=1e-12, splitting=splitting)
         traj = sp.simulate(study_field, cfg)
         from svch.spectral import neumann_eigensystem
 
         mu = neumann_eigensystem(long_domain).mu
+        slope = cfg.perturbation.lipschitz
         for s in range(1, len(traj)):
             new, prev = traj[s], traj[s - 1]
-            pi_prev = apply_pointwise(prev.u, cfg.perturbation.pi)
-            want = mu * new.u.coeffs + new.xi.coeffs + pi_prev.coeffs
+            # convex splitting takes pi at the old state, fully implicit at the new one
+            at = new if splitting == "fully_implicit" else prev
+            pi_at = apply_pointwise(at.u, lambda v: -slope * v)
+            want = mu * new.u.coeffs + new.xi.coeffs + pi_at.coeffs
             assert np.allclose(new.w.coeffs, want, rtol=0, atol=1e-12)
 
 
