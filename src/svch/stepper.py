@@ -11,7 +11,9 @@ for the coefficients of u+.  Only the regularized graph beta_lam is
 evaluated pseudo-spectrally, on the dealiased midpoint grid, by calling
 spectral's transform pair (``_synthesis``/``_analysis``) directly on raw
 coefficient arrays.  The reaction pi(r) = -s*r is diagonal in the cosine
-basis and acts on coefficients.  The noise field of a step is the row that
+basis and acts on coefficients.  One helper, ``_potential``, builds xi =
+beta_lam(u) and the chemical potential w for Newton's iterates, for the
+first row of a march and for ``drift``.  The noise field of a step is the row that
 ``noise.increment_stack`` returns for the pre-step state.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
@@ -41,9 +43,10 @@ once, when it ends, into read-only (N+1, *modes) arrays of u, w and xi and an
 reads.  Each member has its own Newton and CG convergence and leaves the
 working set once done, and per-member scalars are sums over contiguous rows,
 so a member equals its solo run bitwise.  A member whose Newton iteration
-fails repeats the step alone by dt-halving.  The solve is silent on
-non-finite input: an overflow shows as a labelled NewtonDiverged, not as a
-warning.
+fails repeats the step alone by dt-halving, and the step records the failed
+attempt's Newton iterations and residuals ahead of its halves'.  The solve
+is silent on non-finite input: an overflow shows as a labelled
+NewtonDiverged, which names its last residual, not as a warning.
 """
 
 from __future__ import annotations
@@ -83,9 +86,11 @@ __all__ = [
 
 
 class NewtonDiverged(RuntimeError):
-    """Newton iteration failed; carries the last residual norm."""
+    """Newton iteration failed; carries the last residual norm and names it."""
 
     def __init__(self, message, residual=None):
+        if residual is not None:
+            message = f"{message} (last residual {residual:.3e})"
         super().__init__(message)
         self.residual = residual
 
@@ -223,13 +228,23 @@ class Trajectory:
 # the implicit solve
 
 
-def _g_coeffs(config: SolverConfig, domain: Domain):
+def _potential(c, react, config: SolverConfig, domain: Domain, mu):
+    """(grid, J, xi, w) of a (B, *modes) coefficient stack c, for eigenvalues mu.
+
+    grid holds c's values on the dealiased grid and J their resolvent;
+    xi = beta_lam(c) and w = -Lap c + beta_lam(c) + pi(react) - g, with the
+    reaction taken at react.  Callers are silent (mn._silent).
+    """
     g = config.source
-    if g is None:
-        return None
-    if g.domain != domain:
+    if g is not None and g.domain != domain:
         raise ValueError("source field lives on a different domain")
-    return g.coeffs
+    grid = _synthesis(c, domain.modes)
+    J = mn.resolvent(config.graph, config.lam, grid)
+    xi = _analysis((grid - J) / config.lam, domain.modes)
+    q = -config.perturbation.lipschitz * react
+    if g is not None:
+        q = q - g.coeffs
+    return grid, J, xi, mu * c + xi + q
 
 
 def cg(matvec, b, precond, atol, maxiter, callback=None):
@@ -306,12 +321,6 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
     if noise is not None:
         rhs = rhs + noise
 
-    # explicit part of the bracket: reaction at the old state and the source
-    gq = _g_coeffs(config, domain)
-    q = np.zeros_like(u) if implicit_pi else -s * u
-    if gq is not None:
-        q = q - gq
-
     diag = visc + dtmu * mu
     coupling = dt * sqmu * sq
 
@@ -323,12 +332,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
     rows = np.arange(n)
     for it in range(config.newton_max_iter + 1):
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
-        grid = _synthesis(c, modes)
-        J = mn.resolvent(graph, lam, grid)
-        xi = _analysis((grid - J) / lam, modes)
-        b = xi - s * c if implicit_pi else xi
-        w_co = mu * c + b + q
-        F = visc * c + dtmu * w_co - rhs
+        grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu)
+        F = visc * c + dtmu * w - rhs
         rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
 
         go = []
@@ -338,7 +343,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
             if not math.isfinite(res):
                 failed[m] = NewtonDiverged("non-finite Newton residual", residual=res)
             elif res <= tol:
-                out[0][m], out[1][m], out[2][m] = c[k], w_co[k], xi[k]
+                out[0][m], out[1][m], out[2][m] = c[k], w[k], xi[k]
             elif it == config.newton_max_iter:
                 failed[m] = NewtonDiverged(
                     f"Newton did not reach {tol:g} in {config.newton_max_iter} iterations",
@@ -348,8 +353,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
         if not go:
             break
         if len(go) < len(rows):
-            rows, c, grid, J, F, rhs, q, rnorm = (
-                a[go] for a in (rows, c, grid, J, F, rhs, q, rnorm))
+            rows, c, grid, J, F, rhs, u, rnorm = (
+                a[go] for a in (rows, c, grid, J, F, rhs, u, rnorm))
 
         rho = mn.yosida_derivative(graph, lam, grid, J)
         if implicit_pi:
@@ -390,7 +395,9 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
     injected in the first half, so the driving path (and the mean identity)
     is unchanged.  Both halves may split again, so a member's sub-interval
     solves, counted in the one-element list spent, are capped at
-    _MAX_SUBSTEPS.  Returns (c, w, xi, iterations, residuals, depths).
+    _MAX_SUBSTEPS.  A halved member's iterations and residuals are those of
+    its failed attempt followed by its halves'.  Returns (c, w, xi,
+    iterations, residuals, depths).
     """
     c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt)
     depths = [depth] * len(u)
@@ -403,29 +410,14 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
                 f" and {count[0] - 2} substeps: {err}",
                 suggested_dt=dt / 2.0,
             ) from err
-        half = dt / 2.0
-        row = slice(m, m + 1)
-        c1, _, _, it1, res1, d1 = _advance(
-            u[row], None if noise is None else noise[row], config, domain, half,
-            step_index, depth + 1, count
-        )
-        c2, w2, xi2, it2, res2, d2 = _advance(
-            c1, None, config, domain, half, step_index, depth + 1, count
-        )
-        c[m], w[m], xi[m] = c2[0], w2[0], xi2[0]
-        iters[m], res[m], depths[m] = it1[0] + it2[0], res1[0] + res2[0], max(d1[0], d2[0])
+        part, kick = u[m:m + 1], None if noise is None else noise[m:m + 1]
+        for _ in range(2):
+            part, wm, xim, it, r, d = _advance(part, kick, config, domain, dt / 2.0,
+                                               step_index, depth + 1, count)
+            iters[m], res[m], depths[m] = iters[m] + it[0], res[m] + r[0], max(depths[m], d[0])
+            kick = None
+        c[m], w[m], xi[m] = part[0], wm[0], xim[0]
     return c, w, xi, iters, res, depths
-
-
-@mn._silent
-def _chemical_potential(c: np.ndarray, config: SolverConfig, domain: Domain):
-    # (w, xi) at coefficients c: w = -Lap c + beta_lam(c) + pi(c) - g, xi = beta_lam(c)
-    eig = neumann_eigensystem(domain)
-    grid = _synthesis(c, domain.modes)
-    xi = _analysis(mn.yosida(config.graph, config.lam, grid), domain.modes)
-    w = eig.mu * c + xi - config.perturbation.lipschitz * c
-    g = _g_coeffs(config, domain)
-    return (w if g is None else w - g), xi
 
 
 def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
@@ -435,8 +427,9 @@ def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
         raise ValueError("noise field lives on a different domain")
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
     mean = np.zeros(len(noises))
-    fields = [[c], *([np.repeat(a[None], len(noises), axis=0)]
-                     for a in _chemical_potential(u0.coeffs, config, domain)), [mean]]
+    _, _, xi, w = mn._silent(_potential)(u0.coeffs, u0.coeffs, config, domain,
+                                         neumann_eigensystem(domain).mu)
+    fields = [[c], *([np.repeat(a[None], len(noises), axis=0)] for a in (w, xi)), [mean]]
     times, effort = [0.0], []
     for s in range(config.n_steps):
         field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
@@ -532,6 +525,7 @@ def _energy_parts(c, grid, J, domain: Domain, config: SolverConfig):
     return grad, well, reaction
 
 
+@mn._silent
 def drift(v: SpectralField, config: SolverConfig) -> SpectralField:
     """Drift operator applied to v, as a field of the truncated basis.
 
@@ -540,8 +534,8 @@ def drift(v: SpectralField, config: SolverConfig) -> SpectralField:
     paper: no run path calls it, and it states the operator the scheme
     discretizes.
     """
-    w, _ = _chemical_potential(v.coeffs, config, v.domain)
-    return SpectralField(v.domain, neumann_eigensystem(v.domain).mu * w)
+    mu = neumann_eigensystem(v.domain).mu
+    return SpectralField(v.domain, mu * _potential(v.coeffs, v.coeffs, config, v.domain, mu)[3])
 
 
 def evolution_residual(prev: SolverState, new: SolverState, config: SolverConfig,

@@ -316,6 +316,17 @@ class TestExitCodes:
         assert cli.run(cfg, tmp_path, quiet=True) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_solver_failure_names_the_residual(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[solver]\ndt = 0.2\nt_final = 0.2\nnewton_tol = 1e-11\n"
+                       "newton_max_iter = 2\nmax_rejections = 4\n"
+                       "[initial]\ncoefficients = 1:1.5, 2:0.8, 3:0.6\n")
+        assert cli.main(["--config", str(ini), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("solver failure: step 0 still fails after 4 halvings")
+        last = float(err.rpartition("(last residual ")[2].rstrip(")"))
+        assert err.endswith(f"in 2 iterations (last residual {last:.3e})") and last > 1e-11
+
     @pytest.mark.parametrize("name", ["exponential", "sixth_power_well"])
     def test_steep_well_at_amplitude_300_passes(self, name, tmp_path):
         # grid values reach 300, where lam*beta(J) dominates the resolvent

@@ -567,6 +567,45 @@ class TestEnsembles:
         key = next(k for k in weak.mc_mean if k.startswith("sup_star_sq"))
         assert strong.mc_mean[key] > weak.mc_mean[key]
 
+    def test_linear_spde_estimates_match_the_closed_form(self):
+        """Linear graph, no reaction, additive noise: each mode follows
+        u+ = (visc u + s_k dW_k) / D, D = visc + dt mu (mu + 1/(1 + lam)), so
+        E[c_k^2] = m^2 + v with m+ = (visc/D) m and v+ = (visc/D)^2 v + (s_k/D)^2 dt,
+        and every estimate but sup_star_sq has a closed-form expectation."""
+        dom = Domain((10.0,), (16,))
+        c0 = np.zeros(16)
+        c0[1], c0[2] = 0.3, -0.2
+        op = nz.diffusion_operator(dom, 8, sigma=0.5)
+        data = ex.ProblemData(u0=SpectralField(dom, c0), operator=op)
+        lam, dt = 1e-2, 0.01
+        base = make_config("linear", ("zero",), lam=lam, dt=dt, t_final=0.2)
+        grid = ((0.0, lam), (0.1, lam))
+        rep = ex.ensemble_expectations(data, base, members=256, seed=7, grid=grid)
+        eig = neumann_eigensystem(dom)
+        s2 = (op.columns**2).sum(axis=0)  # each noise direction drives one mode
+        times = dt * np.arange(base.n_steps + 1)
+
+        def expected(eps, variance):
+            visc = 1.0 + eps * eig.mu
+            denom = visc + dt * eig.mu * (eig.mu + 1.0 / (1.0 + lam))
+            m, v, sq = c0, np.zeros(16), [c0 * c0]
+            for _ in range(base.n_steps):
+                m, v = visc / denom * m, (visc / denom) ** 2 * v + s2 / denom**2 * dt
+                sq.append(m * m + v if variance else m * m)
+            sq = np.array(sq)
+            mass = ex._trapz((eig.weights * sq).sum(axis=1), times)
+            return {"grad_l2_sq": ex._trapz((eig.weights * eig.mu * sq).sum(axis=1), times),
+                    "well_mass_path": mass / (2.0 * (1.0 + lam)),
+                    "conjugate_mass_path": mass / (2.0 * (1.0 + lam) ** 2)}
+
+        for eps, _ in grid:
+            key = f"eps={eps!r},lam={lam!r}"
+            # with the variance dropped, a wrong answer, every z exceeds 14
+            for variance in (True, False):
+                for name, want in expected(eps, variance).items():
+                    z = (rep.mc_mean[f"{name}[{key}]"] - want) / rep.mc_stderr[f"{name}[{key}]"]
+                    assert (abs(z) <= 3.0) is variance, (name, eps, variance, z)
+
     def test_deterministic_ensemble_has_zero_stderr(self, long_domain):
         data = ex.ProblemData(u0=study_ic(long_domain))
         rep = ex.ensemble_expectations(data, study_config(), members=8, seed=1)

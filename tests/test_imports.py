@@ -3,7 +3,8 @@ Import structure: ``import svch`` loads numpy and the standard library alone.
 
 scipy is imported inside the two routes that use it, the DCT branch of the
 transform pair and the exponential graph's resolvent.  The checks run in
-fresh interpreters, so that nothing imported by this test process counts.
+fresh interpreters, so that nothing imported by this test process counts,
+and so does the README's library example, which prints its documented line.
 """
 
 import ast
@@ -184,3 +185,10 @@ def test_every_module_export_is_a_package_export():
         module = import_module(f"svch.{name}")
         missing = [n for n in module.__all__ if getattr(svch, n, None) is not getattr(module, n)]
         assert not missing, f"svch does not export {missing} from svch.{name}"
+
+
+def test_readme_example_prints_its_documented_line(tmp_path):
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert _fresh(block, tmp_path) == ["steps: 1200, final sup |u|: 0.773"]
+    assert "prints `steps: 1200, final sup |u|: 0.773`" in readme

@@ -337,6 +337,10 @@ class TestNewtonBehavior:
         with pytest.raises(sp.StepRejected) as exc:
             sp.simulate(u0, cfg)
         assert exc.value.suggested_dt == pytest.approx(0.2 / 32.0)
+        # the message names the residual the last attempt stopped at
+        last = exc.value.__cause__.residual
+        assert last > cfg.newton_tol
+        assert str(exc.value).endswith(f"in 2 iterations (last residual {last:.3e})")
 
     def test_immediate_rejection_suggests_half(self, long_domain):
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
@@ -360,26 +364,33 @@ class TestNewtonBehavior:
         assert abs(c[0].flat[0] - (u0.mean + n.mean)) < 1e-14
 
 
+# one step of dt, and the step of test_rejection_then_success, halved twice
+STEPS = {"one_step": (dict(dt=5e-2, t_final=5e-2), 0),
+         "halved": (dict(dt=0.5, t_final=0.5, newton_max_iter=4, max_rejections=4), 2)}
+
+
 class TestOneResolventPerIteration:
-    @pytest.mark.parametrize("graph", ("quartic_double_well", "sixth_power_well"))
+    @pytest.mark.parametrize("graph, step", (("quartic_double_well", "one_step"),
+                                             ("sixth_power_well", "one_step"),
+                                             ("quartic_double_well", "halved")))
     @pytest.mark.parametrize("splitting", ("convex_splitting", "fully_implicit"))
     def test_resolvent_calls_match_residual_evaluations(self, long_domain, monkeypatch,
-                                                        graph, splitting):
+                                                        graph, step, splitting):
+        """The step's record holds every residual evaluation and every correction,
+        those of a failed attempt included."""
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
-        cfg = make_config(graph, ("negative_identity", 1.0), lam=1e-2, dt=5e-2,
-                          t_final=5e-2, newton_tol=1e-11, splitting=splitting)
-        calls = []
-        original = mn.resolvent
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mn, "resolvent", counting)
-        c, _, xi, _, res, depths = sp._advance(u0.coeffs[None], None, cfg, long_domain,
-                                               cfg.dt, 0)
-        assert depths[0] == 0
+        settings, depth = STEPS[step]
+        cfg = make_config(graph, ("negative_identity", 1.0), lam=1e-2, newton_tol=1e-11,
+                          splitting=splitting, **settings)
+        calls, solves = [], []
+        resolvent, cg = mn.resolvent, sp.cg
+        monkeypatch.setattr(mn, "resolvent", lambda *a: calls.append(1) or resolvent(*a))
+        monkeypatch.setattr(sp, "cg", lambda *a: solves.append(1) or cg(*a))
+        c, _, xi, iters, res, depths = sp._advance(u0.coeffs[None], None, cfg, long_domain,
+                                                   cfg.dt, 0)
+        assert depths[0] == depth
         assert len(calls) == len(res[0])
+        assert len(solves) == iters[0]  # one CG solve per correction of a lone member
         monkeypatch.undo()
         modes = long_domain.modes
         want = _analysis(mn.yosida(cfg.graph, cfg.lam, _synthesis(c[0], modes)), modes)
@@ -418,6 +429,8 @@ class TestSourceTerms:
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), source=g)
         with pytest.raises(ValueError, match="different domain"):
             sp.simulate(study_field, cfg)
+        with pytest.raises(ValueError, match="different domain"):
+            sp.drift(study_field, cfg)
 
 
 class TestMultiplicativeSaturation:
@@ -642,21 +655,29 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match="different domain"):
             sp.simulate(study_field, cfg, bad)
 
+    @pytest.mark.parametrize("with_source", (False, True))
     @pytest.mark.parametrize("splitting", ("convex_splitting", "fully_implicit"))
-    def test_recorded_w_matches_scheme(self, long_domain, study_field, splitting):
+    def test_recorded_w_matches_scheme(self, long_domain, study_field, splitting, with_source):
+        g = random_field(long_domain, np.random.default_rng(3), scale=0.5)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
-                          dt=1e-3, t_final=5e-3, newton_tol=1e-12, splitting=splitting)
+                          dt=1e-3, t_final=5e-3, newton_tol=1e-12, splitting=splitting,
+                          source=g if with_source else None)
         traj = sp.simulate(study_field, cfg)
         from svch.spectral import neumann_eigensystem
 
         mu = neumann_eigensystem(long_domain).mu
         slope = cfg.perturbation.lipschitz
-        for s in range(1, len(traj)):
-            new, prev = traj[s], traj[s - 1]
-            # convex splitting takes pi at the old state, fully implicit at the new one
-            at = new if splitting == "fully_implicit" else prev
+        xi0 = apply_pointwise(study_field, lambda v: mn.yosida(cfg.graph, cfg.lam, v))
+        assert np.allclose(traj[0].xi.coeffs, xi0.coeffs, rtol=0, atol=1e-12)
+        for s in range(len(traj)):
+            new = traj[s]
+            # row 0 takes pi at u0; a convex-splitting step takes it at the
+            # old state, a fully implicit one at the new state
+            at = traj[s - 1] if s and splitting == "convex_splitting" else new
             pi_at = apply_pointwise(at.u, lambda v: -slope * v)
             want = mu * new.u.coeffs + new.xi.coeffs + pi_at.coeffs
+            if with_source:
+                want = want - g.coeffs
             assert np.allclose(new.w.coeffs, want, rtol=0, atol=1e-12)
 
 
