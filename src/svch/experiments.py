@@ -214,28 +214,34 @@ def _diagnostic_columns(cfg: SolverConfig, u, w, xi, mean_process, domain) -> di
     }
 
 
-def _require_finite(columns: dict, steps) -> None:
-    bad = ~np.isfinite(np.stack(list(columns.values())))
-    if bad.any():
-        k = int(np.flatnonzero(bad.any(axis=0))[0])
-        name = next(n for n, v in columns.items() if not math.isfinite(v[k]))
-        raise NonFinite(f"diagnostic {name} is not finite at step {steps[k]}")
-
-
 def run_diagnostics(traj: Trajectory) -> dict:
     """{name: (N+1,) array} in DIAGNOSTIC_FIELDS order; raises NonFinite with the step index.
 
     States are diagnosed as stacks of about _CHUNK_POINTS grid points.
     """
-    parts = []
-    for k in _chunks(len(traj), traj.domain):
-        mean_process = _rows(traj.u)[0, 0] + traj.noise_mean[k]
-        cols = _diagnostic_columns(traj.config, traj.u[k], traj.w[k], traj.xi[k],
-                                   mean_process, traj.domain)
-        _require_finite(cols, range(len(traj))[k])
-        parts.append(cols)
-    return {"t": traj.times,
-            **{n: np.concatenate([p[n] for p in parts]) for n in DIAGNOSTIC_FIELDS[1:]}}
+    return _diagnose([traj])[0]
+
+
+def _diagnose(trajs) -> list:
+    # run_diagnostics of trajectories sharing u0, config and step count, in chunks
+    # that may span members; columns reduce rows alone, so each equals its solo run
+    first, n = trajs[0], len(trajs[0])
+    flat = {name: np.empty(len(trajs) * n) for name in DIAGNOSTIC_FIELDS[1:]}
+    for k in _chunks(len(trajs) * n, first.domain):
+        parts = [(t, slice(max(k.start - m * n, 0), k.stop - m * n))
+                 for m, t in enumerate(trajs) if k.start < (m + 1) * n and m * n < k.stop]
+        u, w, xi, noise_mean = (np.concatenate([getattr(t, f)[s] for t, s in parts])
+                                for f in ("u", "w", "xi", "noise_mean"))
+        cols = _diagnostic_columns(first.config, u, w, xi, _rows(first.u)[0, 0] + noise_mean,
+                                   first.domain)
+        bad = [(j, c) for c, v in cols.items() for j in np.flatnonzero(~np.isfinite(v))]
+        if bad:
+            j, name = min(bad, key=lambda b: b[0])  # the first step, then the first column
+            raise NonFinite(f"diagnostic {name} is not finite at step {(k.start + j) % n}")
+        for name, v in cols.items():
+            flat[name][k] = v
+    return [{"t": t.times, **{name: v[m * n:(m + 1) * n] for name, v in flat.items()}}
+            for m, t in enumerate(trajs)]
 
 
 def check_invariants(traj: Trajectory, columns=None) -> list:
@@ -503,9 +509,10 @@ def ensemble_expectations(
     """Monte Carlo estimates of the pathwise energies with standard errors.
 
     The members of a grid point step as one ``Batch``, with rows in
-    ``order``, and each member's trajectory is diagnosed from its stacks; each
-    member equals its solo run, and the estimates are stored by member index
-    and reduced in index order, so any order gives identical output.  ``grid``
+    ``order``, and the states of each ``Batch`` group are diagnosed as one
+    stack; each member equals its solo run, diagnostics included, and the
+    estimates are stored by member index and reduced in index order, so any
+    order gives identical output.  ``grid``
     is an optional list of (eps, lam) pairs over which uniformity of the
     estimates is reported; a point may not repeat.
     """
@@ -536,8 +543,10 @@ def ensemble_expectations(
         noises = [_noise(data.operator, member_seed(seed, m)) for m in order]
         batch = Batch(data.u0, cfg, noises)
         rows = np.empty((members, len(names)))
-        for m, noise in zip(order, noises):
-            cols = run_diagnostics(simulate(data.u0, cfg, noise, batch))
+        # one group at a time: its trajectories go before the next is integrated
+        diagnosed = (c for lo in range(0, members, batch.size) for c in _diagnose(
+            [simulate(data.u0, cfg, noise, batch) for noise in noises[lo:lo + batch.size]]))
+        for m, cols in zip(order, diagnosed):
             ts = cols["t"]
             rows[m] = (
                 (_pow(cols["star_centered"], 2) + _pow(cols["mean_u"], 2)).max(),

@@ -5,7 +5,8 @@ The driving noise is W(t) = sum_{k<K} W_k(t) e_k with independent scalar
 Brownian motions W_k.  Increments are drawn from a counter-based generator
 (Philox) keyed by (seed, step): mode k is the k-th draw of the step's block,
 so every increment is a pure function of (seed, step, mode) and paths can be
-re-materialized in any order or shared across solver runs.
+re-materialized in any order or shared across solver runs.  A draw call
+builds one generator and moves it to each row's (seed, step) block.
 
 A diffusion operator maps the K noise directions to spatial fields.  The
 default additive operator sends e_k to sigma * (1 + mu_k)^{-rho} times the
@@ -53,7 +54,7 @@ class WienerProcess:
 
     The process holds only its mode count and seed.  ``increments_at(step, dt)``
     is reproducible: the draw for (seed, step, mode) never depends on sampling
-    order.
+    order, and it is the one-row case of ``increment_stack``'s draws.
     """
 
     def __init__(self, mode_count: int, seed: int):
@@ -65,12 +66,27 @@ class WienerProcess:
         self.seed = int(seed)
 
     def increments_at(self, step: int, dt: float) -> np.ndarray:
-        """Gaussian increments with variance dt for one step, shape (K,)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        bg = np.random.Philox(key=self.seed, counter=[0, 0, 0, int(step)])
-        z = np.random.Generator(bg).standard_normal(self.mode_count)
-        return z * math.sqrt(dt)
+        """Gaussian increments with variance dt for one step in [0, 2**63), shape (K,)."""
+        return _increments((self.seed,), (step,), self.mode_count, dt)[0]
+
+
+def _increments(seeds, steps, count: int, dt: float) -> np.ndarray:
+    # (B, count) increments: row m reads Philox key seeds[m] at counter
+    # [0, 0, 0, steps[m]].  One generator moves to each row through its state,
+    # buffer empty: a new Philox per row costs several times as much
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    bg = np.random.Philox(key=0)
+    draw = np.random.Generator(bg).standard_normal
+    state = bg.state
+    z = np.empty((len(seeds), count))
+    for m, (seed, step) in enumerate(zip(seeds, steps)):
+        if not 0 <= step < 2**63:
+            raise ValueError(f"step must lie in [0, 2**63), got {step}")
+        state["state"] = {"counter": [0, 0, 0, step], "key": [seed % 2**64, seed >> 64]}
+        bg.state = state
+        draw(out=z[m])
+    return z * math.sqrt(dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +222,14 @@ def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
     step is one step index for every row or a sequence of one per row.  Row m
     equals ``apply_diffusion`` of the state ``coeffs[m]`` and the increments
     of ``models[m]`` at its step, bitwise; only a multiplicative operator
-    reads the states.
+    reads the states.  The increments of all rows come from one generator.
     """
     op = models[0].operator
     if any(m.operator is not op for m in models):
         raise DimensionMismatch("stacked members must share one diffusion operator")
-    steps = np.broadcast_to(step, len(models))
-    profiles = _profiles(op, np.stack([m.process.increments_at(s, dt)
-                                       for m, s in zip(models, steps)]))
+    steps = np.broadcast_to(np.asarray(step, dtype=object), len(models))  # ints stay exact
+    profiles = _profiles(op, _increments([m.process.seed for m in models], steps,
+                                         op.mode_count, dt))
     return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)
 
 

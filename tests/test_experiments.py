@@ -7,6 +7,7 @@ Study-level tests run the full pipeline at a small but honest scale.
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,49 @@ class TestDiagnostics:
         assert tuple(cols) == ex.DIAGNOSTIC_FIELDS
         assert all(v.shape == (len(traj),) for v in cols.values())
         assert np.array_equal(cols["t"], traj.times)
+
+
+class TestStackedDiagnostics:
+    """An ensemble diagnoses each Batch group's states as one stack, in chunks
+    that span members; every member's columns equal its solo run's bitwise."""
+
+    def test_groups_equal_solo_runs_one_group_at_a_time(self, long_domain, monkeypatch):
+        # 51 states of 128 grid points per member and chunks of 32 states, so
+        # chunks span members; members of 78744 B make groups of 3, 3 and 2
+        data = ex.ProblemData(u0=study_ic(long_domain),
+                              operator=nz.diffusion_operator(long_domain, 8, sigma=0.3))
+        cfg = study_config()
+        order = [5, 2, 7, 0, 3, 6, 1, 4]
+        want = ex.ensemble_expectations(data, cfg, members=8, seed=4, order=order)
+        monkeypatch.setattr(sp, "_BATCH_BYTES", 250_000)
+        original, groups, gone = ex._diagnose, [], []
+
+        def checked(trajs):
+            assert all(ref() is None for ref in gone)  # the previous group is freed
+            out = original(trajs)
+            for traj, cols in zip(trajs, out):
+                solo = original([sp.simulate(data.u0, cfg, traj.noise)])[0]  # run_diagnostics
+                assert list(cols) == list(solo)
+                assert all(np.array_equal(cols[n], solo[n]) for n in solo)
+            groups.append([traj.noise.process.seed for traj in trajs])
+            gone.extend(weakref.ref(traj) for traj in trajs)
+            return out
+
+        monkeypatch.setattr(ex, "_diagnose", checked)
+        rep = ex.ensemble_expectations(data, cfg, members=8, seed=4, order=order)
+        seeds = [ex.member_seed(4, m) for m in order]
+        assert groups == [seeds[:3], seeds[3:6], seeds[6:]]
+        assert rep.mc_mean == want.mc_mean and rep.mc_stderr == want.mc_stderr
+
+    def test_non_finite_state_names_its_members_step(self, long_domain):
+        # member 1's step 3 is row 54 of the stack, in the chunk of rows 32..63
+        data = ex.ProblemData(u0=study_ic(long_domain),
+                              operator=nz.diffusion_operator(long_domain, 8, sigma=0.3))
+        first, second = (ex._run(data, study_config(), seed) for seed in (1, 2))
+        bad_u = second.u.copy()
+        bad_u[3, 7] = np.inf
+        with pytest.raises(ex.NonFinite, match=r"star_centered is not finite at step 3$"):
+            ex._diagnose([first, replace(second, u=bad_u)])
 
 
 class TestInvariants:
@@ -510,6 +554,41 @@ class TestYosidaConvergence:
             ex.yosida_convergence_study(data, (0.1, -0.1), None, study_config())
 
 
+def linear_spde():
+    """Data and solver config whose ensemble estimates have closed forms: the
+    linear graph, no reaction, additive noise, 16 modes and 20 steps."""
+    dom = Domain((10.0,), (16,))
+    c0 = np.zeros(16)
+    c0[1], c0[2] = 0.3, -0.2
+    op = nz.diffusion_operator(dom, 8, sigma=0.5)
+    data = ex.ProblemData(u0=SpectralField(dom, c0), operator=op)
+    return data, make_config("linear", ("zero",), lam=1e-2, dt=0.01, t_final=0.2)
+
+
+def linear_spde_expectations(data, base, eps, variance=True):
+    """Closed-form expectations of grad_l2_sq, well_mass_path and conjugate_mass_path.
+
+    Each mode follows u+ = (visc u + s_k dW_k) / D, D = visc + dt mu (mu + 1/(1 + lam)),
+    so E[c_k^2] = m^2 + v with m+ = (visc/D) m and v+ = (visc/D)^2 v + (s_k/D)^2 dt;
+    variance=False drops v, a wrong answer.
+    """
+    eig = neumann_eigensystem(data.u0.domain)
+    lam, dt, c0 = base.lam, base.dt, data.u0.coeffs
+    s2 = (data.operator.columns**2).sum(axis=0)  # each noise direction drives one mode
+    times = dt * np.arange(base.n_steps + 1)
+    visc = 1.0 + eps * eig.mu
+    denom = visc + dt * eig.mu * (eig.mu + 1.0 / (1.0 + lam))
+    m, v, sq = c0, np.zeros_like(c0), [c0 * c0]
+    for _ in range(base.n_steps):
+        m, v = visc / denom * m, (visc / denom) ** 2 * v + s2 / denom**2 * dt
+        sq.append(m * m + v if variance else m * m)
+    sq = np.array(sq)
+    mass = ex._trapz((eig.weights * sq).sum(axis=1), times)
+    return {"grad_l2_sq": ex._trapz((eig.weights * eig.mu * sq).sum(axis=1), times),
+            "well_mass_path": mass / (2.0 * (1.0 + lam)),
+            "conjugate_mass_path": mass / (2.0 * (1.0 + lam) ** 2)}
+
+
 class TestEnsembles:
     def _data(self, domain, sigma=0.3):
         op = nz.diffusion_operator(domain, 8, sigma=sigma)
@@ -568,43 +647,36 @@ class TestEnsembles:
         assert strong.mc_mean[key] > weak.mc_mean[key]
 
     def test_linear_spde_estimates_match_the_closed_form(self):
-        """Linear graph, no reaction, additive noise: each mode follows
-        u+ = (visc u + s_k dW_k) / D, D = visc + dt mu (mu + 1/(1 + lam)), so
-        E[c_k^2] = m^2 + v with m+ = (visc/D) m and v+ = (visc/D)^2 v + (s_k/D)^2 dt,
-        and every estimate but sup_star_sq has a closed-form expectation."""
-        dom = Domain((10.0,), (16,))
-        c0 = np.zeros(16)
-        c0[1], c0[2] = 0.3, -0.2
-        op = nz.diffusion_operator(dom, 8, sigma=0.5)
-        data = ex.ProblemData(u0=SpectralField(dom, c0), operator=op)
-        lam, dt = 1e-2, 0.01
-        base = make_config("linear", ("zero",), lam=lam, dt=dt, t_final=0.2)
+        """Every estimate but sup_star_sq has a closed-form expectation (see
+        linear_spde_expectations)."""
+        data, base = linear_spde()
+        lam = base.lam
         grid = ((0.0, lam), (0.1, lam))
         rep = ex.ensemble_expectations(data, base, members=256, seed=7, grid=grid)
-        eig = neumann_eigensystem(dom)
-        s2 = (op.columns**2).sum(axis=0)  # each noise direction drives one mode
-        times = dt * np.arange(base.n_steps + 1)
-
-        def expected(eps, variance):
-            visc = 1.0 + eps * eig.mu
-            denom = visc + dt * eig.mu * (eig.mu + 1.0 / (1.0 + lam))
-            m, v, sq = c0, np.zeros(16), [c0 * c0]
-            for _ in range(base.n_steps):
-                m, v = visc / denom * m, (visc / denom) ** 2 * v + s2 / denom**2 * dt
-                sq.append(m * m + v if variance else m * m)
-            sq = np.array(sq)
-            mass = ex._trapz((eig.weights * sq).sum(axis=1), times)
-            return {"grad_l2_sq": ex._trapz((eig.weights * eig.mu * sq).sum(axis=1), times),
-                    "well_mass_path": mass / (2.0 * (1.0 + lam)),
-                    "conjugate_mass_path": mass / (2.0 * (1.0 + lam) ** 2)}
-
         for eps, _ in grid:
             key = f"eps={eps!r},lam={lam!r}"
             # with the variance dropped, a wrong answer, every z exceeds 14
             for variance in (True, False):
-                for name, want in expected(eps, variance).items():
+                for name, want in linear_spde_expectations(data, base, eps, variance).items():
                     z = (rep.mc_mean[f"{name}[{key}]"] - want) / rep.mc_stderr[f"{name}[{key}]"]
                     assert (abs(z) <= 3.0) is variance, (name, eps, variance, z)
+
+    def test_linear_spde_standard_errors_are_calibrated(self):
+        """Over 40 ensemble seeds of 32 members, the closed form lies within 2
+        standard errors of the estimate about 95 % of the time and within 1
+        about 68 % of the time.  The bands have teeth: halving the standard
+        error makes the first fraction the measured second (0.70), and
+        doubling it makes the second the measured first (0.94)."""
+        data, base = linear_spde()
+        key = f"eps=0.0,lam={base.lam!r}"
+        want = linear_spde_expectations(data, base, 0.0)
+        z = []
+        for seed in range(40):
+            rep = ex.ensemble_expectations(data, base, members=32, seed=seed)
+            z += [(rep.mc_mean[f"{n}[{key}]"] - w) / rep.mc_stderr[f"{n}[{key}]"]
+                  for n, w in want.items()]
+        within = [float(np.mean(np.abs(z) <= r)) for r in (1.0, 2.0)]
+        assert 0.5 <= within[0] <= 0.85 and 0.85 <= within[1] <= 0.99, within
 
     def test_deterministic_ensemble_has_zero_stderr(self, long_domain):
         data = ex.ProblemData(u0=study_ic(long_domain))

@@ -192,3 +192,27 @@ def test_readme_example_prints_its_documented_line(tmp_path):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     assert _fresh(block, tmp_path) == ["steps: 1200, final sup |u|: 0.773"]
     assert "prints `steps: 1200, final sup |u|: 0.773`" in readme
+
+
+def _silent_with_blocks(tree: ast.Module) -> list:
+    # lines of `with` statements entering a name or attribute called _silent
+    def silent(expr):
+        return getattr(expr, "id", None) == "_silent" or getattr(expr, "attr", None) == "_silent"
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.With, ast.AsyncWith))
+            if any(silent(item.context_expr) for item in node.items)]
+
+
+def test_no_module_enters_a_shared_errstate_in_a_with_block():
+    # monotone._silent and spectral._silent are single np.errstate instances;
+    # numpy 2.4 lets one enter only once per process, so a `with` use passes a
+    # single run and raises TypeError on the next.  The decorator form makes
+    # a fresh context per call.
+    assert _silent_with_blocks(ast.parse("with mn._silent:\n    pass\n"
+                                         "with np.errstate(all='ignore'), _silent:\n    pass\n"
+                                         "@_silent\ndef f():\n    pass\n")) == [1, 3]
+    paths = sorted((SRC / "svch").glob("*.py"))
+    assert paths
+    for path in paths:
+        lines = _silent_with_blocks(ast.parse(path.read_text()))
+        assert not lines, f"{path.name} enters _silent in a with block at lines {lines}"

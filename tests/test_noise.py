@@ -63,6 +63,31 @@ class TestWienerProcess:
         with pytest.raises(ValueError, match=str(2**128)):
             noise.WienerProcess(3, seed=2**128)
 
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            noise.WienerProcess(3, seed=1).increments_at(0, float("nan"))
+
+    @pytest.mark.parametrize("step", (-1, 2**63, 2**64 - 1, 2**64))
+    def test_step_outside_the_counter_range_is_named(self, step):
+        # -1 used to wrap to counter 2**64 - 1, 2**64 - 1 to warn about a cast
+        # and 2**64 to raise an unlabelled OverflowError
+        p = noise.WienerProcess(3, seed=1)
+        with pytest.raises(ValueError, match=rf"\[0, 2\*\*63\), got {step}$"):
+            p.increments_at(step, 0.1)
+        model = noise.NoiseModel(p, noise.diffusion_operator(Domain((1.0,), (8,)), 3))
+        with pytest.raises(ValueError, match=rf"got {step}$"):
+            noise.increment_stack((model, model), np.zeros((2, 8)), (0, step), 0.1)
+        assert p.increments_at(2**63 - 1, 0.1).shape == (3,)
+
+    @pytest.mark.parametrize("seed, step, want", (
+        (0, 0, (0.15929546600623282, -1.7741885208017214, 1.3265118818830892)),
+        (2**64, 5, (-0.6883652617528314, 1.246717458289009, -0.9700589143968753)),
+        (2**128 - 1, 2**40, (1.052701181950089, -1.889070407194005, 0.3904918097162258)),
+    ))
+    def test_golden_draws(self, seed, step, want):
+        # the Philox stream keyed by (seed, step) must not drift
+        assert noise.WienerProcess(3, seed).increments_at(step, 1.0).tolist() == list(want)
+
 
 class TestDiffusionOperator:
     def test_columns_follow_eigenvalue_order(self, long_domain):
@@ -313,6 +338,26 @@ class TestIncrementStack:
         for m, (model, v, s) in enumerate(zip(models, states, np.broadcast_to(steps, 5))):
             dW = model.process.increments_at(s, 0.02)
             assert np.array_equal(stack[m], noise.apply_diffusion(op, v, dW).coeffs)
+
+    @pytest.mark.parametrize("shuffle", (False, True))
+    def test_rows_draw_as_their_own_process(self, shuffle):
+        """One generator serves the stack: row m equals member m's increments_at,
+        bitwise, across 64-bit key words and counters, in any row order."""
+        domain = Domain((10.0,), (16,))
+        op = noise.diffusion_operator(domain, 5, sigma=0.7)
+        pairs = [(seed, step) for seed in (0, 2**64 - 1, 2**64, 2**128 - 1)
+                 for step in (0, 5, 2**40)]
+        if shuffle:
+            pairs = [pairs[k] for k in np.random.default_rng(3).permutation(len(pairs))]
+        models = [noise.NoiseModel(noise.WienerProcess(5, seed), op) for seed, _ in pairs]
+        steps = [step for _, step in pairs]
+        stack = noise.increment_stack(models, np.zeros((len(models), 16)), steps, 0.03)
+        for m, (model, step) in enumerate(zip(models, steps)):
+            dW = model.process.increments_at(step, 0.03)
+            want = noise.apply_diffusion(op, None, dW).coeffs
+            assert np.array_equal(stack[m], want)
+            alone = noise.increment_stack([model], np.zeros((1, 16)), step, 0.03)
+            assert np.array_equal(alone[0], want)
 
     def test_additive_rows_ignore_the_state(self, long_domain):
         op = noise.diffusion_operator(long_domain, 4)
