@@ -3,16 +3,8 @@ Batch front-end: parse an INI run configuration, execute one simulation or
 study, and write reproducible artifacts.
 
 Config format: ``key = value`` lines under ``[section]`` headers, UTF-8.
-Sections and keys (all optional, defaults in RunConfig):
-
-    [run]       mode, seed
-    [domain]    lengths, modes            (comma-separated per axis)
-    [potential] name, perturbation, perturbation_scale, lam
-    [noise]     kind, modes, sigma, rho, mean_zero, clamp_bound, smoothing_level
-    [solver]    eps, dt, t_final, newton_tol, newton_max_iter, cg_max_iter,
-                splitting, max_rejections
-    [initial]   coefficients              (flat_index:value pairs, comma-separated)
-    [sweep]     eps_grid, lam_grid, members, star_offset, offset_mode
+Each RunConfig field names its section, key and value format; every key is
+optional and defaults to the field's default.
 
 Precedence: command-line flags > SVCH_<SECTION>_<KEY> environment variables >
 config file > defaults.  parse_config(emit_config(c)) == c exactly; floats
@@ -48,7 +40,7 @@ import os
 import re
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -96,75 +88,58 @@ class ValidationError(ValueError):
     """Well-formed config with values outside the usable ranges."""
 
 
+def _ini(section: str, codec: str, default, key: Optional[str] = None,
+         label: Optional[str] = None):
+    # a RunConfig field read from [section] key (the field's name unless key is
+    # given) by codec; label names the hypothesis a non-finite value violates
+    return field(default=default, metadata={"section": section, "key": key,
+                                            "codec": codec, "label": label})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings for one invocation."""
 
-    mode: str = "simulate"
-    seed: int = 0
-    lengths: tuple = (10.0,)
-    modes: tuple = (64,)
-    potential: str = "quartic_double_well"
-    perturbation: str = "negative_identity"
-    perturbation_scale: float = 1.0
-    lam: float = 1e-2
-    noise_kind: str = "none"
-    noise_modes: int = 8
-    sigma: float = 0.1
-    rho: float = 1.0
-    mean_zero: bool = False
-    clamp_bound: float = 1.0
-    smoothing_level: int = 0
-    eps: float = 0.0
-    dt: float = 1e-3
-    t_final: float = 0.1
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
-    cg_max_iter: int = 500
-    splitting: str = "convex_splitting"
-    max_rejections: int = 5
-    initial: tuple = ((0, 0.05), (1, 0.4), (2, 0.2), (5, 0.1))
-    eps_grid: tuple = (1e-1, 1e-2, 1e-3)
-    lam_grid: tuple = (1e-1, 1e-2, 1e-3)
-    members: int = 16
-    star_offset: float = 1e-3
-    offset_mode: int = 1
+    mode: str = _ini("run", "str", "simulate")
+    seed: int = _ini("run", "int", 0)
+    lengths: tuple = _ini("domain", "floats", (10.0,))
+    modes: tuple = _ini("domain", "ints", (64,))
+    potential: str = _ini("potential", "str", "quartic_double_well", key="name")
+    perturbation: str = _ini("potential", "str", "negative_identity")
+    perturbation_scale: float = _ini("potential", "float", 1.0, label="H3")
+    lam: float = _ini("potential", "float", 1e-2, label="H2")
+    noise_kind: str = _ini("noise", "str", "none", key="kind")
+    noise_modes: int = _ini("noise", "int", 8, key="modes")
+    sigma: float = _ini("noise", "float", 0.1, label="B1")
+    rho: float = _ini("noise", "float", 1.0, label="B1")
+    mean_zero: bool = _ini("noise", "bool", False)
+    clamp_bound: float = _ini("noise", "float", 1.0, label="B3")
+    smoothing_level: int = _ini("noise", "int", 0)
+    eps: float = _ini("solver", "float", 0.0, label="H4")
+    dt: float = _ini("solver", "float", 1e-3)
+    t_final: float = _ini("solver", "float", 0.1)
+    newton_tol: float = _ini("solver", "float", 1e-10)
+    newton_max_iter: int = _ini("solver", "int", 30)
+    cg_max_iter: int = _ini("solver", "int", 500)
+    splitting: str = _ini("solver", "str", "convex_splitting")
+    max_rejections: int = _ini("solver", "int", 5)
+    # flat_index:value pairs
+    initial: tuple = _ini("initial", "pairs", ((0, 0.05), (1, 0.4), (2, 0.2), (5, 0.1)),
+                          key="coefficients")
+    eps_grid: tuple = _ini("sweep", "floats", (1e-1, 1e-2, 1e-3))
+    lam_grid: tuple = _ini("sweep", "floats", (1e-1, 1e-2, 1e-3))
+    members: int = _ini("sweep", "int", 16)
+    star_offset: float = _ini("sweep", "float", 1e-3)
+    offset_mode: int = _ini("sweep", "int", 1)
 
 
-# (section, key) -> (field name, codec name)
-_SCHEMA = {
-    ("run", "mode"): ("mode", "str"),
-    ("run", "seed"): ("seed", "int"),
-    ("domain", "lengths"): ("lengths", "floats"),
-    ("domain", "modes"): ("modes", "ints"),
-    ("potential", "name"): ("potential", "str"),
-    ("potential", "perturbation"): ("perturbation", "str"),
-    ("potential", "perturbation_scale"): ("perturbation_scale", "float"),
-    ("potential", "lam"): ("lam", "float"),
-    ("noise", "kind"): ("noise_kind", "str"),
-    ("noise", "modes"): ("noise_modes", "int"),
-    ("noise", "sigma"): ("sigma", "float"),
-    ("noise", "rho"): ("rho", "float"),
-    ("noise", "mean_zero"): ("mean_zero", "bool"),
-    ("noise", "clamp_bound"): ("clamp_bound", "float"),
-    ("noise", "smoothing_level"): ("smoothing_level", "int"),
-    ("solver", "eps"): ("eps", "float"),
-    ("solver", "dt"): ("dt", "float"),
-    ("solver", "t_final"): ("t_final", "float"),
-    ("solver", "newton_tol"): ("newton_tol", "float"),
-    ("solver", "newton_max_iter"): ("newton_max_iter", "int"),
-    ("solver", "cg_max_iter"): ("cg_max_iter", "int"),
-    ("solver", "splitting"): ("splitting", "str"),
-    ("solver", "max_rejections"): ("max_rejections", "int"),
-    ("initial", "coefficients"): ("initial", "pairs"),
-    ("sweep", "eps_grid"): ("eps_grid", "floats"),
-    ("sweep", "lam_grid"): ("lam_grid", "floats"),
-    ("sweep", "members"): ("members", "int"),
-    ("sweep", "star_offset"): ("star_offset", "float"),
-    ("sweep", "offset_mode"): ("offset_mode", "int"),
-}
+def _where(f) -> tuple:
+    # the (section, key) a RunConfig field is read from
+    return f.metadata["section"], f.metadata["key"] or f.name
 
-_FIELD_TO_SECTION = {f: (s, k) for (s, k), (f, _) in _SCHEMA.items()}
+
+# (section, key) -> (field name, codec), in field order
+_SCHEMA = {_where(f): (f.name, f.metadata["codec"]) for f in fields(RunConfig)}
 
 
 def _decode(codec: str, raw: str):
@@ -268,15 +243,13 @@ def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
     lines = []
     current = None
-    for f in fields(RunConfig):
-        section, key = _FIELD_TO_SECTION[f.name]
-        codec = _SCHEMA[(section, key)][1]
+    for (section, key), (name, codec) in _SCHEMA.items():
         if section != current:
             if lines:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        lines.append(f"{key} = {_encode(codec, getattr(config, f.name))}")
+        lines.append(f"{key} = {_encode(codec, getattr(config, name))}")
     lines.append("")
     return "\n".join(lines)
 
@@ -284,10 +257,6 @@ def emit_config(config: RunConfig) -> str:
 def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(emit_config(config).encode("utf-8")).hexdigest()
 
-
-# assumption labels named by validation failures, by field
-_LABELS = {"lam": "H2", "eps": "H4", "perturbation_scale": "H3", "sigma": "B1", "rho": "B1",
-           "clamp_bound": "B3"}
 
 # bound on a config's size: its modes times its noise columns (with noise on)
 # times its members (in ensemble mode); checked before anything is built, as a
@@ -301,10 +270,11 @@ def validate_config(config: RunConfig) -> None:
     The library constructors check their own invariants and name the
     hypothesis they guard; their ValueErrors become ValidationErrors here.
     """
-    for (section, key), (name, codec) in _SCHEMA.items():
+    for f in fields(RunConfig):
+        codec, label = f.metadata["codec"], f.metadata["label"]
         if codec not in ("float", "floats", "pairs"):
             continue
-        value = getattr(config, name)
+        value = getattr(config, f.name)
         if codec == "float":
             numbers = (value,)
         elif codec == "pairs":
@@ -312,8 +282,8 @@ def validate_config(config: RunConfig) -> None:
         else:
             numbers = value
         if not all(map(math.isfinite, numbers)):
-            label = f", violates ({_LABELS[name]})" if name in _LABELS else ""
-            raise ValidationError(f"{section}.{key} must be finite, got {value!r}{label}")
+            label = f", violates ({label})" if label else ""
+            raise ValidationError(f"{'.'.join(_where(f))} must be finite, got {value!r}{label}")
     if config.mode not in MODES:
         raise ValidationError(f"unknown mode {config.mode!r}; choose from {MODES}")
     total = math.prod(config.modes)  # exact; np.prod wraps around

@@ -222,14 +222,15 @@ def run_diagnostics(traj: Trajectory) -> dict:
     return _diagnose([traj])[0]
 
 
+@mn._silent
 def _diagnose(trajs) -> list:
     # run_diagnostics of trajectories sharing u0, config and step count, in chunks
     # that may span members; columns reduce rows alone, so each equals its solo run
     first, n = trajs[0], len(trajs[0])
     flat = {name: np.empty(len(trajs) * n) for name in DIAGNOSTIC_FIELDS[1:]}
     for k in _chunks(len(trajs) * n, first.domain):
-        parts = [(t, slice(max(k.start - m * n, 0), k.stop - m * n))
-                 for m, t in enumerate(trajs) if k.start < (m + 1) * n and m * n < k.stop]
+        parts = [(trajs[m], slice(max(k.start - m * n, 0), k.stop - m * n))
+                 for m in range(k.start // n, min(len(trajs), math.ceil(k.stop / n)))]
         u, w, xi, noise_mean = (np.concatenate([getattr(t, f)[s] for t, s in parts])
                                 for f in ("u", "w", "xi", "noise_mean"))
         cols = _diagnostic_columns(first.config, u, w, xi, _rows(first.u)[0, 0] + noise_mean,
@@ -244,6 +245,7 @@ def _diagnose(trajs) -> list:
             for m, t in enumerate(trajs)]
 
 
+@mn._silent
 def check_invariants(traj: Trajectory, columns=None) -> list:
     """Structural checks: evolution identity, mean identity, energy decay.
 
@@ -451,14 +453,17 @@ def yosida_convergence_study(
     """
     _require_monotone(lam_sequence, "decreasing", "lam sequence")
     configs = [_config(data, base, lam=lam) for lam in lam_sequence]
-    trajectories = [_run(data, cfg, seed) for cfg in configs]
-    consec = [path_l2_distance(a, b, "V1")
-              for a, b in zip(trajectories, trajectories[1:])]
+    consec = []
     w_l1 = []
     xi_l1 = []
     conj_mass = []
     sup_star_sq = []
-    for tr in trajectories:
+    prev = None  # the one run held besides the current: for the consecutive distance
+    for cfg in configs:
+        tr = _run(data, cfg, seed)
+        if prev is not None:
+            consec.append(path_l2_distance(prev, tr, "V1"))
+        prev = tr
         cols = run_diagnostics(tr)
         w_l1.append(_trapz(cols["w_l1"], cols["t"]))
         xi_l1.append(_trapz(cols["xi_l1"], cols["t"]))
@@ -582,6 +587,7 @@ def ensemble_expectations(
 # regularity monitoring
 
 
+@mn._silent
 def regularity_monitor(traj: Trajectory) -> SweepReport:
     """Path norms that stay bounded for smooth data, on one trajectory.
 

@@ -31,6 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .spectral import _silent
+
 __all__ = [
     "NoConvergence",
     "UnsupportedGraph",
@@ -88,10 +90,6 @@ class LipschitzPerturbation:
 def _as_array(r):
     arr = np.asarray(r, dtype=float)
     return arr, (arr.ndim == 0)
-
-
-# non-finite or overflowing input gives non-finite output, and no warning
-_silent = np.errstate(all="ignore")
 
 
 @_silent

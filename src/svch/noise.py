@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import Domain, SpectralField, _analysis, _synthesis, neumann_eigensystem
+from .spectral import Domain, SpectralField, _analysis, _silent, _synthesis, neumann_eigensystem
 
 __all__ = [
     "DimensionMismatch",
@@ -115,6 +115,7 @@ class DiffusionOperator:
         return self.columns.shape[0]
 
     @property
+    @_silent
     def lipschitz(self) -> float:
         """Lipschitz constant of v -> B(v) in Hilbert-Schmidt norm; 0 for additive noise.
 
@@ -126,8 +127,7 @@ class DiffusionOperator:
         if self.kind != "multiplicative":
             return 0.0
         vals = np.abs(_synthesis(self.columns, self.domain.modes))
-        with np.errstate(over="ignore"):
-            return float(np.sqrt(np.sum(vals.max(axis=tuple(range(1, vals.ndim))) ** 2)))
+        return float(np.sqrt(np.sum(vals.max(axis=tuple(range(1, vals.ndim))) ** 2)))
 
 
 def diffusion_operator(
@@ -191,6 +191,7 @@ def smooth(op: DiffusionOperator, level: int) -> DiffusionOperator:
     return replace(op, columns=op.columns * factor[None, ...])
 
 
+@_silent
 def hs_norm(op: DiffusionOperator) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k |B e_k|_H^2) of the base columns.
 
@@ -201,6 +202,7 @@ def hs_norm(op: DiffusionOperator) -> float:
     return float(np.sqrt(np.sum(w[None, ...] * op.columns**2)))
 
 
+@_silent
 def apply_diffusion(
     op: DiffusionOperator, state: Optional[SpectralField], dW: np.ndarray
 ) -> SpectralField:
@@ -216,6 +218,7 @@ def apply_diffusion(
     return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
 
 
+@_silent
 def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
     """Noise fields of rows sharing one operator, as a (B, *modes) stack.
 
@@ -258,6 +261,7 @@ def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray) -
     return c
 
 
+@_silent
 def integral_ledger(op: DiffusionOperator, process: WienerProcess, n_steps: int, dt: float) -> SpectralField:
     """Accumulated stochastic integral B W(t_n) for additive operators.
 

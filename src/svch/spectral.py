@@ -62,8 +62,9 @@ __all__ = [
 
 MEAN_TOL = 1e-13
 
-# finite input that overflows gives non-finite output, and no warning
-_silent = np.errstate(over="ignore", invalid="ignore")
+# non-finite or overflowing input gives non-finite output, and no warning:
+# the one such context of the package, entered as a decorator
+_silent = np.errstate(all="ignore")
 
 
 class NonZeroMean(ValueError):
@@ -301,6 +302,7 @@ def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
     return SpectralField(domain, _analysis(vals, domain.modes))
 
 
+@_silent
 def integrate_grid(domain: Domain, values: np.ndarray) -> float:
     """Quadrature of grid values (exact for resolved cosine modes)."""
     return float(_integrals(domain, values[None])[0])
@@ -321,6 +323,7 @@ def _integrals(domain: Domain, values: np.ndarray) -> np.ndarray:
 # diagonal operators
 
 
+@_silent
 def apply_laplacian(v: SpectralField) -> SpectralField:
     """The paper's Neumann Laplacian, diagonal (-mu_k) in the cosine basis."""
     eig = neumann_eigensystem(v.domain)
@@ -361,6 +364,7 @@ def star_potential(v: SpectralField, eps: float = 0.0) -> SpectralField:
     return SpectralField(v.domain, c)
 
 
+@_silent
 def star_energy(v: SpectralField, eps: float = 0.0) -> float:
     """The paper's quadratic energy generating the star norm, eps-weighted.
 
@@ -376,6 +380,7 @@ def star_energy(v: SpectralField, eps: float = 0.0) -> float:
     return float(0.5 * np.sum(w * c * c * (1.0 / (mu * r * r) + eps / (r * r))))
 
 
+@_silent
 def inner(u: SpectralField, v: SpectralField) -> float:
     """L2 inner product via Parseval."""
     _check_same_domain(u, v)

@@ -482,11 +482,13 @@ class Batch:
         member = (3 * u0.coeffs.nbytes + 8) * (config.n_steps + 1)  # u, w, xi and mean rows
         self.size = max(1, _BATCH_BYTES // member)
         self._group, self._trajectories = None, None
+        # each model object's row, found by identity; one listed twice keeps its first
+        self._index = {id(n): m for m, n in reversed(tuple(enumerate(self.noises)))}
 
     def member(self, u0: SpectralField, config: SolverConfig,
                noise: Optional[NoiseModel]) -> Trajectory:
         """The trajectory of the member driven by ``noise``."""
-        m = next((k for k, n in enumerate(self.noises) if n is noise), None)
+        m = self._index.get(id(noise))
         if u0 is not self.u0 or config is not self.config or m is None:
             raise ValueError("the member does not belong to this batch")
         group, row = divmod(m, self.size)
@@ -502,6 +504,7 @@ class Batch:
 # functionals and residuals used by diagnostics and tests
 
 
+@mn._silent
 def free_energy_parts(u: SpectralField, config: SolverConfig):
     """(gradient part, regularized well mass, reaction mass) of the free energy.
 
@@ -538,6 +541,7 @@ def drift(v: SpectralField, config: SolverConfig) -> SpectralField:
     return SpectralField(v.domain, mu * _potential(v.coeffs, v.coeffs, config, v.domain, mu)[3])
 
 
+@mn._silent
 def evolution_residual(prev: SolverState, new: SolverState, config: SolverConfig,
                        noise_field: Optional[SpectralField] = None) -> float:
     """H-norm of the discrete evolution identity for one recorded step."""

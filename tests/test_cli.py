@@ -6,6 +6,7 @@ reproducibility is asserted on full artifact files.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -87,6 +88,15 @@ class TestParseEmit:
     def test_comments_are_ignored(self):
         text = "; full-line comment\n[solver]\ndt = 1e-3  ; inline comment\n"
         assert cli.parse_config(text, env={}).dt == 1e-3
+
+    def test_every_field_has_its_own_key(self):
+        # the schema is derived from RunConfig: two fields on one key would collapse
+        assert len(cli._SCHEMA) == len(dataclasses.fields(cli.RunConfig))
+
+    def test_readme_ini_block_states_the_defaults(self):
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert cli.parse_config(block, env={}) == cli.RunConfig()
 
 
 class TestValidationLabels:
