@@ -80,7 +80,7 @@ def _increments(seeds, steps, count: int, dt: float) -> np.ndarray:
     draw = np.random.Generator(bg).standard_normal
     state = bg.state
     z = np.empty((len(seeds), count))
-    for m, (seed, step) in enumerate(zip(seeds, steps)):
+    for m, (seed, step) in enumerate(zip(seeds, steps, strict=True)):
         if not 0 <= step < 2**63:
             raise ValueError(f"step must lie in [0, 2**63), got {step}")
         state["state"] = {"counter": [0, 0, 0, step], "key": [seed % 2**64, seed >> 64]}
@@ -230,7 +230,7 @@ def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
     op = models[0].operator
     if any(m.operator is not op for m in models):
         raise DimensionMismatch("stacked members must share one diffusion operator")
-    steps = np.broadcast_to(np.asarray(step, dtype=object), len(models))  # ints stay exact
+    steps = [step] * len(models) if isinstance(step, (int, np.integer)) else step
     profiles = _profiles(op, _increments([m.process.seed for m in models], steps,
                                          op.mode_count, dt))
     return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)

@@ -238,26 +238,34 @@ def _cosine_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return C, A
 
 
+@functools.lru_cache(maxsize=None)
+def _route(modes: tuple, grid: tuple):
+    # (synthesis, analysis) matrices per axis between coefficients of shape
+    # modes and values of shape grid; None where the transform takes the DCT
+    if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
+        return tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
+    return None
+
+
 @_silent
 def _by_matrices(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     # last axis as y @ M1, first as M0^T @ y, on (rows, 1, m) or (rows, m0, m1):
     # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence;
     # _silent keeps non-finite input as silent as the DCT is
-    d = len(mats)
-    lead = x.shape[:x.ndim - d]
-    if d == 1:
-        y = x.reshape(-1, 1, x.shape[-1]) @ mats[0]
-    else:
-        y = mats[0].T @ (x.reshape((-1,) + x.shape[-2:]) @ mats[1])
-    return y.reshape(lead + y.shape[-d:])
+    if len(mats) == 1:
+        M, = mats
+        return (x.reshape(-1, 1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
+    M0, M1 = mats
+    y = M0.T @ (x.reshape((-1,) + x.shape[-2:]) @ M1)
+    return y.reshape(x.shape[:-2] + y.shape[1:])
 
 
 def _synthesis(coeffs: np.ndarray, modes: Sequence[int], factor: int = 2) -> np.ndarray:
     # coefficients -> values on the midpoint grid with factor*m points per axis
     # (DCT-III, zero-padded by the transform); leading axes are a batch
-    if all(factor * m * m <= _MATRIX_ENTRIES for m in modes):
-        return _by_matrices(np.asarray(coeffs, dtype=float),
-                            [_cosine_matrices(m, factor * m)[0] for m in modes])
+    mats = _route(tuple(modes), tuple(factor * m for m in modes))
+    if mats is not None:
+        return _by_matrices(np.asarray(coeffs, dtype=float), mats[0])
     from scipy import fft as sfft
 
     out = np.array(coeffs, dtype=float)
@@ -271,9 +279,9 @@ def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     # midpoint-grid values -> the first m coefficients per axis (DCT-II, our
     # normalization); leading axes are a batch
     out = np.asarray(values, dtype=float)
-    grid = out.shape[out.ndim - len(modes):]
-    if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
-        return _by_matrices(out, [_cosine_matrices(m, n)[1] for m, n in zip(modes, grid)])
+    mats = _route(tuple(modes), out.shape[out.ndim - len(modes):])
+    if mats is not None:
+        return _by_matrices(out, mats[1])
     from scipy import fft as sfft
 
     for ax, m in enumerate(modes, start=out.ndim - len(modes)):

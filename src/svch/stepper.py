@@ -259,13 +259,13 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
     x = np.empty_like(b)
     rows = np.arange(len(b))
     xa, r, pre = np.zeros_like(b), b.copy(), precond
-    atol = np.broadcast_to(atol, rows.shape)
+    atol = np.full(len(b), atol) if np.ndim(atol) == 0 else atol
     p = rho_prev = None
     for it in range(maxiter):
         done = np.sqrt(np.vecdot(r, r)) < atol
-        if done.any():
+        if np.count_nonzero(done):
             x[rows[done]] = xa[done]
-            keep = np.flatnonzero(~done)
+            keep = np.nonzero(~done)[0]
             if not len(keep):
                 return x, 0
             rows, xa, r, pre, atol = rows[keep], xa[keep], r[keep], pre[keep], atol[keep]
@@ -297,32 +297,45 @@ _FORCING = 1e-3
 
 
 @mn._silent
-def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
+def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
+    """Read-only constants of every step of length dt at viscosity eps.
+
+    (mu, weights, sq, sqmu, visc, dtmu, diag, coupling) and the flat diag,
+    dtmu, sq and sqmu that precond and bhat read, the last two without mode 0.
+    """
+    eig = neumann_eigensystem(domain)
+    mu = eig.mu
+    sq, sqmu = np.sqrt(eig.weights), np.sqrt(mu)
+    visc, dtmu = 1.0 + eps * mu, dt * mu
+    diag = visc + dtmu * mu
+    plan = (mu, eig.weights, sq, sqmu, visc, dtmu, diag, dt * sqmu * sq,
+            diag.ravel(), dtmu.ravel(), sq.ravel()[1:], sqmu.ravel()[1:])
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+@mn._silent
+def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=None):
     """Advance a (B, *modes) coefficient stack by one backward Euler step of length dt.
 
+    plan is ``_step_plan(domain, config.eps, dt)``, built here when not given.
     Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
     xi of the members in failed, {member: NewtonDiverged}, are left unset.
     """
+    if plan is None:
+        plan = _step_plan(domain, config.eps, dt)
+    mu, wgt, sq, sqmu, visc, dtmu, diag, coupling, diag_flat, dtmu_flat, sq_tail, sqmu_tail = plan
     modes = domain.modes
-    eig = neumann_eigensystem(domain)
-    mu = eig.mu
-    wgt = eig.weights
-    sq = np.sqrt(wgt)
-    sqmu = np.sqrt(mu)
     graph = config.graph
     s = config.perturbation.lipschitz
     lam = config.lam
     tol = config.newton_tol
     implicit_pi = config.splitting == "fully_implicit"
 
-    visc = 1.0 + config.eps * mu
-    dtmu = dt * mu
     rhs = visc * u
     if noise is not None:
         rhs = rhs + noise
-
-    diag = visc + dtmu * mu
-    coupling = dt * sqmu * sq
 
     n = len(u)
     c = rhs / visc  # the step without its spatial operator; exact on mode 0, where visc = 1
@@ -359,11 +372,12 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
         rho = mn.yosida_derivative(graph, lam, grid, J)
         if implicit_pi:
             rho = rho - s
-        rho_bar = np.maximum(_rows(rho).mean(axis=1), 0.0)
-        precond = 1.0 / (diag.ravel() + dtmu.ravel() * rho_bar[:, None])
+        # the row mean as numpy's mean computes it: the sum, then one division
+        rho_bar = np.maximum(_rows(rho).sum(axis=1) / rho[0].size, 0.0)
+        precond = 1.0 / (diag_flat + dtmu_flat * rho_bar[:, None])
         bhat = np.zeros((len(rows), c[0].size))
         # mu > 0 on every mode but the constant one, flat index 0
-        bhat[:, 1:] = -(sq.ravel()[1:] * _rows(F)[:, 1:]) / sqmu.ravel()[1:]
+        bhat[:, 1:] = -(sq_tail * _rows(F)[:, 1:]) / sqmu_tail
 
         def matvec(y, active, rho=rho):
             weight = rho if len(active) == len(rho) else rho[active]
@@ -387,7 +401,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float):
 _MAX_SUBSTEPS = 1024
 
 
-def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
+def _advance(u, noise, config, domain, dt, step_index, plan=None, depth=0, spent=None):
     """One step of a member stack with rejection handling.
 
     A member whose Newton iteration fails repeats the interval alone, split
@@ -396,11 +410,12 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
     is unchanged.  Both halves may split again, so a member's sub-interval
     solves, counted in the one-element list spent, are capped at
     _MAX_SUBSTEPS.  A halved member's iterations and residuals are those of
-    its failed attempt followed by its halves'.  Returns (c, w, xi,
-    iterations, residuals, depths).
+    its failed attempt followed by its halves', which share one step plan.
+    Returns (c, w, xi, iterations, residuals, depths).
     """
-    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt)
+    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, plan)
     depths = [depth] * len(u)
+    half = _step_plan(domain, config.eps, dt / 2.0) if failed else None
     for m, err in failed.items():
         count = [0] if spent is None else spent
         count[0] += 2
@@ -413,7 +428,7 @@ def _advance(u, noise, config, domain, dt, step_index, depth=0, spent=None):
         part, kick = u[m:m + 1], None if noise is None else noise[m:m + 1]
         for _ in range(2):
             part, wm, xim, it, r, d = _advance(part, kick, config, domain, dt / 2.0,
-                                               step_index, depth + 1, count)
+                                               step_index, half, depth + 1, count)
             iters[m], res[m], depths[m] = iters[m] + it[0], res[m] + r[0], max(depths[m], d[0])
             kick = None
         c[m], w[m], xi[m] = part[0], wm[0], xim[0]
@@ -427,13 +442,13 @@ def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
         raise ValueError("noise field lives on a different domain")
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
     mean = np.zeros(len(noises))
-    _, _, xi, w = mn._silent(_potential)(u0.coeffs, u0.coeffs, config, domain,
-                                         neumann_eigensystem(domain).mu)
+    plan = _step_plan(domain, config.eps, config.dt)  # plan[0] is mu
+    _, _, xi, w = mn._silent(_potential)(u0.coeffs, u0.coeffs, config, domain, plan[0])
     fields = [[c], *([np.repeat(a[None], len(noises), axis=0)] for a in (w, xi)), [mean]]
     times, effort = [0.0], []
     for s in range(config.n_steps):
         field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
-        c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s)
+        c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s, plan)
         mean = mean if field is None else mean + _rows(field)[:, 0]
         for rows, a in zip(fields, (c, w, xi, mean)):
             rows.append(a)

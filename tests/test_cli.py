@@ -319,6 +319,18 @@ class TestExitCodes:
         # artifacts are still written for inspection
         assert (tmp_path / "summary.json").exists()
 
+    def test_overflowing_cubic_bound_is_a_failed_assertion(self, tmp_path, capsys):
+        # states of size 1e120 pass Newton's loose tolerance, and the cube of
+        # their V1 norm overflows: a failed finiteness check, not a crash
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nmode = regularity\n[domain]\nmodes = 8\n"
+                       "[solver]\nnewton_tol = 1e300\ndt = 0.01\nt_final = 0.02\n"
+                       "[initial]\ncoefficients = 1:1e120\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 1
+        assert "assertion failed: regularity_norms_finite[eps=" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {"config.ini", "series.csv", "summary.json"}
+
     def test_solver_failure_returns_three(self, tmp_path, capsys):
         text = "[solver]\ndt = 1e-3\nt_final = 0.02\n" \
             "newton_max_iter = 0\nmax_rejections = 0\n"

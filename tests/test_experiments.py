@@ -795,6 +795,17 @@ class TestRegularity:
         assert "cubic_bound" not in rep.metrics
         assert [a.name for a in rep.assertions] == ["regularity_norms_finite"]
 
+    def test_cubic_powers_that_overflow_fail_the_finite_check(self, long_domain):
+        # states of size 1e120: their V1 cube and the sixth powers behind the
+        # embedding constant overflow, where float ** raised OverflowError
+        traj = sp.simulate(study_ic(long_domain), study_config(dt=1e-2, t_final=2e-2))
+        huge = replace(traj, u=traj.u * 1e120, w=traj.w * 1e120, xi=traj.xi * 1e120)
+        rep = ex.regularity_monitor(huge)
+        assert [a.name for a in rep.assertions] == ["regularity_norms_finite",
+                                                    "xi_cubic_growth_bound"]
+        assert not rep.assertions[0].passed
+        assert rep.metrics["cubic_bound"] == (math.inf,)
+
     def test_study_uniform_in_eps(self, long_domain):
         op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
         data = ex.ProblemData(u0=study_ic(long_domain), operator=op)

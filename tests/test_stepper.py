@@ -8,7 +8,9 @@ system.  Everything else checks closed-form single-mode updates, conservation
 identities, energy decay, and the rejection machinery.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -884,6 +886,119 @@ class TestBatchedCore:
             # the residual falls below atol[m] at the last update and not before
             res = [np.linalg.norm(b[m] - mats[m] @ xk) for xk in iterates[m]]
             assert res[-1] < 2 * atol[m] and res[-2] > atol[m] / 2
+
+    def test_pcg_scalar_tolerance_equals_its_array(self):
+        rng = np.random.default_rng(9)
+        n = 30
+        q = np.linalg.qr(rng.standard_normal((3, n, n)))[0]
+        mats = q @ (np.geomspace(1.0, 1e4, n)[:, None] * q.transpose(0, 2, 1))
+        b = rng.standard_normal((3, n))
+        precond = 1.0 / np.diagonal(mats, axis1=1, axis2=2)
+
+        def matvec(p, rows):
+            return np.stack([mats[m] @ p[k] for k, m in enumerate(rows)])
+
+        for maxiter in (4, 200):  # every member hits the cap, then none
+            x, info = sp.cg(matvec, b, precond, 1e-9, maxiter)
+            x_arr, info_arr = sp.cg(matvec, b, precond, np.full(3, 1e-9), maxiter)
+            assert np.array_equal(x, x_arr) and info == info_arr == (3 if maxiter == 4 else 0)
+
+class TestStepPlan:
+    """A march builds the constants of its step length once."""
+
+    HALVING = dict(dt=0.5, t_final=1.0, newton_max_iter=4, newton_tol=1e-11)
+
+    @staticmethod
+    def halving_field(domain):
+        # dt = 0.5 fails Newton's four iterations on step 0 alone
+        c = np.zeros(domain.modes)
+        c[1], c[2], c[3] = 1.5, 0.8, 0.6
+        return SpectralField(domain, c)
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls, original = [], getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_march_without_halvings_builds_one_plan(self, long_domain, study_field,
+                                                    monkeypatch):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.1,
+                          dt=1e-3, t_final=5e-3)
+        op = nz.diffusion_operator(long_domain, 8, sigma=0.1)
+        noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in (1, 2)]
+        plans = self.record(monkeypatch, "_step_plan")
+        traj = sp.simulate(study_field, cfg, noises[0], sp.Batch(study_field, cfg, noises))
+        assert traj.rejections == (0,) * cfg.n_steps
+        assert plans == [(long_domain, 0.1, 1e-3)]
+
+    def test_halved_step_builds_a_plan_for_its_substep(self, long_domain, monkeypatch):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), **self.HALVING)
+        plans = self.record(monkeypatch, "_step_plan")
+        steps = self.record(monkeypatch, "_solve_step")
+        traj = sp.simulate(self.halving_field(long_domain), cfg)
+        assert traj.rejections == (1, 0)
+        assert [a[4] for a in steps] == [0.5, 0.25, 0.25, 0.5]
+        assert [a[2] for a in plans] == [0.5, 0.25]
+
+    def test_plan_arrays_are_read_only(self, plane_domain):
+        plan = sp._step_plan(plane_domain, 0.1, 1e-3)
+        assert len(plan) == 12
+        for a in plan:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            plan[6][0, 0] = 0.0
+
+    def test_advance_with_and_without_a_plan_agree_bitwise(self, long_domain):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.01,
+                          **self.HALVING)
+        u = np.stack([self.halving_field(long_domain).coeffs,
+                      random_field(long_domain, np.random.default_rng(2), scale=0.1).coeffs])
+        noise = np.stack([random_field(long_domain, np.random.default_rng(3 + m),
+                                       scale=0.01).coeffs for m in range(2)])
+        plan = sp._step_plan(long_domain, cfg.eps, cfg.dt)
+        got = sp._advance(u, noise, cfg, long_domain, cfg.dt, 0, plan=plan)
+        want = sp._advance(u, noise, cfg, long_domain, cfg.dt, 0)
+        assert got[5] == want[5] == [1, 0]  # the first member halves
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert got[3:] == want[3:]
+
+    def test_each_run_looks_the_eigensystem_up_alike(self, study_field, monkeypatch):
+        # a plan cached across runs would leave later runs without the lookup
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), t_final=5e-3)
+        calls = self.record(monkeypatch, "neumann_eigensystem")
+        counts = []
+        for _ in range(2):
+            sp.simulate(study_field, cfg)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
+
+
+def _per_call_rebuilds(tree, functions) -> list:
+    # (function, line, callee) of calls in the named functions, nested ones
+    # included, to what the step plan or a cheaper call replaces
+    rebuilds = ("neumann_eigensystem", "broadcast_to", "flatnonzero", "mean")
+    return [(fn.name, node.lineno, callee)
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            for callee in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            if callee in rebuilds]
+
+
+def test_newton_cg_core_rebuilds_nothing_per_call():
+    core = ("_solve_step", "cg", "matvec")
+    snippet = ("def cg():\n    np.broadcast_to(a, 3)\n    x.mean(axis=1)\n"
+               "def other():\n    neumann_eigensystem(d)\n"
+               "def _solve_step():\n    def matvec():\n        np.flatnonzero(a)\n")
+    assert _per_call_rebuilds(ast.parse(snippet), core) == [
+        ("cg", 2, "broadcast_to"), ("cg", 3, "mean"),
+        ("_solve_step", 8, "flatnonzero"), ("matvec", 8, "flatnonzero")]
+    tree = ast.parse(Path(sp.__file__).read_text())
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(core)
+    assert _per_call_rebuilds(tree, core) == []
+
 
 def test_import_path_holds_no_scipy_sparse():
     """The stepper's CG is the in-repo loop; ``import svch.cli`` stays light."""
