@@ -341,20 +341,13 @@ def _build(config: RunConfig):
         seen.add(idx)
         coeffs.flat[idx] = val
     u0 = SpectralField(domain, coeffs)
-    graph = mn.make_graph(config.potential)
-    pert = mn.make_perturbation(config.perturbation, config.perturbation_scale)
     solver = st.SolverConfig(
-        graph=graph,
-        perturbation=pert,
-        eps=config.eps,
+        graph=mn.make_graph(config.potential),
+        perturbation=mn.make_perturbation(config.perturbation, config.perturbation_scale),
         lam=config.lam,
-        dt=config.dt,
-        t_final=config.t_final,
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        cg_max_iter=config.cg_max_iter,
-        splitting=config.splitting,
-        max_rejections=config.max_rejections,
+        # every [solver] field is a SolverConfig field of the same name
+        **{f.name: getattr(config, f.name) for f in fields(RunConfig)
+           if f.metadata["section"] == "solver"},
     )
     operator = None
     if config.noise_kind != "none":

@@ -5,9 +5,9 @@ Everything here consumes trajectories from ``stepper.simulate`` and reduces
 them to per-step diagnostic columns, pathwise norms, and sweep reports.  Every
 reduction reads the trajectory's (N+1, *modes) stacks, or slices of them, never
 state by state.  Pathwise L2(0,T; X) norms use the trapezoid rule over the
-recorded step times; sweeps share the driving noise across runs by reusing the
-(seed, step, mode) keyed increments, so refinement studies compare solutions
-of the same stochastic realization.
+recorded step times; sweeps over eps and lam reuse the (seed, step, mode) keyed
+increments and so compare solutions of one stochastic realization, but a dt
+refinement does not: its draws are keyed by step index.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import monotone as mn
 from .monotone import polynomial_degree
-from .noise import DiffusionOperator, NoiseModel, WienerProcess, increment_stack
+from .noise import DiffusionOperator, NoiseModel, WienerProcess
 from .spectral import (
     SpectralField,
     _grad_sq,
@@ -37,7 +37,7 @@ from .stepper import (
     SolverConfig,
     Trajectory,
     _energy_parts,
-    _evolution_residuals,
+    evolution_residual,
     simulate,
 )
 
@@ -259,15 +259,9 @@ def check_invariants(traj: Trajectory, columns=None) -> list:
     u = traj.u
     out = []
 
-    # split steps satisfy the identity per substep instead; step n starts at row n
+    # split steps satisfy the identity per substep instead
     kept = np.flatnonzero([r == 0 for r in traj.rejections])
-    res = 0.0
-    if len(kept):
-        noise = None
-        if traj.noise is not None:
-            noise = increment_stack((traj.noise,) * len(kept), u[kept], kept, cfg.dt)
-        res = float(_evolution_residuals(traj.domain, cfg, u[kept], u[kept + 1],
-                                         traj.w[kept + 1], noise).max())
+    res = float(evolution_residual(traj)[kept].max()) if len(kept) else 0.0
     out.append(Assertion("evolution_identity", res <= 10 * cfg.newton_tol,
                          value=res, bound=10 * cfg.newton_tol))
 

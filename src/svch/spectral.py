@@ -349,10 +349,17 @@ def apply_inverse_laplacian(v: SpectralField) -> SpectralField:
     return star_potential(v)  # N inverts -Delta: (N v)_k = v_k / mu_k
 
 
+def _check_eps(eps) -> None:
+    # the viscosity of (H4), for SolverConfig and the viscosity functions here
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}, violates (H4)")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}, violates (H4)")
+
+
 def apply_helmholtz_inverse(v: SpectralField, eps: float) -> SpectralField:
     """The paper's viscous resolvent (I - eps*Laplacian)^{-1}; keeps the mean, I at eps = 0."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    _check_eps(eps)
     if eps == 0:
         return v
     eig = neumann_eigensystem(v.domain)
@@ -365,6 +372,7 @@ def star_potential(v: SpectralField, eps: float = 0.0) -> SpectralField:
     phi = N (I - eps*Laplacian)^{-1} (v - mean(v)); pairing v against phi
     gives twice ``star_energy(v, eps)``.
     """
+    _check_eps(eps)
     eig = neumann_eigensystem(v.domain)
     c = np.zeros_like(v.coeffs)
     nz = eig.mu > 0
@@ -379,6 +387,7 @@ def star_energy(v: SpectralField, eps: float = 0.0) -> float:
     0.5*|grad N R(v - v_D)|_H^2 + 0.5*eps*|R(v - v_D)|_H^2 with
     R = (I - eps*Laplacian)^{-1}.  Always >= 0.
     """
+    _check_eps(eps)
     eig = neumann_eigensystem(v.domain)
     nz = eig.mu > 0
     c = v.coeffs[nz]
@@ -407,6 +416,7 @@ def norm(v: SpectralField, kind: str = "H", eps: float = 0.0) -> float:
       "star"    sqrt(|grad N(v - v_D)|_H^2 + v_D^2)
       "one_eps" sqrt(|v|_H^2 + eps*|grad v|_H^2)
     """
+    _check_eps(eps)
     return float(_norms(v.domain, v.coeffs[None], kind, eps)[0])
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as hst
 
 import svch.cli as cli
 import svch.monotone as mn
+import svch.stepper as st
 
 
 def read_series(path: Path):
@@ -418,6 +419,19 @@ class TestValidationBoundary:
     def test_grid_budget(self, text):
         with pytest.raises(cli.ValidationError, match="budget"):
             cli.parse_config(text, env={})
+
+    def test_every_solver_field_is_a_solver_config_field(self):
+        # _build hands every [solver] field to SolverConfig by name
+        names = {f.name for f in dataclasses.fields(cli.RunConfig)
+                 if f.metadata["section"] == "solver"}
+        assert len(names) == 8
+        assert names <= {f.name for f in dataclasses.fields(st.SolverConfig)}
+        cfg = cli.parse_config("[solver]\neps = 0.03\ndt = 0.002\nt_final = 0.5\n"
+                               "newton_tol = 1e-11\nnewton_max_iter = 9\ncg_max_iter = 77\n"
+                               "splitting = fully_implicit\nmax_rejections = 3\n"
+                               "[potential]\nlam = 0.04\n", env={})
+        solver, _ = cli._build(cfg)
+        assert all(getattr(solver, name) == getattr(cfg, name) for name in names | {"lam"})
 
     def test_budget_admits_the_largest_documented_grid(self):
         text = "[domain]\nlengths = 20, 20\nmodes = 64, 64\n" \

@@ -252,13 +252,17 @@ class TestInvariants:
 
     @staticmethod
     def step_residuals(traj):
-        """evolution_residual of every step, its noise field drawn by apply_diffusion."""
+        """The evolution identity of every step, its noise field drawn by apply_diffusion."""
         cfg, model = traj.config, traj.noise
+        eig = neumann_eigensystem(traj.domain)
         out = []
         for a, b in zip(traj, traj.states[1:]):
-            field = None if model is None else nz.apply_diffusion(
-                model.operator, a.u, model.process.increments_at(a.step_index, cfg.dt))
-            out.append(sp.evolution_residual(a, b, cfg, field))
+            res = (1.0 + cfg.eps * eig.mu) * (b.u.coeffs - a.u.coeffs)
+            res = res + cfg.dt * eig.mu * b.w.coeffs
+            if model is not None:
+                res = res - nz.apply_diffusion(
+                    model.operator, a.u, model.process.increments_at(a.step_index, cfg.dt)).coeffs
+            out.append(float(np.sqrt(np.sum(eig.weights * res**2))))
         return out
 
     @pytest.mark.parametrize("kind", ["additive", "multiplicative"])

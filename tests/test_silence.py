@@ -52,7 +52,7 @@ def _increment_stack():
 
 def _evolution_residual():
     huge, _ = _huge_trajectory()
-    return st.evolution_residual(huge[0], huge[1], _config())
+    return st.evolution_residual(huge)
 
 
 def _run_diagnostics():

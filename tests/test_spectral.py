@@ -8,6 +8,7 @@ differences on fine grids, and scipy.integrate quadrature.
 """
 
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -444,6 +445,23 @@ class TestValidation:
     def test_mixed_domain_arithmetic_rejected(self, unit_domain, long_domain):
         with pytest.raises(ValueError):
             sp.basis_field(unit_domain, 0) + sp.basis_field(long_domain, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda v, eps: sp.star_energy(v, eps),
+        lambda v, eps: sp.norm(v, "one_eps", eps=eps),
+        lambda v, eps: sp.star_potential(v, eps),
+        lambda v, eps: sp.apply_helmholtz_inverse(v, eps),
+    ], ids=["star_energy", "norm", "star_potential", "apply_helmholtz_inverse"])
+    @pytest.mark.parametrize("eps, message", [
+        (-5.0, "eps must be >= 0, got -5.0, violates (H4)"),
+        (math.nan, "eps must be finite, got nan, violates (H4)"),
+        (math.inf, "eps must be finite, got inf, violates (H4)"),
+    ], ids=["negative", "nan", "inf"])
+    def test_viscosity_entry_points_refuse_eps_outside_h4(self, call, eps, message):
+        # a negative eps gave star_energy < 0 and a nan norm; a nan passed through
+        v = sp.basis_field(sp.Domain((10.0,), (16,)), 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(v, eps)
 
 
 @settings(max_examples=60, deadline=None)

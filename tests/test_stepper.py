@@ -222,10 +222,9 @@ class TestConservation:
         op = nz.diffusion_operator(long_domain, 8, sigma=0.3)
         proc = nz.WienerProcess(8, seed=5)
         traj = sp.simulate(study_field, cfg, nz.NoiseModel(proc, op))
-        for s in range(len(traj) - 1):
-            field = nz.apply_diffusion(op, None, proc.increments_at(s, cfg.dt))
-            res = sp.evolution_residual(traj[s], traj[s + 1], cfg, field)
-            assert res <= 10 * cfg.newton_tol
+        res = sp.evolution_residual(traj)
+        assert res.shape == (len(traj) - 1,)
+        assert np.all(res <= 10 * cfg.newton_tol)
 
 
 class TestEnergy:
@@ -820,6 +819,18 @@ class TestBatchedCore:
             sp.simulate(study_field, cfg, stranger, batch)
         with pytest.raises(ValueError, match="does not belong"):
             sp.simulate(study_field, replace(cfg, dt=2e-3), member, batch)
+
+    @pytest.mark.parametrize("noisy_first", [False, True])
+    def test_batch_refuses_noisy_and_deterministic_members(self, study_field, noisy_first):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), dt=1e-3,
+                          t_final=2e-3)
+        model = nz.NoiseModel(nz.WienerProcess(4, 1), nz.diffusion_operator(
+            study_field.domain, 4, sigma=0.1))
+        members = [model, None] if noisy_first else [None, model]
+        batch = sp.Batch(study_field, cfg, members)
+        for noise in members:
+            with pytest.raises(ValueError, match="members with noise and members without"):
+                sp.simulate(study_field, cfg, noise, batch)
 
     def test_pcg_matches_dense_solve_per_member(self):
         dom = Domain((3.0,), (12,))
