@@ -36,6 +36,8 @@ from .stepper import (
     Batch,
     SolverConfig,
     Trajectory,
+    _chunk_states,
+    _chunks,
     _energy_parts,
     evolution_residual,
     simulate,
@@ -168,16 +170,6 @@ def _run(data: ProblemData, cfg: SolverConfig, seed: Optional[int]) -> Trajector
 # per-trajectory diagnostics
 
 
-# states per chunk of grid-sized temporaries: about this many grid points
-_CHUNK_POINTS = 4096
-
-
-def _chunks(count: int, domain) -> list:
-    # slices of a stack of count states, each of about _CHUNK_POINTS grid points
-    size = max(1, _CHUNK_POINTS // (2**domain.dimension * math.prod(domain.modes)))
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
 @mn._silent
 def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
     # report columns, (N+1,) norms and scalars take libm pow as float ** does,
@@ -229,7 +221,7 @@ def _diagnose(trajs) -> list:
     # that may span members; columns reduce rows alone, so each equals its solo run
     first, n = trajs[0], len(trajs[0])
     flat = {name: np.empty(len(trajs) * n) for name in DIAGNOSTIC_FIELDS[1:]}
-    for k in _chunks(len(trajs) * n, first.domain):
+    for k in _chunks(len(trajs) * n, _chunk_states(first.domain)):
         parts = [(trajs[m], slice(max(k.start - m * n, 0), k.stop - m * n))
                  for m in range(k.start // n, min(len(trajs), math.ceil(k.stop / n)))]
         u, w, xi, noise_mean = (np.concatenate([getattr(t, f)[s] for t, s in parts])
@@ -610,7 +602,8 @@ def regularity_monitor(traj: Trajectory) -> SweepReport:
     cubic = ()
     if polynomial_degree(cfg.graph) == 3:
         v1 = _norms(domain, u, "V1")
-        squares = (_synthesis(u[k], domain.modes) ** 2 for k in _chunks(len(u), domain))
+        chunks = _chunks(len(u), _chunk_states(domain))
+        squares = (_synthesis(u[k], domain.modes) ** 2 for k in chunks)
         l6_sixth = np.concatenate([_integrals(domain, g2 * g2 * g2) for g2 in squares])
         ratios = _pow(l6_sixth, 1.0 / 6.0)[v1 > 0] / v1[v1 > 0]
         emb = float(ratios.max(initial=0.0))

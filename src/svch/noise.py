@@ -5,8 +5,9 @@ The driving noise is W(t) = sum_{k<K} W_k(t) e_k with independent scalar
 Brownian motions W_k.  Increments are drawn from a counter-based generator
 (Philox) keyed by (seed, step): mode k is the k-th draw of the step's block,
 so every increment is a pure function of (seed, step, mode) and paths can be
-re-materialized in any order or shared across solver runs.  A draw call
-builds one generator and moves it to each row's (seed, step) block.
+re-materialized in any order or shared across solver runs.  A march draws a
+chunk of steps from one generator, moved to each row's (seed, step) block;
+a multiplicative operator then modulates each step at its pre-step state.
 
 A diffusion operator maps the K noise directions to spatial fields.  The
 default additive operator sends e_k to sigma * (1 + mu_k)^{-rho} times the
@@ -18,13 +19,14 @@ spatial mean, so multiplicative forcing never moves the mean of the solution.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .spectral import Domain, SpectralField, _analysis, _silent, _synthesis, neumann_eigensystem
+from .spectral import Domain, SpectralField, _silent, _synthesis, _transforms, neumann_eigensystem
 
 __all__ = [
     "DimensionMismatch",
@@ -58,35 +60,44 @@ class WienerProcess:
     """
 
     def __init__(self, mode_count: int, seed: int):
-        if mode_count < 1:
+        self.mode_count = _integer("mode_count", mode_count)
+        self.seed = _integer("seed", seed)
+        if self.mode_count < 1:
             raise ValueError("mode_count must be >= 1")
-        if not 0 <= seed < 2**128:
+        if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128) (the Philox key), got {seed}")
-        self.mode_count = int(mode_count)
-        self.seed = int(seed)
 
     def increments_at(self, step: int, dt: float) -> np.ndarray:
         """Gaussian increments with variance dt for one step in [0, 2**63), shape (K,)."""
         return _increments((self.seed,), (step,), self.mode_count, dt)[0]
 
 
+def _integer(name: str, value) -> int:
+    # an index of the noise: a float, even an integral one, would alias a draw
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _increments(seeds, steps, count: int, dt: float) -> np.ndarray:
     # (B, count) increments: row m reads Philox key seeds[m] at counter
     # [0, 0, 0, steps[m]].  One generator moves to each row through its state,
     # buffer empty: a new Philox per row costs several times as much
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     bg = np.random.Philox(key=0)
     draw = np.random.Generator(bg).standard_normal
     state = bg.state
     z = np.empty((len(seeds), count))
     for m, (seed, step) in enumerate(zip(seeds, steps, strict=True)):
-        if not 0 <= step < 2**63:
+        if not 0 <= _integer("step", step) < 2**63:
             raise ValueError(f"step must lie in [0, 2**63), got {step}")
         state["state"] = {"counter": [0, 0, 0, step], "key": [seed % 2**64, seed >> 64]}
         bg.state = state
         draw(out=z[m])
-    return z * math.sqrt(dt)
+    z *= math.sqrt(dt)
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +238,28 @@ def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
     of ``models[m]`` at its step, bitwise; only a multiplicative operator
     reads the states.  The increments of all rows come from one generator.
     """
-    op = models[0].operator
-    if any(m.operator is not op for m in models):
+    op = _operator(models)
+    steps = [step] * len(models) if np.ndim(step) == 0 else step
+    return _modulate(op, coeffs, _profiles(op, _increments([m.process.seed for m in models],
+                                                           steps, op.mode_count, dt)))
+
+
+def _operator(models) -> DiffusionOperator:
+    if any(m.operator is not models[0].operator for m in models):
         raise DimensionMismatch("stacked members must share one diffusion operator")
-    steps = [step] * len(models) if isinstance(step, (int, np.integer)) else step
-    profiles = _profiles(op, _increments([m.process.seed for m in models], steps,
-                                         op.mode_count, dt))
-    return profiles if op.kind == "additive" else _modulate(op, coeffs, profiles)
+    return models[0].operator
+
+
+def _profile_chunks(models, chunks, dt: float):
+    # the state-free half of increment_stack for each slice of steps in
+    # chunks: the (steps, B, *modes) profiles of every member, drawn
+    # step-major by one _increments call
+    op = _operator(models)
+    seeds = [m.process.seed for m in models]
+    for k in chunks:
+        steps = range(k.start, k.stop)
+        z = _increments(seeds * len(steps), [s for s in steps for _ in seeds], op.mode_count, dt)
+        yield _profiles(op, z).reshape((len(steps), len(seeds)) + op.domain.modes)
 
 
 def _profiles(op: DiffusionOperator, dW: np.ndarray) -> np.ndarray:
@@ -252,11 +278,16 @@ def _state_coeffs(op: DiffusionOperator, state: Optional[SpectralField]) -> np.n
 
 
 def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-    # clamp(state) * profile minus its spatial mean; leading axes are a batch
+    # the state half of increment_stack: the profiles of additive noise, else
+    # clamp(state) * profile minus its spatial mean; leading axes are a batch.
+    # Callers are silent
+    if op.kind == "additive":
+        return profiles
     modes = op.domain.modes
+    synthesis, analysis = _transforms(modes)
     M = op.clamp_bound
-    clamped = np.clip(_synthesis(coeffs, modes), -M, M)
-    c = _analysis(clamped * _synthesis(profiles, modes), modes)
+    clamped = np.clip(synthesis(coeffs), -M, M)
+    c = analysis(clamped * synthesis(profiles))
     c[(...,) + (0,) * len(modes)] = 0.0  # multiplicative forcing is mean-free by construction
     return c
 

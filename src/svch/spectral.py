@@ -20,15 +20,17 @@ Conventions
 * The collocation grid along axis i has ``factor * m_i`` midpoints
   ``x_j = (j + 1/2) * L_i / n_i``; the default factor 2 is the dealiasing
   margin used for pointwise nonlinearities.
-* The private pair ``_synthesis``/``_analysis`` is the only transform code
-  in the package.  It acts on raw arrays: the trailing ``len(modes)`` axes
-  are transformed and any leading axes are a batch, so a ``(B, *modes)``
-  stack goes through in one call and each row equals its solo transform
-  bitwise.  Grids with at most ``_MATRIX_ENTRIES`` (m x n) entries per axis
-  take cached dense cosine matrices, one BLAS product per batch row (which
-  keeps rows bitwise independent); larger grids take the DCT, and
-  ``scipy.fft`` is imported at the first such transform, so that
-  ``import svch`` loads numpy alone.
+* ``_transforms`` is the only transform code in the package: a cached raw
+  (synthesis, analysis) pair per route, which the stepper looks up once per
+  solve and applies under the solve's one errstate; the private
+  ``_synthesis``/``_analysis`` are its silent entry points.  The pair acts
+  on raw arrays: the trailing ``len(modes)`` axes are transformed and any
+  leading axes are a batch, so a ``(B, *modes)`` stack goes through in one
+  call and each row equals its solo transform bitwise.  Grids with at most
+  ``_MATRIX_ENTRIES`` (m x n) entries per axis take cached dense cosine
+  matrices, one BLAS product per batch row (which keeps rows bitwise
+  independent); larger grids take the DCT, and ``scipy.fft`` is imported at
+  the first such transform, so that ``import svch`` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -239,19 +241,21 @@ def _cosine_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _route(modes: tuple, grid: tuple):
-    # (synthesis, analysis) matrices per axis between coefficients of shape
-    # modes and values of shape grid; None where the transform takes the DCT
+def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
+    # the raw (synthesis, analysis) pair between coefficients of shape modes
+    # and values of shape grid (the factor-2 grid when None): the cosine
+    # matrices when every axis fits _MATRIX_ENTRIES, else the DCT.  It enters
+    # no errstate, so its callers are silent
+    grid = tuple(2 * m for m in modes) if grid is None else grid
     if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
-        return tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
-    return None
+        mats = tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
+        return tuple(functools.partial(_by_matrices, m) for m in mats)
+    return functools.partial(_dct_synthesis, grid), functools.partial(_dct_analysis, modes)
 
 
-@_silent
-def _by_matrices(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+def _by_matrices(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     # last axis as y @ M1, first as M0^T @ y, on (rows, 1, m) or (rows, m0, m1):
-    # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence;
-    # _silent keeps non-finite input as silent as the DCT is
+    # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence
     if len(mats) == 1:
         M, = mats
         return (x.reshape(-1, 1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
@@ -260,35 +264,43 @@ def _by_matrices(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return y.reshape(x.shape[:-2] + y.shape[1:])
 
 
-def _synthesis(coeffs: np.ndarray, modes: Sequence[int], factor: int = 2) -> np.ndarray:
-    # coefficients -> values on the midpoint grid with factor*m points per axis
-    # (DCT-III, zero-padded by the transform); leading axes are a batch
-    mats = _route(tuple(modes), tuple(factor * m for m in modes))
-    if mats is not None:
-        return _by_matrices(np.asarray(coeffs, dtype=float), mats[0])
+def _dct_synthesis(grid: tuple, coeffs: np.ndarray) -> np.ndarray:
+    # DCT-III, zero-padded by the transform
     from scipy import fft as sfft
 
     out = np.array(coeffs, dtype=float)
-    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
+    for ax, n in enumerate(grid, start=out.ndim - len(grid)):
         out[_along(ax, slice(1, None))] *= 0.5
-        out = sfft.dct(out, type=3, n=factor * m, axis=ax)
+        out = sfft.dct(out, type=3, n=n, axis=ax)
     return out
 
 
-def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
-    # midpoint-grid values -> the first m coefficients per axis (DCT-II, our
-    # normalization); leading axes are a batch
-    out = np.asarray(values, dtype=float)
-    mats = _route(tuple(modes), out.shape[out.ndim - len(modes):])
-    if mats is not None:
-        return _by_matrices(out, mats[1])
+def _dct_analysis(modes: tuple, values: np.ndarray) -> np.ndarray:
+    # DCT-II in our normalization, cut to the first m coefficients per axis
     from scipy import fft as sfft
 
-    for ax, m in enumerate(modes, start=out.ndim - len(modes)):
-        n = out.shape[ax]
-        out = sfft.dct(out, type=2, axis=ax)[_along(ax, slice(0, m))] / n
-        out[_along(ax, 0)] *= 0.5
-    return out
+    for ax, m in enumerate(modes, start=values.ndim - len(modes)):
+        n = values.shape[ax]
+        values = sfft.dct(values, type=2, axis=ax)[_along(ax, slice(0, m))] / n
+        values[_along(ax, 0)] *= 0.5
+    return values
+
+
+@_silent
+def _synthesis(coeffs: np.ndarray, modes: Sequence[int], factor: int = 2) -> np.ndarray:
+    # coefficients -> values on the midpoint grid with factor*m points per axis;
+    # leading axes are a batch
+    synthesis, _ = _transforms(tuple(modes), tuple(factor * m for m in modes))
+    return synthesis(np.asarray(coeffs, dtype=float))
+
+
+@_silent
+def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    # midpoint-grid values -> the first m coefficients per axis; leading axes
+    # are a batch
+    out = np.asarray(values, dtype=float)
+    _, analysis = _transforms(tuple(modes), out.shape[out.ndim - len(modes):])
+    return analysis(out)
 
 
 def to_grid(field: SpectralField, factor: int = 2) -> np.ndarray:

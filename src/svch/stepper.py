@@ -8,12 +8,13 @@ One step solves
         = (I - eps*Lap) u + noise_field
 
 for the coefficients of u+.  Only the regularized graph beta_lam is
-evaluated pseudo-spectrally, on the dealiased midpoint grid, by calling
-spectral's transform pair (``_synthesis``/``_analysis``) directly on raw
-coefficient arrays.  The reaction pi(r) = -s*r is diagonal in the cosine
-basis and acts on coefficients.  One helper, ``_potential``, builds xi =
-beta_lam(u) and the chemical potential w for Newton's iterates, for the
-first row of a march and for ``drift``.  The noise field of a step is the row that
+evaluated pseudo-spectrally, on the dealiased midpoint grid, by the raw
+transform pair that a solve looks up once (``spectral._transforms``) and
+applies under its one errstate.  The reaction pi(r) = -s*r is diagonal in
+the cosine basis and acts on coefficients.  One helper, ``_potential``,
+builds xi = beta_lam(u) and the chemical potential w for Newton's iterates,
+for the first row of a march and for ``drift``.  A march draws the noise of
+a chunk of steps at once; a step's noise field is the row that
 ``noise.increment_stack`` returns for the pre-step state.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
@@ -53,22 +54,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
 
 from . import monotone as mn
 from .monotone import LipschitzPerturbation, MonotoneGraph
-from .noise import NoiseModel, increment_stack
+from .noise import NoiseModel, _modulate, _profile_chunks
 from .spectral import (
     Domain,
     SpectralField,
-    _analysis,
     _check_eps,
     _grad_sq,
     _integrals,
     _rows,
     _synthesis,
+    _transforms,
     neumann_eigensystem,
 )
 
@@ -225,19 +227,21 @@ class Trajectory:
 # the implicit solve
 
 
-def _potential(c, react, config: SolverConfig, domain: Domain, mu):
+def _potential(c, react, config: SolverConfig, domain: Domain, mu, transforms):
     """(grid, J, xi, w) of a (B, *modes) coefficient stack c, for eigenvalues mu.
 
     grid holds c's values on the dealiased grid and J their resolvent;
     xi = beta_lam(c) and w = -Lap c + beta_lam(c) + pi(react) - g, with the
-    reaction taken at react.  Callers are silent (mn._silent).
+    reaction taken at react, and transforms = ``_transforms(domain.modes)``.
+    Callers are silent (mn._silent).
     """
     g = config.source
     if g is not None and g.domain != domain:
         raise ValueError("source field lives on a different domain")
-    grid = _synthesis(c, domain.modes)
+    synthesis, analysis = transforms
+    grid = synthesis(c)
     J = mn.resolvent(config.graph, config.lam, grid)
-    xi = _analysis((grid - J) / config.lam, domain.modes)
+    xi = analysis((grid - J) / config.lam)
     q = -config.perturbation.lipschitz * react
     if g is not None:
         q = q - g.coeffs
@@ -324,6 +328,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         plan = _step_plan(domain, config.eps, dt)
     mu, wgt, sq, sqmu, visc, dtmu, diag, coupling, diag_flat, dtmu_flat, sq_tail, sqmu_tail = plan
     modes = domain.modes
+    transforms = synthesis, analysis = _transforms(modes)
     graph = config.graph
     s = config.perturbation.lipschitz
     lam = config.lam
@@ -342,7 +347,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
     rows = np.arange(n)
     for it in range(config.newton_max_iter + 1):
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
-        grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu)
+        grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu, transforms)
         F = visc * c + dtmu * w - rhs
         rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
 
@@ -379,7 +384,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         def matvec(y, active, rho=rho):
             weight = rho if len(active) == len(rho) else rho[active]
             y = y.reshape((len(y),) + modes)
-            t2 = _analysis(weight * _synthesis(sqmu * y / sq, modes), modes)
+            t2 = analysis(weight * synthesis(sqmu * y / sq))
             return _rows(diag * y + coupling * t2)
 
         # the floor follows |bhat| below tol: |F|_H can exceed |bhat| by up to
@@ -432,6 +437,7 @@ def _advance(u, noise, config, domain, dt, step_index, plan=None, depth=0, spent
     return c, w, xi, iters, res, depths
 
 
+@mn._silent
 def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
     # the trajectories of the members driven by noises, marched as one stack
     domain = u0.domain
@@ -442,11 +448,14 @@ def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
     mean = np.zeros(len(noises))
     plan = _step_plan(domain, config.eps, config.dt)  # plan[0] is mu
-    _, _, xi, w = mn._silent(_potential)(u0.coeffs, u0.coeffs, config, domain, plan[0])
+    _, _, xi, w = _potential(u0.coeffs, u0.coeffs, config, domain, plan[0],
+                             _transforms(domain.modes))
     fields = [[c], *([np.repeat(a[None], len(noises), axis=0)] for a in (w, xi)), [mean]]
     times, effort = [0.0], []
+    profiles = None if noises[0] is None else chain.from_iterable(_profile_chunks(
+        noises, _chunks(config.n_steps, max(1, _BATCH_BYTES // c.nbytes)), config.dt))
     for s in range(config.n_steps):
-        field = None if noises[0] is None else increment_stack(noises, c, s, config.dt)
+        field = None if profiles is None else _modulate(noises[0].operator, c, next(profiles))
         c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s, plan)
         mean = mean if field is None else mean + _rows(field)[:, 0]
         for rows, a in zip(fields, (c, w, xi, mean)):
@@ -478,8 +487,21 @@ def simulate(u0: SpectralField, config: SolverConfig,
     return batch.member(u0, config, noise)
 
 
-# stacks of one Batch group: at most about this many bytes, or one member
+# stacks of one Batch group, and the noise profiles a march draws at once:
+# at most about this many bytes, or one member and one step
 _BATCH_BYTES = 1 << 22
+
+# states per chunk of grid-sized temporaries: about this many grid points
+_CHUNK_POINTS = 4096
+
+
+def _chunk_states(domain: Domain) -> int:
+    return max(1, _CHUNK_POINTS // (2**domain.dimension * math.prod(domain.modes)))
+
+
+def _chunks(count: int, size: int) -> list:
+    # slices of range(count), size items each but the last
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 class Batch:
@@ -552,7 +574,8 @@ def drift(v: SpectralField, config: SolverConfig) -> SpectralField:
     discretizes.
     """
     mu = neumann_eigensystem(v.domain).mu
-    return SpectralField(v.domain, mu * _potential(v.coeffs, v.coeffs, config, v.domain, mu)[3])
+    w = _potential(v.coeffs, v.coeffs, config, v.domain, mu, _transforms(v.domain.modes))[3]
+    return SpectralField(v.domain, mu * w)
 
 
 @mn._silent
@@ -560,14 +583,20 @@ def evolution_residual(traj: Trajectory) -> np.ndarray:
     """H-norms of the discrete evolution identity, one per recorded step.
 
     Entry n is |(1 + eps*mu)(u_{n+1} - u_n) + dt*mu*w_{n+1} - B(u_n) dW_n|_H,
-    the noise redrawn from traj.noise in one increment_stack call.  A halved
-    step meets the identity per substep, not over the step: no bound holds.
+    the noise redrawn from traj.noise as the march draws it, in chunks of
+    about _CHUNK_POINTS grid points.  A halved step meets the identity per
+    substep, not over the step: no bound holds.
     """
-    cfg, u = traj.config, traj.u
+    cfg, u, w, noise = traj.config, traj.u, traj.w, traj.noise
     eig = neumann_eigensystem(traj.domain)
-    res = (1.0 + cfg.eps * eig.mu) * (u[1:] - u[:-1])
-    res = res + cfg.dt * eig.mu * traj.w[1:]
-    if traj.noise is not None:
-        steps = np.arange(len(u) - 1)
-        res = res - increment_stack((traj.noise,) * len(steps), u[:-1], steps, cfg.dt)
-    return np.sqrt(_rows(eig.weights * res**2).sum(axis=1))
+    chunks = _chunks(len(u) - 1, _chunk_states(traj.domain))
+    profiles = repeat(None) if noise is None else _profile_chunks((noise,), chunks, cfg.dt)
+    out = np.empty(len(u) - 1)
+    for now, chunk in zip(chunks, profiles):
+        after = slice(now.start + 1, now.stop + 1)
+        res = (1.0 + cfg.eps * eig.mu) * (u[after] - u[now])
+        res = res + cfg.dt * eig.mu * w[after]
+        if chunk is not None:
+            res = res - _modulate(noise.operator, u[now], chunk[:, 0])
+        out[now] = np.sqrt(_rows(eig.weights * res**2).sum(axis=1))
+    return out

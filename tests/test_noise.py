@@ -67,6 +67,37 @@ class TestWienerProcess:
         with pytest.raises(ValueError, match="nan"):
             noise.WienerProcess(3, seed=1).increments_at(0, float("nan"))
 
+    def test_non_integral_step_is_refused_by_name(self):
+        # step 2.5 used to read step 2's draw
+        with pytest.raises(ValueError, match=r"step must be an integer, got 2\.5$"):
+            noise.WienerProcess(3, 1).increments_at(2.5, 0.1)
+
+    def test_increment_stack_refuses_a_non_integral_step_by_name(self):
+        # a float step used to be taken for a sequence and raise TypeError
+        model = noise.NoiseModel(noise.WienerProcess(3, 1),
+                                 noise.diffusion_operator(Domain((1.0,), (8,)), 3))
+        with pytest.raises(ValueError, match=r"step must be an integer, got 2\.5$"):
+            noise.increment_stack([model], np.zeros((1, 8)), 2.5, 0.1)
+
+    def test_infinite_dt_is_refused_by_name(self):
+        # an infinite dt used to give infinite increments
+        with pytest.raises(ValueError, match="dt must be positive and finite, got inf"):
+            noise.WienerProcess(3, 1).increments_at(0, float("inf"))
+
+    @pytest.mark.parametrize("args, refused", (((3.7, 2), r"mode_count must be an integer, got 3\.7"),
+                                               ((3, 2.5), r"seed must be an integer, got 2\.5")),
+                             ids=["mode_count", "seed"])
+    def test_non_integral_mode_count_or_seed_is_refused_by_name(self, args, refused):
+        # 3.7 and 2.5 used to be truncated to 3 and 2
+        with pytest.raises(ValueError, match=refused + "$"):
+            noise.WienerProcess(*args)
+
+    def test_numpy_integers_index_the_noise(self):
+        p = noise.WienerProcess(np.int64(3), np.uint64(2))
+        assert (p.mode_count, p.seed) == (3, 2)
+        assert np.array_equal(p.increments_at(np.int32(4), 0.1),
+                              noise.WienerProcess(3, 2).increments_at(4, 0.1))
+
     @pytest.mark.parametrize("step", (-1, 2**63, 2**64 - 1, 2**64))
     def test_step_outside_the_counter_range_is_named(self, step):
         # -1 used to wrap to counter 2**64 - 1, 2**64 - 1 to warn about a cast

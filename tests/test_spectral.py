@@ -167,6 +167,18 @@ class TestBatchedPair:
             assert np.array_equal(back, sp._analysis(grid, modes))
         assert np.array_equal(stack, before)
 
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("modes, matrices", [((64,), True), ((8, 12), True),
+                                                 ((128,), False), ((96, 6), False)])
+    def test_raw_pair_equals_the_silent_entry_points(self, modes, matrices, rows):
+        # the solve applies the looked-up pair under its own errstate
+        stack = RNG.standard_normal((rows,) + modes)
+        synthesis, analysis = sp._transforms(modes)
+        assert (synthesis.func is sp._by_matrices) == (analysis.func is sp._by_matrices) == matrices
+        grids = synthesis(stack)
+        assert grids.tobytes() == sp._synthesis(stack, modes).tobytes()
+        assert analysis(grids).tobytes() == sp._analysis(grids, modes).tobytes()
+
     def test_transform_code_lives_only_in_spectral(self):
         package = Path(sp.__file__).parent
         offenders = [

@@ -1011,6 +1011,137 @@ def test_newton_cg_core_rebuilds_nothing_per_call():
     assert _per_call_rebuilds(tree, core) == []
 
 
+def _per_iteration_calls(tree, callees) -> list:
+    # (function, line, callee) of calls to callees that the Newton-CG core
+    # makes on every iteration: anywhere in cg, matvec and _potential, and
+    # inside the loops of _solve_step, nested functions included
+    scopes = [(fn.name, scope) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for scope in ([fn] if fn.name in ("cg", "matvec", "_potential") else
+                            [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
+                            if fn.name == "_solve_step" else [])]
+    return sorted({(name, node.lineno, callee) for name, scope in scopes
+                   for node in ast.walk(scope) if isinstance(node, ast.Call)
+                   for callee in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+                   if callee in callees})
+
+
+def test_newton_cg_core_transforms_through_the_pair_its_solve_looked_up():
+    # one route lookup and one errstate per solve: the silent entry points,
+    # the lookup and the noise draw stay out of every iteration
+    banned = ("_synthesis", "_analysis", "_transforms", "increment_stack")
+    snippet = ("def _solve_step():\n"
+               "    synthesis, analysis = _transforms(modes)\n"
+               "    for it in range(3):\n"
+               "        _synthesis(c, modes)\n"
+               "        def matvec():\n"
+               "            return analysis(sp._transforms(m)[1](y))\n"
+               "def cg():\n"
+               "    nz.increment_stack(models, c, 0, dt)\n"
+               "def _potential():\n"
+               "    return _analysis(x, modes)\n"
+               "def drift():\n"
+               "    return _synthesis(c, modes)\n")
+    assert _per_iteration_calls(ast.parse(snippet), banned) == [
+        ("_potential", 10, "_analysis"), ("_solve_step", 4, "_synthesis"),
+        ("_solve_step", 6, "_transforms"), ("cg", 8, "increment_stack"),
+        ("matvec", 6, "_transforms")]
+    tree = ast.parse(Path(sp.__file__).read_text())
+    core = ("_solve_step", "cg", "matvec", "_potential")
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(core)
+    assert _per_iteration_calls(tree, banned) == []
+
+
+class TestChunkedNoise:
+    """A march draws the noise of a chunk of steps at once, bitwise as step by step."""
+
+    @staticmethod
+    def record_steps(monkeypatch):
+        # (pre-step stack, noise field, step index) of every step a march takes
+        steps, original = [], sp._advance
+
+        def spy(u, noise, config, domain, dt, step_index, plan=None, *halving):
+            if not halving:
+                steps.append((u.copy(), noise, step_index))
+            return original(u, noise, config, domain, dt, step_index, plan, *halving)
+
+        monkeypatch.setattr(sp, "_advance", spy)
+        return steps
+
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_chunks_equal_per_step_increment_stack(self, long_domain, study_field, monkeypatch,
+                                                   kind, members):
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          dt=1e-3, t_final=8e-3)
+        op = nz.diffusion_operator(long_domain, 6, kind=kind, sigma=0.3, mean_zero=True)
+        noises = [nz.NoiseModel(nz.WienerProcess(6, s), op) for s in (5, 9, 2)[:members]]
+        batch = sp.Batch(study_field, cfg, noises) if members > 1 else None
+        assert batch is None or batch.size >= members  # one group
+        # chunks of 3 steps, so the 8 steps end on a short chunk
+        monkeypatch.setattr(sp, "_BATCH_BYTES", 3 * members * study_field.coeffs.nbytes)
+        draws, original = [], nz._increments
+        monkeypatch.setattr(nz, "_increments", lambda *a: draws.append(len(a[0])) or original(*a))
+        steps = self.record_steps(monkeypatch)
+        traj = sp.simulate(study_field, cfg, noises[0], batch)
+        assert draws == [3 * members, 3 * members, 2 * members]
+        assert [s for _, _, s in steps] == list(range(cfg.n_steps))
+        for u, field, s in steps:
+            assert field.tobytes() == nz.increment_stack(noises, u, s, cfg.dt).tobytes()
+        monkeypatch.undo()
+        default = sp.simulate(study_field, cfg, noises[0], batch and sp.Batch(study_field, cfg,
+                                                                              noises))
+        for a in ("u", "w", "xi", "noise_mean"):
+            assert getattr(traj, a).tobytes() == getattr(default, a).tobytes()
+
+    def test_noise_chunk_does_not_grow_with_the_run(self, monkeypatch):
+        dom = Domain((20.0, 20.0), (64, 64))
+        op = nz.diffusion_operator(dom, 16, sigma=0.1, mean_zero=True)
+        model = nz.NoiseModel(nz.WienerProcess(16, 1), op)
+        u0 = random_field(dom, np.random.default_rng(8), scale=0.1)
+        original = nz._profiles
+
+        class Drawn(Exception):
+            pass
+
+        def first_chunk(op, dW):
+            raise Drawn(original(op, dW).nbytes, dW.nbytes)
+
+        monkeypatch.setattr(nz, "_profiles", first_chunk)
+        sizes = []
+        for n_steps in (200, 2000):
+            cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.01,
+                              dt=0.01, t_final=n_steps * 0.01)
+            assert cfg.n_steps == n_steps
+            with pytest.raises(Drawn) as drawn:
+                sp.simulate(u0, cfg, model)
+            sizes.append(drawn.value.args)
+        assert sizes[0] == sizes[1]
+        assert max(sizes[0]) <= sp._BATCH_BYTES
+
+    def test_evolution_residual_memory_does_not_grow_with_the_run(self):
+        # the parent redrew and modulated every step at once: a peak of about
+        # 14 u stacks on this 2D multiplicative trajectory
+        import tracemalloc
+
+        dom = Domain((10.0, 10.0), (32, 32))
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.01,
+                          dt=1e-3, t_final=1e-3)
+        op = nz.diffusion_operator(dom, 8, kind="multiplicative", sigma=0.1)
+        u0 = random_field(dom, np.random.default_rng(3), scale=0.1)
+        traj = sp.simulate(u0, cfg, nz.NoiseModel(nz.WienerProcess(8, 4), op))
+        rng = np.random.default_rng(5)
+        u, w = (0.1 * rng.standard_normal((401,) + dom.modes) for _ in range(2))
+        long = replace(traj, u=u, w=w)
+        tracemalloc.start()
+        try:
+            got = sp.evolution_residual(long)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (400,) and np.isfinite(got).all()
+        assert peak < u.nbytes / 4
+
+
 def test_import_path_holds_no_scipy_sparse():
     """The stepper's CG is the in-repo loop; ``import svch.cli`` stays light."""
     import os
