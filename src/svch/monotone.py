@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import _silent
+from .spectral import _into, _silent
 
 __all__ = [
     "NoConvergence",
@@ -93,19 +93,20 @@ def _as_array(r):
 
 
 @_silent
-def resolvent(graph: MonotoneGraph, lam: float, r):
+def resolvent(graph: MonotoneGraph, lam: float, r, out=None):
     """Solve J + lam*beta(J) = r for J, elementwise, by the graph's resolvent_closed.
 
     Every graph carries a fixed-cost resolvent, odd in r, with |J| <= |r|;
     since d/dJ (J + lam*beta(J)) >= 1 the root is unique.  A point's root
     does not depend on the other points of the array, and a non-finite r
-    gives a non-finite J without a floating-point warning.
+    gives a non-finite J without a floating-point warning.  An array r's J
+    goes into out, an array of r's shape, when given, and out is returned.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     arr, scalar = _as_array(r)
-    out = graph.resolvent_closed(lam, arr)
-    return float(out) if scalar else out
+    J = graph.resolvent_closed(lam, arr)
+    return float(J) if scalar else _into(out, J)
 
 
 @_silent
@@ -117,17 +118,18 @@ def yosida(graph: MonotoneGraph, lam: float, r):
 
 
 @_silent
-def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None):
+def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None, out=None):
     """Derivative of the regularized graph, beta'(J) / (1 + lam*beta'(J)).
 
     J is resolvent(graph, lam, r) when the caller already holds it; it is
     computed here otherwise.  In [0, 1/lam] up to rounding; where beta'(J)
     overflows (the exponential graph past J = 710.5) it is the limit 1/lam.
+    out is as in resolvent.
     """
     arr, scalar = _as_array(r)
     bp = graph.beta_prime(np.asarray(resolvent(graph, lam, arr) if J is None else J))
-    out = np.where(np.isinf(bp), 1.0 / lam, bp / (1.0 + lam * bp))
-    return float(out) if scalar else out
+    rho = np.where(np.isinf(bp), 1.0 / lam, bp / (1.0 + lam * bp))
+    return float(rho) if scalar else _into(out, rho)
 
 
 @_silent

@@ -277,17 +277,18 @@ def _state_coeffs(op: DiffusionOperator, state: Optional[SpectralField]) -> np.n
     return state.coeffs
 
 
-def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray,
+              work=(None, None)) -> np.ndarray:
     # the state half of increment_stack: the profiles of additive noise, else
     # clamp(state) * profile minus its spatial mean; leading axes are a batch.
-    # Callers are silent
+    # work, when given, takes the state's and the profiles' grids.  Callers are silent
     if op.kind == "additive":
         return profiles
     modes = op.domain.modes
     synthesis, analysis = _transforms(modes)
     M = op.clamp_bound
-    clamped = np.clip(synthesis(coeffs), -M, M)
-    c = analysis(clamped * synthesis(profiles))
+    clamped = np.clip(synthesis(coeffs, work[0]), -M, M, out=work[0])
+    c = analysis(np.multiply(synthesis(profiles, work[1]), clamped, out=work[1]))
     c[(...,) + (0,) * len(modes)] = 0.0  # multiplicative forcing is mean-free by construction
     return c
 

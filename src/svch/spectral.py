@@ -245,7 +245,9 @@ def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
     # the raw (synthesis, analysis) pair between coefficients of shape modes
     # and values of shape grid (the factor-2 grid when None): the cosine
     # matrices when every axis fits _MATRIX_ENTRIES, else the DCT.  It enters
-    # no errstate, so its callers are silent
+    # no errstate, so its callers are silent.  Either half writes into and
+    # returns out, a C-contiguous array of the result's shape, when given:
+    # np.matmul's out on the matrix route, a copy on the DCT route
     grid = tuple(2 * m for m in modes) if grid is None else grid
     if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
         mats = tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
@@ -253,29 +255,40 @@ def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
     return functools.partial(_dct_synthesis, grid), functools.partial(_dct_analysis, modes)
 
 
-def _by_matrices(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+def _by_matrices(mats: Sequence[np.ndarray], x: np.ndarray, out=None) -> np.ndarray:
     # last axis as y @ M1, first as M0^T @ y, on (rows, 1, m) or (rows, m0, m1):
     # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence
-    if len(mats) == 1:
-        M, = mats
-        return (x.reshape(-1, 1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
-    M0, M1 = mats
-    y = M0.T @ (x.reshape((-1,) + x.shape[-2:]) @ M1)
-    return y.reshape(x.shape[:-2] + y.shape[1:])
-
-
-def _dct_synthesis(grid: tuple, coeffs: np.ndarray) -> np.ndarray:
-    # DCT-III, zero-padded by the transform
-    from scipy import fft as sfft
-
-    out = np.array(coeffs, dtype=float)
-    for ax, n in enumerate(grid, start=out.ndim - len(grid)):
-        out[_along(ax, slice(1, None))] *= 0.5
-        out = sfft.dct(out, type=3, n=n, axis=ax)
+    k = len(mats)
+    if k == 1:
+        a, b = x.reshape(-1, 1, x.shape[-1]), mats[0]
+    else:
+        a, b = mats[0].T, x.reshape((-1,) + x.shape[-2:]) @ mats[1]
+    if out is None:
+        y = a @ b
+        return y.reshape(x.shape[:-k] + y.shape[-k:])
+    np.matmul(a, b, out=out.reshape(-1, a.shape[-2], b.shape[-1]))
     return out
 
 
-def _dct_analysis(modes: tuple, values: np.ndarray) -> np.ndarray:
+def _into(out, a: np.ndarray) -> np.ndarray:
+    # a, or out holding a's values when out is given
+    if out is not None:
+        out[...] = a
+    return a if out is None else out
+
+
+def _dct_synthesis(grid: tuple, coeffs: np.ndarray, out=None) -> np.ndarray:
+    # DCT-III, zero-padded by the transform
+    from scipy import fft as sfft
+
+    values = np.array(coeffs, dtype=float)
+    for ax, n in enumerate(grid, start=values.ndim - len(grid)):
+        values[_along(ax, slice(1, None))] *= 0.5
+        values = sfft.dct(values, type=3, n=n, axis=ax)
+    return _into(out, values)
+
+
+def _dct_analysis(modes: tuple, values: np.ndarray, out=None) -> np.ndarray:
     # DCT-II in our normalization, cut to the first m coefficients per axis
     from scipy import fft as sfft
 
@@ -283,7 +296,7 @@ def _dct_analysis(modes: tuple, values: np.ndarray) -> np.ndarray:
         n = values.shape[ax]
         values = sfft.dct(values, type=2, axis=ax)[_along(ax, slice(0, m))] / n
         values[_along(ax, 0)] *= 0.5
-    return values
+    return _into(out, values)
 
 
 @_silent

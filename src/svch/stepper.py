@@ -15,7 +15,9 @@ the cosine basis and acts on coefficients.  One helper, ``_potential``,
 builds xi = beta_lam(u) and the chemical potential w for Newton's iterates,
 for the first row of a march and for ``drift``.  A march draws the noise of
 a chunk of steps at once; a step's noise field is the row that
-``noise.increment_stack`` returns for the pre-step state.
+``noise.increment_stack`` returns for the pre-step state.  A march holds its
+grid-sized working arrays in one workspace (``_workspace``): its solves and
+noise fields write their grid-sized results there, not into fresh arrays.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
 state, which makes the scheme unconditionally gradient-stable for the
@@ -146,8 +148,10 @@ class SolverConfig:
             raise ValueError("newton_tol below 1e-14 is not resolvable in double precision")
         if self.splitting not in ("convex_splitting", "fully_implicit"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
-        # a failing step spends newton_max_iter on each of up to 1024 substeps
-        for name, top in (("newton_max_iter", 100), ("cg_max_iter", math.inf)):
+        # a failing step costs up to 1024 substeps x newton_max_iter x cg_max_iter
+        # CG iterations; no correction took over 75 in the tests or 7 in the
+        # benchmark workloads, so 10000 (20x the default) leaves room
+        for name, top in (("newton_max_iter", 100), ("cg_max_iter", 10_000)):
             if not 0 <= getattr(self, name) <= top:
                 raise ValueError(f"{name} must lie in [0, {top}], got {getattr(self, name)!r}")
         # a substep below 2**-52 of its step is lost in the rounding of the
@@ -227,21 +231,23 @@ class Trajectory:
 # the implicit solve
 
 
-def _potential(c, react, config: SolverConfig, domain: Domain, mu, transforms):
+def _potential(c, react, config: SolverConfig, domain: Domain, mu, transforms,
+               work=(None,) * 3):
     """(grid, J, xi, w) of a (B, *modes) coefficient stack c, for eigenvalues mu.
 
     grid holds c's values on the dealiased grid and J their resolvent;
     xi = beta_lam(c) and w = -Lap c + beta_lam(c) + pi(react) - g, with the
     reaction taken at react, and transforms = ``_transforms(domain.modes)``.
-    Callers are silent (mn._silent).
+    work holds three (B, *grid) arrays that take grid, J and (grid - J) / lam,
+    fresh ones when None.  Callers are silent (mn._silent).
     """
     g = config.source
     if g is not None and g.domain != domain:
         raise ValueError("source field lives on a different domain")
     synthesis, analysis = transforms
-    grid = synthesis(c)
-    J = mn.resolvent(config.graph, config.lam, grid)
-    xi = analysis((grid - J) / config.lam)
+    grid = synthesis(c, work[0])
+    J = mn.resolvent(config.graph, config.lam, grid, work[1])
+    xi = analysis(np.divide(np.subtract(grid, J, out=work[2]), config.lam, out=work[2]))
     q = -config.perturbation.lipschitz * react
     if g is not None:
         q = q - g.coeffs
@@ -316,16 +322,25 @@ def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
     return plan
 
 
+def _workspace(members: int, domain: Domain) -> np.ndarray:
+    # three (members, *grid) slots, of which a solve of n members uses rows
+    # [:n]: an iterate's grid, J and (grid - J) / lam; once xi is taken, the
+    # third holds the Yosida slope and the first each CG matvec's grid
+    return np.empty((3, members) + tuple(2 * m for m in domain.modes))
+
+
 @mn._silent
-def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=None):
+def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=None,
+                work=None):
     """Advance a (B, *modes) coefficient stack by one backward Euler step of length dt.
 
-    plan is ``_step_plan(domain, config.eps, dt)``, built here when not given.
-    Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
-    xi of the members in failed, {member: NewtonDiverged}, are left unset.
+    plan is ``_step_plan(domain, config.eps, dt)`` and work a ``_workspace``
+    of at least B members, each built here when not given.  Returns (c, w,
+    xi, iterations, residuals, failed); the rows of c, w and xi of the
+    members in failed, {member: NewtonDiverged}, are left unset.
     """
-    if plan is None:
-        plan = _step_plan(domain, config.eps, dt)
+    plan = _step_plan(domain, config.eps, dt) if plan is None else plan
+    work = _workspace(len(u), domain) if work is None else work
     mu, wgt, sq, sqmu, visc, dtmu, diag, coupling, diag_flat, dtmu_flat, sq_tail, sqmu_tail = plan
     modes = domain.modes
     transforms = synthesis, analysis = _transforms(modes)
@@ -345,9 +360,11 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
     residuals = [[] for _ in range(n)]
     failed = {}
     rows = np.arange(n)
+    slots = tuple(work[:, :n])  # the active members' rows of the workspace
     for it in range(config.newton_max_iter + 1):
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
-        grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu, transforms)
+        grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu, transforms,
+                                    slots)
         F = visc * c + dtmu * w - rhs
         rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
 
@@ -368,12 +385,14 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         if not go:
             break
         if len(go) < len(rows):
-            rows, c, grid, J, F, rhs, u, rnorm = (
-                a[go] for a in (rows, c, grid, J, F, rhs, u, rnorm))
+            rows, c, F, rhs, u, rnorm = (a[go] for a in (rows, c, F, rhs, u, rnorm))
+            slots = tuple(work[:, :len(go)])
+            slots[0][:], slots[1][:] = grid[go], J[go]
+            grid, J = slots[:2]
 
-        rho = mn.yosida_derivative(graph, lam, grid, J)
+        rho = mn.yosida_derivative(graph, lam, grid, J, slots[2])
         if implicit_pi:
-            rho = rho - s
+            rho -= s
         # the row mean as numpy's mean computes it: the sum, then one division
         rho_bar = np.maximum(_rows(rho).sum(axis=1) / rho[0].size, 0.0)
         precond = 1.0 / (diag_flat + dtmu_flat * rho_bar[:, None])
@@ -381,11 +400,12 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         # mu > 0 on every mode but the constant one, flat index 0
         bhat[:, 1:] = -(sq_tail * _rows(F)[:, 1:]) / sqmu_tail
 
-        def matvec(y, active, rho=rho):
-            weight = rho if len(active) == len(rho) else rho[active]
+        def matvec(y, active, rho=rho, t=slots[0]):
+            if len(active) < len(rho):
+                rho, t = rho[active], t[:len(active)]
             y = y.reshape((len(y),) + modes)
-            t2 = analysis(weight * synthesis(sqmu * y / sq))
-            return _rows(diag * y + coupling * t2)
+            t = np.multiply(synthesis(sqmu * y / sq, t), rho, out=t)
+            return _rows(diag * y + coupling * analysis(t))
 
         # the floor follows |bhat| below tol: |F|_H can exceed |bhat| by up to
         # sqrt(max mu), and a fixed tol/10 would stall Newton just above tol
@@ -403,7 +423,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
 _MAX_SUBSTEPS = 1024
 
 
-def _advance(u, noise, config, domain, dt, step_index, plan=None, depth=0, spent=None):
+def _advance(u, noise, config, domain, dt, step_index, plan=None, work=None, depth=0,
+             spent=None):
     """One step of a member stack with rejection handling.
 
     A member whose Newton iteration fails repeats the interval alone, split
@@ -412,10 +433,10 @@ def _advance(u, noise, config, domain, dt, step_index, plan=None, depth=0, spent
     is unchanged.  Both halves may split again, so a member's sub-interval
     solves, counted in the one-element list spent, are capped at
     _MAX_SUBSTEPS.  A halved member's iterations and residuals are those of
-    its failed attempt followed by its halves', which share one step plan.
-    Returns (c, w, xi, iterations, residuals, depths).
+    its failed attempt followed by its halves', which share one step plan
+    and the first row of work.  Returns (c, w, xi, iterations, residuals, depths).
     """
-    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, plan)
+    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, plan, work)
     depths = [depth] * len(u)
     half = _step_plan(domain, config.eps, dt / 2.0) if failed else None
     for m, err in failed.items():
@@ -430,7 +451,7 @@ def _advance(u, noise, config, domain, dt, step_index, plan=None, depth=0, spent
         part, kick = u[m:m + 1], None if noise is None else noise[m:m + 1]
         for _ in range(2):
             part, wm, xim, it, r, d = _advance(part, kick, config, domain, dt / 2.0,
-                                               step_index, half, depth + 1, count)
+                                               step_index, half, work, depth + 1, count)
             iters[m], res[m], depths[m] = iters[m] + it[0], res[m] + r[0], max(depths[m], d[0])
             kick = None
         c[m], w[m], xi[m] = part[0], wm[0], xim[0]
@@ -448,15 +469,18 @@ def _trajectories(u0: SpectralField, config: SolverConfig, noises) -> list:
     c = np.repeat(u0.coeffs[None], len(noises), axis=0)
     mean = np.zeros(len(noises))
     plan = _step_plan(domain, config.eps, config.dt)  # plan[0] is mu
-    _, _, xi, w = _potential(u0.coeffs, u0.coeffs, config, domain, plan[0],
-                             _transforms(domain.modes))
-    fields = [[c], *([np.repeat(a[None], len(noises), axis=0)] for a in (w, xi)), [mean]]
+    work = _workspace(len(noises), domain)
+    _, _, xi, w = _potential(c[:1], c[:1], config, domain, plan[0], _transforms(domain.modes),
+                             work[:, :1])
+    fields = [[c], *([np.repeat(a, len(noises), axis=0)] for a in (w, xi)), [mean]]
     times, effort = [0.0], []
     profiles = None if noises[0] is None else chain.from_iterable(_profile_chunks(
         noises, _chunks(config.n_steps, max(1, _BATCH_BYTES // c.nbytes)), config.dt))
     for s in range(config.n_steps):
-        field = None if profiles is None else _modulate(noises[0].operator, c, next(profiles))
-        c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s, plan)
+        field = None if profiles is None else _modulate(noises[0].operator, c, next(profiles),
+                                                         work[:2])
+        c, w, xi, iters, residuals, depths = _advance(c, field, config, domain, config.dt, s,
+                                                      plan, work)
         mean = mean if field is None else mean + _rows(field)[:, 0]
         for rows, a in zip(fields, (c, w, xi, mean)):
             rows.append(a)

@@ -445,6 +445,8 @@ REPRODUCED = {
     "newton_max_iter": "[solver]\nnewton_max_iter = -3\n",
     # every correction is zero, so each substep of the halving spends every iteration
     "newton_work": "[solver]\ncg_max_iter = 0\nnewton_max_iter = 100000\n",
+    # a failing correction would run a billion CG iterations on each substep
+    "cg_work": "[solver]\ncg_max_iter = 1000000000\n",
     "step_count_overflow": "[solver]\nt_final = 1e300\ndt = 1e-300\n",
     "noise_column_overflow": "[noise]\nkind = additive\nrho = -1e308\n",
     "modes": "[domain]\nmodes = 1000000000000\n",

@@ -280,6 +280,25 @@ class TestPolynomialPowers:
                     assert math.isfinite(f(graph, lam, -1e100))
 
 
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_out_is_bitwise_the_allocating_call(name):
+    # the solver writes J and the Yosida slope into its workspace; non-finite
+    # and overflowing points stay silent there too
+    graph = mn.make_graph(name)
+    r = np.concatenate([RNG.uniform(-6, 6, 10),
+                        [0.0, 800.0, -1e300, 1e300, np.inf, -np.inf, np.nan, 2.0]]).reshape(2, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = mn.resolvent(graph, 1e-2, r)
+        rho = mn.yosida_derivative(graph, 1e-2, r, J)
+        out = np.empty_like(r)
+        assert mn.resolvent(graph, 1e-2, r, out) is out
+        assert out.tobytes() == J.tobytes()
+        slope = np.empty_like(r)
+        assert mn.yosida_derivative(graph, 1e-2, r, out, slope) is slope
+        assert slope.tobytes() == rho.tobytes()
+
+
 class TestYosida:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     @pytest.mark.parametrize("lam", LAMBDAS)

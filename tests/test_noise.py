@@ -405,6 +405,18 @@ class TestIncrementStack:
         stack = noise.increment_stack((model, model), states, 0, 0.05)
         assert not np.array_equal(stack[0], stack[1])
 
+    @pytest.mark.parametrize("kind", ("additive", "multiplicative"))
+    def test_modulate_in_a_workspace_is_bitwise(self, kind):
+        # the march hands _modulate two grid slots of its workspace
+        domain = Domain((4.0, 4.0), (8, 8))
+        op = noise.diffusion_operator(domain, 6, kind=kind, sigma=0.4)
+        states, profiles = RNG.standard_normal((2, 3, 8, 8))
+        want = noise._modulate(op, states, profiles)
+        work = np.empty((3, 3, 16, 16))
+        got = noise._modulate(op, states, profiles, work[:2])
+        assert got.tobytes() == want.tobytes()
+        assert not np.may_share_memory(got, work)
+
     def test_members_share_one_operator(self, long_domain):
         ops = [noise.diffusion_operator(long_domain, 4) for _ in range(2)]
         models = [noise.NoiseModel(noise.WienerProcess(4, seed=1), op) for op in ops]

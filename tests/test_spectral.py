@@ -179,6 +179,23 @@ class TestBatchedPair:
         assert grids.tobytes() == sp._synthesis(stack, modes).tobytes()
         assert analysis(grids).tobytes() == sp._analysis(grids, modes).tobytes()
 
+    @pytest.mark.parametrize("modes, matrices", [((64,), True), ((256,), False),
+                                                 ((8, 8), True)])
+    def test_out_is_bitwise_the_allocating_call(self, modes, matrices):
+        # a march writes the pair's results into prefix rows of its workspace
+        stack = RNG.standard_normal((3,) + modes)
+        synthesis, analysis = sp._transforms(modes)
+        assert (synthesis.func is sp._by_matrices) == matrices
+        grids, coeffs = synthesis(stack), analysis(synthesis(stack))
+        work = np.full((2, 5) + grids.shape[1:], np.nan)
+        out = work[1, :3]
+        assert synthesis(stack, out) is out
+        assert out.tobytes() == grids.tobytes()
+        assert np.isnan(work[0]).all() and np.isnan(work[1, 3:]).all()
+        back = np.empty_like(stack)
+        assert analysis(out, back) is back
+        assert back.tobytes() == coeffs.tobytes()
+
     def test_transform_code_lives_only_in_spectral(self):
         package = Path(sp.__file__).parent
         offenders = [

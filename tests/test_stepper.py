@@ -557,6 +557,11 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match="newton_max_iter"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_max_iter=101)
 
+    def test_cg_iterations_bounded(self, quartic, neg_id):
+        sp.SolverConfig(graph=quartic, perturbation=neg_id, cg_max_iter=10_000)
+        with pytest.raises(ValueError, match=r"cg_max_iter must lie in \[0, 10000\]"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, cg_max_iter=10_001)
+
     def test_step_count_overflow_rejected(self, quartic, neg_id):
         with pytest.raises(ValueError, match="overflows"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=1e-300, t_final=1e300)
@@ -1059,10 +1064,10 @@ class TestChunkedNoise:
         # (pre-step stack, noise field, step index) of every step a march takes
         steps, original = [], sp._advance
 
-        def spy(u, noise, config, domain, dt, step_index, plan=None, *halving):
+        def spy(u, noise, config, domain, dt, step_index, plan=None, work=None, *halving):
             if not halving:
                 steps.append((u.copy(), noise, step_index))
-            return original(u, noise, config, domain, dt, step_index, plan, *halving)
+            return original(u, noise, config, domain, dt, step_index, plan, work, *halving)
 
         monkeypatch.setattr(sp, "_advance", spy)
         return steps
@@ -1159,3 +1164,59 @@ def test_import_path_holds_no_scipy_sparse():
     for path in sorted((src / "svch").glob("*.py")):
         text = path.read_text()
         assert "scipy.sparse" not in text and "LinearOperator" not in text, path.name
+
+
+class TestWorkspace:
+    """A march's grid-sized working arrays live in one workspace and never leak."""
+
+    @staticmethod
+    def march(u0, cfg, noises, monkeypatch):
+        # the member trajectories of one Batch march, and (input, noise,
+        # workspace, c, w, xi) of each of its steps
+        steps, original = [], sp._advance
+
+        def spy(u, noise, config, domain, dt, step_index, plan=None, work=None, *halving):
+            out = original(u, noise, config, domain, dt, step_index, plan, work, *halving)
+            if not halving:
+                steps.append((u, noise, work) + out[:3])
+            return out
+
+        monkeypatch.setattr(sp, "_advance", spy)
+        batch = sp.Batch(u0, cfg, noises)
+        trajs = [sp.simulate(u0, cfg, model, batch) for model in noises]
+        monkeypatch.undo()
+        assert batch.size >= len(noises)  # one march
+        return trajs, steps
+
+    @pytest.mark.parametrize("newton_max_iter, halved", [(30, False), (3, True)])
+    def test_members_equal_solo_and_rows_own_their_memory(self, monkeypatch, newton_max_iter,
+                                                          halved):
+        dom = Domain((4.0, 4.0), (16, 16))
+        u0 = random_field(dom, np.random.default_rng(3), scale=0.05)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.1, t_final=0.4, newton_max_iter=newton_max_iter)
+        op = nz.diffusion_operator(dom, 8, kind="multiplicative", sigma=5.0)
+        noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in (1, 0)]
+        trajs, steps = self.march(u0, cfg, noises, monkeypatch)
+        # the members converge at different Newton iterations, and under the
+        # tight cap exactly one of them halves
+        assert any(len(set(its)) > 1 for its in zip(*(t.newton_iterations for t in trajs)))
+        assert [max(t.rejections) > 0 for t in trajs] == ([False, True] if halved else
+                                                          [False, False])
+        for traj, model in zip(trajs, noises):
+            solo = sp.simulate(u0, cfg, model)
+            for f in ("u", "w", "xi", "noise_mean"):
+                assert getattr(traj, f).tobytes() == getattr(solo, f).tobytes()
+            assert (traj.newton_iterations, traj.newton_residuals, traj.rejections) == (
+                solo.newton_iterations, solo.newton_residuals, solo.rejections)
+        work = steps[0][2]
+        assert len(steps) == cfg.n_steps and all(step[2] is work for step in steps)
+        assert work.shape == (3, 2, 32, 32)
+        for s, (_, _, _, c, w, xi) in enumerate(steps):
+            # later steps' rows and the next step's input, which is c itself
+            later = [a for step in steps[s + 1:] for a in step[3:]] + [
+                a for step in steps[s + 1:s + 2] for a in step[:2] if a is not c]
+            for a in (c, w, xi):
+                assert not np.may_share_memory(a, work)
+                assert not any(np.may_share_memory(a, b) for b in later)
+            assert not any(np.may_share_memory(a, b) for a, b in ((c, w), (c, xi), (w, xi)))
