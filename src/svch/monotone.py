@@ -204,9 +204,19 @@ def _cubic_resolvent(lam, r):
     Newton step takes the residual to the rounding floor.  Odd in r exactly.
     """
     s = np.sqrt(3.0 * lam)
-    J = (2.0 / s) * np.sinh(np.arcsinh(1.5 * s * r) / 3.0)
+    # in place, three arrays of r's size at most: fresh 2D temporaries cost page faults
+    J = np.multiply(1.5 * s, r, out=np.empty(np.shape(r)))
+    np.sinh(np.divide(np.arcsinh(J, out=J), 3.0, out=J), out=J)
+    J *= 2.0 / s
     lj2 = lam * J * J
-    return J - (J + J * lj2 - r) / (1.0 + 3.0 * lj2)
+    dJ = J * lj2
+    dJ += J
+    dJ -= r
+    lj2 *= 3.0
+    lj2 += 1.0
+    dJ /= lj2
+    J -= dJ
+    return J
 
 
 def _quintic_resolvent(lam, r):

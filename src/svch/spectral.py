@@ -222,22 +222,23 @@ def _along(axis: int, index) -> tuple:
 
 
 # Bound on m * n per axis for the matrix route.  One thread, synthesis plus
-# analysis, matrices against DCT: 1D 128 modes 27 against 52 us alone but 185
-# against 97 us on a 16-row stack; 1D 256 modes 88 against 57 us; 2D 128 x 128
-# 1.1 against 1.4 ms.  So the bound (90 modes at factor 2) stays below these.
+# analysis, matrices against DCT: 1D 128 modes 11 against 29 us alone but 140
+# against 61 us on a 16-row stack (90 modes: 67 against 53 us); 1D 256 modes 57
+# against 32 us; 2D 128 x 128 1.0 against 0.9 ms.  So the bound stays at 90 modes.
 _MATRIX_ENTRIES = 2**14
 
 
 @functools.lru_cache(maxsize=None)
 def _cosine_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # synthesis C[k, j] = cos(pi k (j + 1/2) / n) and analysis A = (2/n) C^T
-    # with column 0 set to 1/n: the DCT pair below with its scalings folded in
-    C = np.cos(np.pi * np.outer(np.arange(m), np.arange(n) + 0.5) / n)
-    A = np.ascontiguousarray((2.0 / n) * C.T)
-    A[:, 0] = 1.0 / n
-    C.setflags(write=False)
+    # synthesis S[j, k] = cos(pi k (j + 1/2) / n) and analysis A = (2/n) S^T
+    # with row 0 set to 1/n, each the matrix that multiplies a column: the DCT
+    # pair below with its scalings folded in
+    S = np.cos(np.pi * np.outer(np.arange(n) + 0.5, np.arange(m)) / n)
+    A = np.ascontiguousarray((2.0 / n) * S.T)
+    A[0] = 1.0 / n
+    S.setflags(write=False)
     A.setflags(write=False)
-    return C, A
+    return S, A
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,7 +248,7 @@ def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
     # matrices when every axis fits _MATRIX_ENTRIES, else the DCT.  It enters
     # no errstate, so its callers are silent.  Either half writes into and
     # returns out, a C-contiguous array of the result's shape, when given:
-    # np.matmul's out on the matrix route, a copy on the DCT route
+    # numpy's out on the matrix route, a copy on the DCT route
     grid = tuple(2 * m for m in modes) if grid is None else grid
     if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
         mats = tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
@@ -256,18 +257,14 @@ def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
 
 
 def _by_matrices(mats: Sequence[np.ndarray], x: np.ndarray, out=None) -> np.ndarray:
-    # last axis as y @ M1, first as M0^T @ y, on (rows, 1, m) or (rows, m0, m1):
-    # a flat (B, m) @ (m, n) gemm would break the rows' bitwise independence
-    k = len(mats)
-    if k == 1:
-        a, b = x.reshape(-1, 1, x.shape[-1]), mats[0]
-    else:
-        a, b = mats[0].T, x.reshape((-1,) + x.shape[-2:]) @ mats[1]
-    if out is None:
-        y = a @ b
-        return y.reshape(x.shape[:-k] + y.shape[-k:])
-    np.matmul(a, b, out=out.reshape(-1, a.shape[-2], b.shape[-1]))
-    return out
+    # 1D: one matrix-vector product per row; 2D: M0 @ y @ M1^T on (rows, m0, m1).
+    # A flat (B, m) @ (m, n) gemm would break the rows' bitwise independence
+    if len(mats) == 1:
+        return np.matvec(mats[0], x, out=out)
+    y = x.reshape((-1,) + x.shape[-2:]) @ mats[1].T
+    into = None if out is None else out.reshape(len(y), -1, y.shape[-1])
+    y = np.matmul(mats[0], y, out=into)
+    return y.reshape(x.shape[:-2] + y.shape[-2:]) if out is None else out
 
 
 def _into(out, a: np.ndarray) -> np.ndarray:

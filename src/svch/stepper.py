@@ -34,10 +34,10 @@ fails.  It runs matrix-free: the Jacobian is diagonal plus
 dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
 definite in the Parseval metric, so the linear solves use the in-repo
-preconditioned conjugate gradients ``cg`` (cap 500).  Each correction is
-solved to max(min(newton_tol, |b|)/10, 1e-3 * min(1, |F|) * |b|) for its
-member's Newton residual F and right-hand side b: an inexact Newton forcing
-term.
+preconditioned conjugate gradients ``cg``, capped at cg_max_iter (default
+500, at most 10000).  Each correction is solved to max(min(newton_tol,
+|b|)/10, 1e-3 * min(1, |F|) * |b|) for its member's Newton residual F and
+right-hand side b: an inexact Newton forcing term.
 
 The solver core advances (B, *modes) member stacks: ``simulate`` marches one
 row, a ``Batch`` the members of an ensemble, and each march stacks its rows
@@ -263,19 +263,18 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
     |r| < atol or after maxiter updates; callback sees the active iterates
     after each update.  Returns (x, members that hit maxiter).
     """
-    x = np.empty_like(b)
-    rows = np.arange(len(b))
-    xa, r, pre = np.zeros_like(b), b.copy(), precond
-    atol = np.full(len(b), atol) if np.ndim(atol) == 0 else atol
-    p = rho_prev = None
+    rows, r, pre = np.arange(len(b)), b.copy(), precond
+    x = xa = np.zeros(b.shape)  # every member's row, and the active members' once one left
     for it in range(maxiter):
         done = np.sqrt(np.vecdot(r, r)) < atol
         if np.count_nonzero(done):
-            x[rows[done]] = xa[done]
+            if x is not xa:
+                x[rows[done]] = xa[done]
             keep = np.nonzero(~done)[0]
             if not len(keep):
                 return x, 0
-            rows, xa, r, pre, atol = rows[keep], xa[keep], r[keep], pre[keep], atol[keep]
+            rows, xa, r, pre = rows[keep], xa[keep], r[keep], pre[keep]
+            atol = atol[keep] if np.ndim(atol) else atol
             if it:
                 p, rho_prev = p[keep], rho_prev[keep]
         z = pre * r
@@ -292,7 +291,8 @@ def cg(matvec, b, precond, atol, maxiter, callback=None):
         rho_prev = rho
         if callback is not None:
             callback(xa)
-    x[rows] = xa
+    if x is not xa:
+        x[rows] = xa
     return x, len(rows)
 
 
@@ -307,16 +307,19 @@ _FORCING = 1e-3
 def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
     """Read-only constants of every step of length dt at viscosity eps.
 
-    (mu, weights, sq, sqmu, visc, dtmu, diag, coupling) and the flat diag,
-    dtmu, sq and sqmu that precond and bhat read, the last two without mode 0.
+    (mu, weights, to_b, to_c, visc, dtmu, diag, coupling, diag, dtmu), of
+    which weights, to_b, to_c and the last two are flat.  CG's two maps are zero
+    on the constant mode: b = to_b * F = -sqrt(weights / mu) F, update to_c * x.
     """
     eig = neumann_eigensystem(domain)
     mu = eig.mu
     sq, sqmu = np.sqrt(eig.weights), np.sqrt(mu)
     visc, dtmu = 1.0 + eps * mu, dt * mu
     diag = visc + dtmu * mu
-    plan = (mu, eig.weights, sq, sqmu, visc, dtmu, diag, dt * sqmu * sq,
-            diag.ravel(), dtmu.ravel(), sq.ravel()[1:], sqmu.ravel()[1:])
+    to_b, to_c = (-sq / sqmu).ravel(), (sqmu / sq).ravel()
+    to_b[0] = 0.0
+    plan = (mu, eig.weights.ravel(), to_b, to_c, visc, dtmu, diag, dt * sqmu * sq,
+            diag.ravel(), dtmu.ravel())
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -324,8 +327,9 @@ def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
 
 def _workspace(members: int, domain: Domain) -> np.ndarray:
     # three (members, *grid) slots, of which a solve of n members uses rows
-    # [:n]: an iterate's grid, J and (grid - J) / lam; once xi is taken, the
-    # third holds the Yosida slope and the first each CG matvec's grid
+    # [:n]: an iterate's grid, J and (grid - J) / lam; then the Yosida slope
+    # in the third, bhat and the scaled matvec input in the second, and each
+    # CG matvec's grid in the first
     return np.empty((3, members) + tuple(2 * m for m in domain.modes))
 
 
@@ -341,12 +345,9 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
     """
     plan = _step_plan(domain, config.eps, dt) if plan is None else plan
     work = _workspace(len(u), domain) if work is None else work
-    mu, wgt, sq, sqmu, visc, dtmu, diag, coupling, diag_flat, dtmu_flat, sq_tail, sqmu_tail = plan
+    mu, wgt, to_b, to_c, visc, dtmu, diag, coupling, diag_flat, dtmu_flat = plan
     modes = domain.modes
     transforms = synthesis, analysis = _transforms(modes)
-    graph = config.graph
-    s = config.perturbation.lipschitz
-    lam = config.lam
     tol = config.newton_tol
     implicit_pi = config.splitting == "fully_implicit"
 
@@ -365,8 +366,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         # one resolvent per iterate: beta_lam, the Jacobian weight and xi share J
         grid, J, xi, w = _potential(c, c if implicit_pi else u, config, domain, mu, transforms,
                                     slots)
-        F = visc * c + dtmu * w - rhs
-        rnorm = np.sqrt(_rows(wgt * F * F).sum(axis=1))
+        F = _rows(visc * c + dtmu * w - rhs)
+        rnorm = np.sqrt(np.vecdot(F, wgt * F))
 
         go = []
         for k, m in enumerate(rows.tolist()):
@@ -390,22 +391,22 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
             slots[0][:], slots[1][:] = grid[go], J[go]
             grid, J = slots[:2]
 
-        rho = mn.yosida_derivative(graph, lam, grid, J, slots[2])
+        rho = mn.yosida_derivative(config.graph, config.lam, grid, J, slots[2])
         if implicit_pi:
-            rho -= s
+            rho -= config.perturbation.lipschitz
         # the row mean as numpy's mean computes it: the sum, then one division
         rho_bar = np.maximum(_rows(rho).sum(axis=1) / rho[0].size, 0.0)
         precond = 1.0 / (diag_flat + dtmu_flat * rho_bar[:, None])
-        bhat = np.zeros((len(rows), c[0].size))
-        # mu > 0 on every mode but the constant one, flat index 0
-        bhat[:, 1:] = -(sq_tail * _rows(F)[:, 1:]) / sqmu_tail
+        vec = _rows(slots[1])[:, :2 * F.shape[1]].reshape(len(F), 2, -1)
+        bhat = np.multiply(F, to_b, out=vec[:, 0])
 
-        def matvec(y, active, rho=rho, t=slots[0]):
+        def matvec(y, active, rho=rho, t=slots[0], v=vec[:, 1]):
             if len(active) < len(rho):
                 rho, t = rho[active], t[:len(active)]
-            y = y.reshape((len(y),) + modes)
-            t = np.multiply(synthesis(sqmu * y / sq, t), rho, out=t)
-            return _rows(diag * y + coupling * analysis(t))
+            shape = t.shape[:1] + modes
+            t = synthesis(np.multiply(y, to_c, out=v[:len(y)]).reshape(shape), t)
+            t *= rho
+            return _rows(diag * y.reshape(shape) + coupling * analysis(t))
 
         # the floor follows |bhat| below tol: |F|_H can exceed |bhat| by up to
         # sqrt(max mu), and a fixed tol/10 would stall Newton just above tol
@@ -413,7 +414,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
         bnorm = np.sqrt(np.vecdot(bhat, bhat))
         atol = np.maximum(np.minimum(tol, bnorm) / 10.0, eta * bnorm)
         x, _ = cg(matvec, bhat, precond, atol, config.cg_max_iter)
-        c = c + sqmu * x.reshape(c.shape) / sq
+        x *= to_c
+        c += x.reshape(c.shape)
 
     iterations = [len(r) - 1 for r in residuals]
     return out[0], out[1], out[2], iterations, residuals, failed

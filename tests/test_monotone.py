@@ -139,6 +139,28 @@ class TestCubicClosedForm:
         r = self.sample(np.random.default_rng(5))
         assert np.array_equal(mn.resolvent(quartic, lam, -r), -mn.resolvent(quartic, lam, r))
 
+    def test_in_place_steps_equal_the_formula_in_three_arrays(self):
+        # the hyperbolic start and one Newton step as plain expressions; the
+        # resolvent computes them in place, with three arrays of r's size alive
+        import tracemalloc
+
+        lam = 1e-2
+        r = self.sample(np.random.default_rng(6))
+        s = np.sqrt(3.0 * lam)
+        J = (2.0 / s) * np.sinh(np.arcsinh(1.5 * s * r) / 3.0)
+        lj2 = lam * J * J
+        want = J - (J + J * lj2 - r) / (1.0 + 3.0 * lj2)
+        before = r.copy()
+        tracemalloc.start()
+        try:
+            got = mn._cubic_resolvent(lam, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes() and np.array_equal(r, before)
+        assert peak < 3.5 * r.nbytes
+        assert mn._cubic_resolvent(lam, np.asarray(r[7])) == want[7]
+
 
 CLOSED_LAMBDAS = TestCubicClosedForm.CLOSED_LAMBDAS
 

@@ -919,6 +919,56 @@ class TestBatchedCore:
             x_arr, info_arr = sp.cg(matvec, b, precond, np.full(3, 1e-9), maxiter)
             assert np.array_equal(x, x_arr) and info == info_arr == (3 if maxiter == 4 else 0)
 
+    @staticmethod
+    def spd_systems(seed, count, n=30):
+        # count SPD systems of condition 1e4: (matvec, b, Jacobi preconditioner);
+        # the matvec records the members it is asked to apply
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        mats = q @ (np.geomspace(1.0, 1e4, n)[:, None] * q.transpose(0, 2, 1))
+        calls = []
+
+        def matvec(members):
+            def apply(p, rows):
+                calls.append([members[k] for k in rows])
+                return np.stack([mats[members[k]] @ y for k, y in zip(rows, p, strict=True)])
+            return apply
+
+        return matvec, calls, rng.standard_normal((count, n)), 1.0 / np.diagonal(mats, 0, 1, 2)
+
+    def test_pcg_staggered_exits_and_a_capped_member_equal_solo(self):
+        matvec, calls, b, precond = self.spd_systems(10, 4)
+        before = b.copy()
+        atol = np.array([1e-2, 1e-6, 1e-9, 0.0])  # the last member runs into maxiter
+        x, hits = sp.cg(matvec([0, 1, 2, 3]), b, precond, atol, 100)
+        assert hits == 1 and np.array_equal(b, before) and not np.shares_memory(x, b)
+        # matvecs per member: the first three leave at three different
+        # iterations, the last stays to the cap
+        left = [sum(m in c for c in calls) for m in range(4)]
+        assert left[0] < left[1] < left[2] < left[3] == 100
+        for m in range(4):
+            calls.clear()
+            solo, solo_hits = sp.cg(matvec([m]), b[m:m + 1], precond[m:m + 1], atol[m], 100)
+            assert x[m].tobytes() == solo[0].tobytes()
+            assert (len(calls), solo_hits) == (left[m], int(m == 3))
+
+    @pytest.mark.parametrize("maxiter, hits", [(200, 0), (3, 1)])
+    def test_pcg_lone_member_equals_its_row_of_a_stack(self, maxiter, hits):
+        matvec, _, b, precond = self.spd_systems(11, 2)
+        before = b.copy()
+        x, got = sp.cg(matvec([0]), b[:1], precond[:1], 1e-10, maxiter)
+        pair, _ = sp.cg(matvec([0, 1]), b, precond, 1e-10, maxiter)
+        assert x.shape == (1, 30) and got == hits
+        assert x[0].tobytes() == pair[0].tobytes()
+        assert np.array_equal(b, before) and not np.shares_memory(x, b)
+
+    def test_pcg_without_iterations_returns_zeros(self):
+        matvec, calls, b, precond = self.spd_systems(12, 3)
+        x, hits = sp.cg(matvec([0, 1, 2]), b, precond, 1e-9, 0)
+        assert hits == 3 and calls == []
+        assert x.shape == b.shape and not x.any() and not np.shares_memory(x, b)
+
+
 class TestStepPlan:
     """A march builds the constants of its step length once."""
 
@@ -959,11 +1009,48 @@ class TestStepPlan:
 
     def test_plan_arrays_are_read_only(self, plane_domain):
         plan = sp._step_plan(plane_domain, 0.1, 1e-3)
-        assert len(plan) == 12
+        assert len(plan) == 10
         for a in plan:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             plan[6][0, 0] = 0.0
+        for to in plan[2:4]:  # CG's two similarity maps
+            with pytest.raises(ValueError, match="read-only"):
+                to[1] = 0.0
+
+    @pytest.mark.parametrize("domain", ["long_domain", "plane_domain"])
+    def test_maps_are_flat_and_zero_on_the_constant_mode(self, request, domain):
+        dom = request.getfixturevalue(domain)
+        to_b, to_c = sp._step_plan(dom, 0.1, 1e-3)[2:4]
+        assert to_b.shape == to_c.shape == (np.prod(dom.modes),)
+        assert to_b[0] == to_c[0] == 0.0
+        assert np.all(to_b[1:] < 0) and np.all(to_c[1:] > 0)
+
+    def test_bhat_is_the_scaled_residual(self, plane_domain, monkeypatch):
+        # b = -sqrt(w) F / sqrt(mu) off the constant mode and 0 on it, for the
+        # residual F of the iterate that each correction starts from
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.1,
+                          lam=1e-2, dt=0.05, t_final=0.05, newton_tol=1e-12)
+        u = np.stack([random_field(plane_domain, np.random.default_rng(m), scale=0.5).coeffs
+                      for m in range(2)])
+        noise = 0.01 * np.random.default_rng(7).standard_normal(u.shape)
+        iterates, systems = [], []
+        potential, cg = sp._potential, sp.cg
+        monkeypatch.setattr(sp, "_potential", lambda c, *a: iterates.append(
+            (c.copy(), r := potential(c, *a))) or r)
+        monkeypatch.setattr(sp, "cg", lambda m, b, *a: systems.append(b.copy()) or cg(m, b, *a))
+        sp._advance(u, noise, cfg, plane_domain, cfg.dt, 0)
+        eig = neumann_eigensystem(plane_domain)
+        visc, dtmu = 1.0 + cfg.eps * eig.mu, cfg.dt * eig.mu
+        sq, sqmu = np.sqrt(eig.weights).ravel()[1:], np.sqrt(eig.mu).ravel()[1:]
+        rhs = visc * u + noise
+        both = [(b, c, r[3]) for b, (c, r) in zip(systems, iterates) if len(b) == 2]
+        assert len(both) >= 2  # the corrections before either member converges
+        for b, c, w in both:
+            F = (visc * c + dtmu * w - rhs).reshape(2, -1)
+            want = -(sq * F[:, 1:]) / sqmu
+            assert np.all(b[:, 0] == 0.0)
+            assert np.all(np.abs(b[:, 1:] - want) <= 1e-15 * np.abs(want))
 
     def test_advance_with_and_without_a_plan_agree_bitwise(self, long_domain):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.01,
@@ -1054,6 +1141,28 @@ def test_newton_cg_core_transforms_through_the_pair_its_solve_looked_up():
     core = ("_solve_step", "cg", "matvec", "_potential")
     assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(core)
     assert _per_iteration_calls(tree, banned) == []
+
+
+def test_newton_loop_and_matvec_fill_no_fresh_arrays():
+    # bhat, the matvec's scaled input and the Newton update are products with
+    # the plan's maps, into the workspace or in place; cg alone starts an
+    # array of zeros, its result from x = 0
+    fills = ("zeros", "zeros_like", "full")
+    snippet = ("def _solve_step():\n"
+               "    out = np.zeros(3)\n"
+               "    for it in range(3):\n"
+               "        b = np.zeros((2, 3))\n"
+               "        def matvec():\n"
+               "            return np.full(3, 1.0)\n"
+               "def cg():\n"
+               "    x = np.zeros_like(b)\n"
+               "def _potential():\n"
+               "    return np.zeros_like(c)\n")
+    assert [c for c in _per_iteration_calls(ast.parse(snippet), fills) if c[0] != "cg"] == [
+        ("_potential", 10, "zeros_like"), ("_solve_step", 4, "zeros"),
+        ("_solve_step", 6, "full"), ("matvec", 6, "full")]
+    tree = ast.parse(Path(sp.__file__).read_text())
+    assert [c for c in _per_iteration_calls(tree, fills) if c[0] != "cg"] == []
 
 
 class TestChunkedNoise:
