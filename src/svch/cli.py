@@ -66,14 +66,18 @@ __all__ = [
 ARTIFACT_VERSION = 1
 ENV_PREFIX = "SVCH_"
 
-MODES = (
-    "simulate",
-    "continuous_dependence",
-    "vanishing_viscosity",
-    "yosida_sweep",
-    "ensemble",
-    "regularity",
-)
+# each study mode: the RunConfig grid it sweeps, the order its study takes it
+# in (the CLI runs the grid's distinct values so), the fewest distinct values
+# it needs, the name of its study in experiments (looked up per run, so a
+# rebinding of the name is seen) and whether the study takes a pair of data
+# (the problem, and the problem offset as _offset makes it)
+_STUDIES = {
+    "continuous_dependence": ("eps_grid", "increasing", 1, "continuous_dependence_study", True),
+    "vanishing_viscosity": ("eps_grid", "decreasing", 2, "vanishing_viscosity_study", False),
+    "yosida_sweep": ("lam_grid", "decreasing", 2, "yosida_convergence_study", False),
+    "regularity": ("eps_grid", "increasing", 1, "regularity_study", False),
+}
+MODES = ("simulate", *_STUDIES, "ensemble")
 
 
 class ParseError(ValueError):
@@ -294,12 +298,16 @@ def validate_config(config: RunConfig) -> None:
         raise ValidationError(
             f"config asks for {size} values at once (modes x noise modes x members), "
             f"over the budget of {GRID_BUDGET}")
+    # simulate and ensemble take no grid in order and no pair of data
+    grid, _, least, _, paired = _STUDIES.get(config.mode, ("eps_grid", "", 1, "", False))
     try:
-        solver, _ = _build(config)
+        solver, data = _build(config)
         for eps in config.eps_grid:
             replace(solver, eps=eps)
         for lam in config.lam_grid:
             replace(solver, lam=lam)
+        if paired:
+            _offset(config, data)
     except ValueError as err:
         raise ValidationError(str(err)) from err
 
@@ -310,19 +318,11 @@ def validate_config(config: RunConfig) -> None:
             raise ValidationError(f"ensemble needs at least {ex.MIN_MEMBERS} members")
         if config.noise_kind == "none":
             raise ValidationError("ensemble mode needs a noise section with kind != none")
-    if config.mode == "continuous_dependence":
-        if config.star_offset <= 0:
-            raise ValidationError("star_offset must be positive")
-        if not 1 <= config.offset_mode < total:
-            raise ValidationError(
-                "offset_mode must be a nonconstant mode index (the offset may "
-                "not move the spatial mean)")
     if not config.eps_grid or not config.lam_grid:
         raise ValidationError("sweep grids may not be empty")
-    if config.mode == "vanishing_viscosity" and len(set(config.eps_grid)) < 2:
-        raise ValidationError("vanishing_viscosity needs at least two distinct eps values")
-    if config.mode == "yosida_sweep" and len(set(config.lam_grid)) < 2:
-        raise ValidationError("yosida_sweep needs at least two distinct lam values")
+    if len(set(getattr(config, grid))) < least:
+        raise ValidationError(f"{config.mode} needs at least {('one', 'two')[least - 1]} "
+                              f"distinct {grid.removesuffix('_grid')} values")
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +377,6 @@ def _write_csv(path: Path, hash_: str, header, rows) -> None:
         writer.writerows(rows)  # csv writes floats by repr
 
 
-def _assertion_dicts(assertions):
-    return [
-        {"name": a.name, "passed": bool(a.passed), "value": a.value, "bound": a.bound}
-        for a in assertions
-    ]
-
-
-def _write_summary(path: Path, hash_: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["artifact_version"] = ARTIFACT_VERSION
-    payload["config_hash"] = hash_
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _run_simulate(config, solver, data):
     traj = st.simulate(data.u0, solver, ex._noise(data.operator, config.seed))
     columns = ex.run_diagnostics(traj)
@@ -400,17 +384,12 @@ def _run_simulate(config, solver, data):
     header = list(columns)
     # tolist gives plain floats, whose repr the rows are written with
     rows = np.column_stack(list(columns.values())).tolist()
-    summary = {
-        "mode": config.mode,
-        "metrics": {
-            "steps": len(rows) - 1,
-            "final_energy": float(columns["energy"][-1]),
-            "final_mean": float(columns["mean_u"][-1]),
-        },
-        "assertions": _assertion_dicts(assertions),
-        "passed": all(a.passed for a in assertions),
+    metrics = {
+        "steps": len(rows) - 1,
+        "final_energy": float(columns["energy"][-1]),
+        "final_mean": float(columns["mean_u"][-1]),
     }
-    return header, rows, summary
+    return header, rows, {"metrics": metrics}, assertions
 
 
 def _sweep_rows(report):
@@ -424,38 +403,31 @@ def _sweep_rows(report):
     return header, rows
 
 
-def _run_study(config, solver, data):
-    if config.mode == "continuous_dependence":
-        grid = tuple(sorted(set(config.eps_grid)))
-        offset_dir = basis_field(data.u0.domain, config.offset_mode)
-        scale = config.star_offset / norm(offset_dir, "star")
-        if not math.isfinite(scale):
-            raise ValueError(f"star_offset {config.star_offset!r} gives an offset "
-                             "outside float range")
-        offset = scale * offset_dir
-        data2 = replace(data, u0=data.u0 + offset)
-        report = ex.continuous_dependence_study(data, data2, grid, config.seed, solver)
-    elif config.mode == "vanishing_viscosity":
-        grid = tuple(sorted(set(config.eps_grid), reverse=True))
-        report = ex.vanishing_viscosity_study(data, grid, config.seed, solver)
-    elif config.mode == "yosida_sweep":
-        grid = tuple(sorted(set(config.lam_grid), reverse=True))
-        report = ex.yosida_convergence_study(data, grid, config.seed, solver)
-    elif config.mode == "regularity":
-        grid = tuple(sorted(set(config.eps_grid)))
-        report = ex.regularity_study(data, grid, config.seed, solver)
-    else:
-        raise AssertionError(config.mode)
+def _offset(config, data):
+    # a paired study's second datum: u0 moved by star_offset, in the star
+    # norm, along the basis mode offset_mode
+    if config.star_offset <= 0:
+        raise ValueError("star_offset must be positive")
+    if not 1 <= config.offset_mode < data.u0.coeffs.size:
+        raise ValueError("offset_mode must be a nonconstant mode index (the offset may "
+                         "not move the spatial mean)")
+    direction = basis_field(data.u0.domain, config.offset_mode)
+    scale = config.star_offset / norm(direction, "star")
+    if not math.isfinite(scale):
+        raise ValueError(f"star_offset {config.star_offset!r} gives an offset "
+                         "outside float range")
+    return replace(data, u0=data.u0 + scale * direction)
 
+
+def _run_study(config, solver, data):
+    grid, order, _, study, paired = _STUDIES[config.mode]
+    values = tuple(sorted(set(getattr(config, grid)), reverse=order == "decreasing"))
+    datas = (data, _offset(config, data)) if paired else (data,)
+    report = getattr(ex, study)(*datas, values, config.seed, solver)
     header, rows = _sweep_rows(report)
-    summary = {
-        "mode": config.mode,
-        "metrics": {k: list(v) for k, v in report.metrics.items()},
-        "values": list(report.values),
-        "assertions": _assertion_dicts(report.assertions),
-        "passed": report.passed,
-    }
-    return header, rows, summary
+    payload = {"metrics": {k: list(v) for k, v in report.metrics.items()},
+               "values": list(report.values)}
+    return header, rows, payload, report.assertions
 
 
 def _run_ensemble(config, solver, data):
@@ -466,16 +438,9 @@ def _run_ensemble(config, solver, data):
                                       grid=grid)
     header = ["estimate", "mean", "stderr"]
     rows = [[k, report.mc_mean[k], report.mc_stderr[k]] for k in sorted(report.mc_mean)]
-    summary = {
-        "mode": config.mode,
-        "members": report.members,
-        "grid": [list(p) for p in report.values],
-        "mc_mean": report.mc_mean,
-        "mc_stderr": report.mc_stderr,
-        "assertions": _assertion_dicts(report.assertions),
-        "passed": report.passed,
-    }
-    return header, rows, summary
+    payload = {"members": report.members, "grid": [list(p) for p in report.values],
+               "mc_mean": report.mc_mean, "mc_stderr": report.mc_stderr}
+    return header, rows, payload, report.assertions
 
 
 def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
@@ -487,12 +452,9 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
     failure = None
     try:
         solver, data = _build(config)
-        if config.mode == "simulate":
-            header, rows, summary = _run_simulate(config, solver, data)
-        elif config.mode == "ensemble":
-            header, rows, summary = _run_ensemble(config, solver, data)
-        else:
-            header, rows, summary = _run_study(config, solver, data)
+        runner = {"simulate": _run_simulate, "ensemble": _run_ensemble}.get(config.mode,
+                                                                            _run_study)
+        header, rows, payload, assertions = runner(config, solver, data)
     except ValueError as err:
         # PreconditionViolated, ValidationError, DimensionMismatch and the
         # constructor rejections are all ValueError subclasses: every one is
@@ -510,16 +472,22 @@ def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
         print(f"solver failure: {failure}", file=sys.stderr)
         return 3
     _write_csv(out / "series.csv", hash_, header, rows)
-    _write_summary(out / "summary.json", hash_, summary)
+    failed = [a for a in assertions if not a.passed]
+    summary = {**payload, "mode": config.mode, "passed": not failed,
+               "assertions": [{"name": a.name, "passed": bool(a.passed), "value": a.value,
+                               "bound": a.bound} for a in assertions],
+               "artifact_version": ARTIFACT_VERSION, "config_hash": hash_}
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
-    failed = [a for a in summary["assertions"] if not a["passed"]]
     if not quiet:
-        for a in summary["assertions"]:
-            print(f"{'PASS' if a['passed'] else 'FAIL'} {a['name']}")
+        for a in assertions:
+            print(f"{'PASS' if a.passed else 'FAIL'} {a.name}")
         print(f"{config.mode}: {'all assertions passed' if not failed else 'FAILED'} "
-              f"({len(summary['assertions'])} checks), outputs in {out}")
+              f"({len(assertions)} checks), outputs in {out}")
     if failed:
-        print(f"assertion failed: {failed[0]['name']}", file=sys.stderr)
+        print(f"assertion failed: {failed[0].name}", file=sys.stderr)
         return 1
     return 0
 

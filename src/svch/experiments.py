@@ -12,7 +12,6 @@ refinement does not: its draws are keyed by step index.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -137,15 +136,10 @@ def _require_monotone(values, direction, what):
         raise PreconditionViolated(f"{what} must be strictly {direction}: {list(arr)}")
 
 
-def _config(data: ProblemData, base: SolverConfig, eps: Optional[float] = None,
-            lam: Optional[float] = None) -> SolverConfig:
+def _config(data: ProblemData, base: SolverConfig, **values) -> SolverConfig:
     # the studies build every grid point's config before their first run, so
     # a value SolverConfig refuses is refused, with its message, up front
-    updates = {}
-    if eps is not None:
-        updates["eps"] = float(eps)
-    if lam is not None:
-        updates["lam"] = float(lam)
+    updates = {name: float(v) for name, v in values.items()}
     if data.source is not None:
         updates["source"] = data.source
     try:
@@ -298,7 +292,60 @@ def sup_norm(traj: Trajectory, kind: str = "V1") -> float:
 
 
 # ---------------------------------------------------------------------------
-# studies
+# studies: each is a ladder of runs on one realization
+
+
+def _ladder(datas, base, axis, values, seed, order, rung, across, reference=None,
+            noisy_reference=True, consecutive=False, label="{name}[{axis}={value!r}]"):
+    """One rung per grid value of the SolverConfig field ``axis``, each marched
+    on the realization keyed by ``seed``, reduced to a SweepReport.
+
+    values must be strictly ``order`` ("increasing" or "decreasing"), and
+    every rung's config, one per ProblemData in ``datas``, is built before
+    the first run.  ``rung(value, runs, prev, ref)`` reduces a rung's runs,
+    one trajectory per datum, to ({metric: number}, assertions), which are
+    labelled by ``label``.  prev is the previous rung's runs if
+    ``consecutive``, else None, so no other run outlives its rung; ref is the
+    runs at the grid value ``reference`` (noise-free unless
+    ``noisy_reference``), marched first and reused by the rung they equal.
+    ``across(metrics)`` checks the metric columns across rungs; its
+    assertions follow the rungs' own.
+    """
+    _require_monotone(values, order, f"{axis} grid")
+    configs = {v: [_config(d, base, **{axis: v}) for d in datas]
+               for v in (*values, reference) if v is not None}
+
+    def march(value, noisy=True):
+        return tuple(_run(d, c, seed) if noisy else simulate(d.u0, c)
+                     for d, c in zip(datas, configs[value]))
+
+    ref = None if reference is None else march(reference, noisy_reference)
+    shared = noisy_reference or all(d.operator is None for d in datas)
+    metrics: dict = {}
+    assertions = []
+    prev = None
+    for value in values:
+        runs = ref if shared and value == reference else march(value)
+        row, checks = rung(value, runs, prev, ref)
+        for name, x in row.items():
+            metrics.setdefault(name, []).append(x)
+        assertions += (replace(a, name=label.format(name=a.name, axis=axis, value=float(value)))
+                       for a in checks)
+        prev = runs if consecutive else None
+        del runs  # freed before the next rung marches
+    metrics = {name: tuple(column) for name, column in metrics.items()}
+    return SweepReport(axis, tuple(values), metrics, (*assertions, *across(metrics)))
+
+
+def _decreasing(name: str, values) -> Assertion:
+    last, first = (values[-1], values[0]) if values else (0.0, 0.0)
+    return Assertion(name, all(a > b for a, b in zip(values, values[1:])), value=last,
+                     bound=first)
+
+
+def _final_tenth(name: str, values) -> Assertion:
+    return Assertion(name, values[-1] <= 0.1 * values[0], value=values[-1],
+                     bound=0.1 * values[0])
 
 
 def continuous_dependence_study(
@@ -315,7 +362,6 @@ def continuous_dependence_study(
     same constant-mode content.  Each ratio is capped at 100 times the ratio
     of a noise-free run at the smallest viscosity in the grid.
     """
-    _require_monotone(eps_grid, "increasing", "eps grid")
     if abs(data1.u0.mean - data2.u0.mean) > 1e-12:
         raise PreconditionViolated(
             f"initial means differ: {data1.u0.mean!r} vs {data2.u0.mean!r}"
@@ -342,41 +388,31 @@ def continuous_dependence_study(
     if op1 is not None and op2 is not None and not np.array_equal(op1.columns, op2.columns):
         col_star = _norms(op1.domain, op1.columns - op2.columns, "star")
         denom += base.t_final * float(_pow(col_star, 2).sum())
-    if denom <= 0:
-        raise PreconditionViolated("data distance is zero; the ratio is undefined")
-    configs = {eps: (_config(data1, base, eps), _config(data2, base, eps)) for eps in eps_grid}
+
+    def ratio(pair):
+        # refused here, not up front, so that the grid's own checks come first
+        if denom <= 0:
+            raise PreconditionViolated("data distance is zero; the ratio is undefined")
+        t1, t2 = pair
+        diff = _u_difference(t1, t2)
+        sup_star = float(_pow(_norms(t1.domain, diff, "star"), 2).max())
+        sup_h = float(_pow(_norms(t1.domain, diff, "H"), 2).max())
+        grad_l2 = _trapz(_grad_sq(t1.domain, diff), t1.times)
+        return (sup_star + t1.config.eps * sup_h + grad_l2) / denom
+
+    def rung(eps, pair, prev, ref):
+        r, k_cap = ratio(pair), 100.0 * ratio(ref)
+        finite = math.isfinite(r)
+        return {"ratio": r, "k_cap": k_cap}, (
+            Assertion("ratio_finite", finite, value=r),
+            Assertion("ratio_capped", finite and r <= k_cap, value=r, bound=k_cap))
 
     # a noise-free study marches its smallest-viscosity pair once, for the
     # cap and for its own ratio
-    @functools.cache
-    def _ratio(eps, with_noise):
-        t1, t2 = (simulate(d.u0, cfg, _noise(d.operator, seed) if with_noise else None)
-                  for d, cfg in zip((data1, data2), configs[eps]))
-        diff = _u_difference(t1, t2)
-        domain = data1.u0.domain
-        sup_star = float(_pow(_norms(domain, diff, "star"), 2).max())
-        sup_h = float(_pow(_norms(domain, diff, "H"), 2).max())
-        grad_l2 = _trapz(_grad_sq(domain, diff), t1.times)
-        return (sup_star + eps * sup_h + grad_l2) / denom
-
-    k_cap = 100.0 * _ratio(min(eps_grid), with_noise=False)
-
-    ratios = []
-    assertions = []
-    for eps in eps_grid:
-        r = _ratio(eps, with_noise=op1 is not None)
-        ratios.append(r)
-        finite = math.isfinite(r)
-        assertions.append(Assertion(f"ratio_finite_eps={float(eps)!r}", finite, value=r))
-        assertions.append(Assertion(f"ratio_capped_eps={float(eps)!r}",
-                                    finite and r <= k_cap, value=r, bound=k_cap))
-    assertions.append(_uniformity("ratio_uniform_in_eps", ratios, 10.0))
-    return SweepReport(
-        variable="eps",
-        values=tuple(eps_grid),
-        metrics={"ratio": tuple(ratios), "k_cap": (k_cap,) * len(ratios)},
-        assertions=tuple(assertions),
-    )
+    return _ladder((data1, data2), base, "eps", eps_grid, seed, "increasing", rung,
+                   lambda m: [_uniformity("ratio_uniform_in_eps", m["ratio"], 10.0)],
+                   reference=min(eps_grid, default=None), noisy_reference=False,
+                   label="{name}_{axis}={value!r}")
 
 
 def vanishing_viscosity_study(
@@ -389,41 +425,25 @@ def vanishing_viscosity_study(
 
     A trailing eps of exactly 0 is allowed and gives self-distance 0.
     """
-    _require_monotone(eps_sequence, "decreasing", "eps sequence")
-    configs = [_config(data, base, eps) for eps in eps_sequence]
-    limit = _run(data, _config(data, base, 0.0), seed)
-    dists = []
-    sizes = []
-    sup_star_sq = []
-    for eps, cfg in zip(eps_sequence, configs):
-        tr = limit if eps == 0.0 else _run(data, cfg, seed)
-        dists.append(path_l2_distance(tr, limit, "V1"))
-        sizes.append(eps * sup_norm(tr, "V1"))
-        sup_star_sq.append(float(_pow(sup_norm(tr, "star"), 2)))
-    assertions = [
-        Assertion("distance_decreasing",
-                  all(a > b for a, b in zip(dists, dists[1:])),
-                  value=dists[-1], bound=dists[0]),
-        Assertion("distance_final_tenth", dists[-1] <= 0.1 * dists[0],
-                  value=dists[-1], bound=0.1 * dists[0]),
-        Assertion("viscous_term_decreasing",
-                  all(a > b for a, b in zip(sizes, sizes[1:])),
-                  value=sizes[-1], bound=sizes[0]),
-        Assertion("viscous_term_final_tenth", sizes[-1] <= 0.1 * sizes[0],
-                  value=sizes[-1], bound=0.1 * sizes[0]),
-        Assertion("all_finite", all(map(math.isfinite, dists + sizes))),
-        _uniformity("sup_star_sq_uniform_in_eps", sup_star_sq, 100.0),
-    ]
-    return SweepReport(
-        variable="eps",
-        values=tuple(eps_sequence),
-        metrics={
-            "v1_distance_to_limit": tuple(dists),
-            "eps_weighted_v1_sup": tuple(sizes),
-            "sup_star_sq": tuple(sup_star_sq),
-        },
-        assertions=tuple(assertions),
-    )
+    def rung(eps, runs, prev, ref):
+        (tr,), (limit,) = runs, ref
+        return {"v1_distance_to_limit": path_l2_distance(tr, limit, "V1"),
+                "eps_weighted_v1_sup": eps * sup_norm(tr, "V1"),
+                "sup_star_sq": float(_pow(sup_norm(tr, "star"), 2))}, ()
+
+    def across(m):
+        dists, sizes = m["v1_distance_to_limit"], m["eps_weighted_v1_sup"]
+        return [
+            _decreasing("distance_decreasing", dists),
+            _final_tenth("distance_final_tenth", dists),
+            _decreasing("viscous_term_decreasing", sizes),
+            _final_tenth("viscous_term_final_tenth", sizes),
+            Assertion("all_finite", all(map(math.isfinite, dists + sizes))),
+            _uniformity("sup_star_sq_uniform_in_eps", m["sup_star_sq"], 100.0),
+        ]
+
+    return _ladder((data,), base, "eps", eps_sequence, seed, "decreasing", rung, across,
+                   reference=0.0)
 
 
 def yosida_convergence_study(
@@ -438,46 +458,30 @@ def yosida_convergence_study(
     distances (asserted decreasing) and lam-uniformity of the potential's
     L1(Q) mass and of the conjugate mass.
     """
-    _require_monotone(lam_sequence, "decreasing", "lam sequence")
-    configs = [_config(data, base, lam=lam) for lam in lam_sequence]
-    consec = []
-    w_l1 = []
-    xi_l1 = []
-    conj_mass = []
-    sup_star_sq = []
-    prev = None  # the one run held besides the current: for the consecutive distance
-    for cfg in configs:
-        tr = _run(data, cfg, seed)
-        if prev is not None:
-            consec.append(path_l2_distance(prev, tr, "V1"))
-        prev = tr
+    def rung(lam, runs, prev, ref):
+        (tr,) = runs
         cols = run_diagnostics(tr)
-        w_l1.append(_trapz(cols["w_l1"], cols["t"]))
-        xi_l1.append(_trapz(cols["xi_l1"], cols["t"]))
-        conj_mass.append(_trapz(cols["conjugate_mass"], cols["t"]))
-        sup_star_sq.append(float(_pow(sup_norm(tr, "star"), 2)))
-    assertions = [
-        Assertion("consecutive_v1_distances_decreasing",
-                  all(a > b for a, b in zip(consec, consec[1:])),
-                  value=consec[-1] if consec else 0.0,
-                  bound=consec[0] if consec else 0.0),
-        _uniformity("w_l1_uniform", w_l1, 100.0),
-        _uniformity("conjugate_mass_uniform", conj_mass, 100.0),
-        _uniformity("sup_star_sq_uniform_in_lam", sup_star_sq, 100.0),
-        Assertion("all_finite", all(map(math.isfinite, consec + w_l1 + xi_l1 + conj_mass))),
-    ]
-    return SweepReport(
-        variable="lam",
-        values=tuple(lam_sequence),
-        metrics={
-            "consecutive_v1_distance": tuple(consec),
-            "w_l1_mass": tuple(w_l1),
-            "xi_l1_mass": tuple(xi_l1),
-            "conjugate_mass": tuple(conj_mass),
-            "sup_star_sq": tuple(sup_star_sq),
-        },
-        assertions=tuple(assertions),
-    )
+        row = {"w_l1_mass": _trapz(cols["w_l1"], cols["t"]),
+               "xi_l1_mass": _trapz(cols["xi_l1"], cols["t"]),
+               "conjugate_mass": _trapz(cols["conjugate_mass"], cols["t"]),
+               "sup_star_sq": float(_pow(sup_norm(tr, "star"), 2))}
+        if prev is not None:
+            row["consecutive_v1_distance"] = path_l2_distance(prev[0], tr, "V1")
+        return row, ()
+
+    def across(m):
+        consec = m.get("consecutive_v1_distance", ())
+        return [
+            _decreasing("consecutive_v1_distances_decreasing", consec),
+            _uniformity("w_l1_uniform", m["w_l1_mass"], 100.0),
+            _uniformity("conjugate_mass_uniform", m["conjugate_mass"], 100.0),
+            _uniformity("sup_star_sq_uniform_in_lam", m["sup_star_sq"], 100.0),
+            Assertion("all_finite", all(map(math.isfinite, consec + m["w_l1_mass"]
+                                            + m["xi_l1_mass"] + m["conjugate_mass"]))),
+        ]
+
+    return _ladder((data,), base, "lam", lam_sequence, seed, "decreasing", rung, across,
+                   consecutive=True)
 
 
 # fewest members ensemble_expectations takes; the CLI refuses fewer at validation
@@ -530,7 +534,7 @@ def ensemble_expectations(
     assertions = []
     per_point_means: dict = {n: [] for n in names}
     # every grid point's config is checked before the first member runs
-    configs = [_config(data, base, eps, lam) for eps, lam in grid]
+    configs = [_config(data, base, eps=eps, lam=lam) for eps, lam in grid]
     for (eps, lam), cfg in zip(grid, configs):
         noises = [_noise(data.operator, member_seed(seed, m)) for m in order]
         batch = Batch(data.u0, cfg, noises)
@@ -635,23 +639,10 @@ def regularity_study(
     The cubic-growth bound is checked at every viscosity exactly when the
     graph has cubic growth, as in regularity_monitor.
     """
-    _require_monotone(eps_grid, "increasing", "eps grid")
-    configs = [_config(data, base, eps) for eps in eps_grid]
-    metrics: dict = {}
-    assertions = []
-    for eps, cfg in zip(eps_grid, configs):
-        rep = regularity_monitor(_run(data, cfg, seed))
-        for k, v in rep.metrics.items():
-            metrics.setdefault(k, []).append(v[0])
-        assertions.extend(
-            Assertion(f"{a.name}[eps={float(eps)!r}]", a.passed, a.value, a.bound)
-            for a in rep.assertions
-        )
-    for key in ("sup_grad_smoothed_w", "xi_l2"):
-        assertions.append(_uniformity(f"{key}_uniform_in_eps", metrics[key], 10.0))
-    return SweepReport(
-        variable="eps",
-        values=tuple(eps_grid),
-        metrics={k: tuple(v) for k, v in metrics.items()},
-        assertions=tuple(assertions),
-    )
+    def rung(eps, runs, prev, ref):
+        rep = regularity_monitor(runs[0])
+        return {k: v[0] for k, v in rep.metrics.items()}, rep.assertions
+
+    return _ladder((data,), base, "eps", eps_grid, seed, "increasing", rung,
+                   lambda m: [_uniformity(f"{k}_uniform_in_eps", m[k], 10.0)
+                              for k in ("sup_grad_smoothed_w", "xi_l2")])

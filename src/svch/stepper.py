@@ -29,7 +29,7 @@ form without that operator, makes the exact update u+_D = u_D +
 mean(noise_field); the mean identity holds to accumulated rounding only.
 
 Newton's method stops at the first iterate whose residual F has H-norm at
-most newton_tol; a member still above it after newton_max_iter corrections
+most newton_tol (in [1e-14, 1e-6]); a member still above it after newton_max_iter corrections
 fails.  It runs matrix-free: the Jacobian is diagonal plus
 dt * mu * (pointwise multiplication by the graph derivative on the grid).
 A similarity transform by sqrt(mu) makes that operator symmetric positive
@@ -144,8 +144,11 @@ class SolverConfig:
             raise ValueError("dt must not exceed t_final")
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError(f"t_final / dt overflows: {self.t_final!r} / {self.dt!r}")
-        if self.newton_tol < 1e-14:
-            raise ValueError("newton_tol below 1e-14 is not resolvable in double precision")
+        # below 1e-14 a residual is not resolvable in double precision; above
+        # 1e-6 Newton can accept its start on every step, and a run that does
+        # not move passes every check (the evolution identity's bound is 10 tol)
+        if not 1e-14 <= self.newton_tol <= 1e-6:
+            raise ValueError(f"newton_tol must lie in [1e-14, 1e-6], got {self.newton_tol!r}")
         if self.splitting not in ("convex_splitting", "fully_implicit"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
         # a failing step costs up to 1024 substeps x newton_max_iter x cg_max_iter

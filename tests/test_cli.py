@@ -321,16 +321,26 @@ class TestExitCodes:
         assert (tmp_path / "summary.json").exists()
 
     def test_overflowing_cubic_bound_is_a_failed_assertion(self, tmp_path, capsys):
-        # states of size 1e120 pass Newton's loose tolerance, and the cube of
-        # their V1 norm overflows: a failed finiteness check, not a crash
+        # states of size 1e120 pass Newton on a step of 1e-300, and the cube
+        # of their V1 norm overflows: a failed finiteness check, not a crash
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\nmode = regularity\n[domain]\nmodes = 8\n"
-                       "[solver]\nnewton_tol = 1e300\ndt = 0.01\nt_final = 0.02\n"
+                       "[solver]\ndt = 1e-300\nt_final = 1e-300\n"
                        "[initial]\ncoefficients = 1:1e120\n")
         out = tmp_path / "out"
         assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 1
         assert "assertion failed: regularity_norms_finite[eps=" in capsys.readouterr().err
         assert {p.name for p in out.iterdir()} == {"config.ini", "series.csv", "summary.json"}
+
+    def test_frozen_run_is_a_config_error(self, tmp_path, capsys):
+        # at newton_tol = 1e-2 the default run accepts Newton's start on every
+        # step, so its energy never moves, and it passed all four checks
+        ini = tmp_path / "run.ini"
+        ini.write_text("[solver]\nnewton_tol = 1e-2\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(ini), "--out", str(out), "--quiet"]) == 2
+        assert "newton_tol must lie in [1e-14, 1e-6], got 0.01" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_returns_three(self, tmp_path, capsys):
         text = "[solver]\ndt = 1e-3\nt_final = 0.02\n" \

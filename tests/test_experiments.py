@@ -6,13 +6,16 @@ sums for path norms, and coefficient formulas for the recorded energies.
 Study-level tests run the full pipeline at a small but honest scale.
 """
 
+import ast
 import math
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svch.cli as cli
 import svch.experiments as ex
 from svch import monotone as mn
 from svch import noise as nz
@@ -497,6 +500,75 @@ def test_grid_values_equal_to_six_digits_keep_their_own_labels(long_domain):
                 ex.continuous_dependence_study(data, data2, near, 1, base)):
         names = [a.name for a in rep.assertions]
         assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+@pytest.mark.parametrize("study,grid,runs", [
+    (ex.vanishing_viscosity_study, (1e-1, 1e-2), 3),  # and the eps = 0 limit
+    (ex.yosida_convergence_study, (1e-1, 1e-2, 1e-3), 3),
+    (ex.regularity_study, (1e-2, 1e-1), 2),
+])
+def test_every_rung_draws_one_realization(long_domain, monkeypatch, study, grid, runs, kind):
+    # the (seed, step) keys of every draw, one list per run: a ladder that
+    # reseeded a rung would draw another realization there
+    draws = []
+    simulate, increments = ex.simulate, nz._increments
+
+    def run(*args):
+        draws.append([])
+        return simulate(*args)
+
+    def spy(seeds, steps, count, dt):
+        draws[-1].extend(zip(seeds, steps))
+        return increments(seeds, steps, count, dt)
+
+    monkeypatch.setattr(ex, "simulate", run)
+    monkeypatch.setattr(nz, "_increments", spy)
+    op = nz.diffusion_operator(long_domain, 8, kind=kind, sigma=0.3, mean_zero=True)
+    base = study_config(t_final=5e-3)
+    study(ex.ProblemData(u0=study_ic(long_domain), operator=op), grid, 21, base)
+    assert len(draws) == runs
+    assert sorted(draws[0]) == [(21, step) for step in range(base.n_steps)]
+    assert all(keys == draws[0] for keys in draws)
+
+
+def _calls(tree, callees) -> list:
+    # (function, line, callee) of calls to callees, nested functions included
+    return [(fn.name, node.lineno, callee)
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            for callee in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            if callee in callees]
+
+
+def _literals_outside(tree, values, table) -> list:
+    # lines of string constants equal to one of values that lie outside the
+    # module-level assignment to table
+    inside = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == table for t in node.targets)
+              for n in ast.walk(node)}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and node.value in values and id(node) not in inside]
+
+
+def test_the_ladder_skeleton_lives_in_one_place():
+    snippet = ("def study():\n    return _ladder(rung)\n"
+               "def stray():\n    _config(d, b)\n    def rung():\n        _require_monotone(v)\n"
+               "_TABLE = {'regularity': 1}\nif mode == 'regularity':\n    pass\n")
+    tree = ast.parse(snippet)
+    assert _calls(tree, ("_config", "_require_monotone")) == [
+        ("stray", 4, "_config"), ("stray", 6, "_require_monotone")]
+    assert _literals_outside(tree, {"regularity"}, "_TABLE") == [8]
+    # every laddered study leaves the order check and the config build to _ladder
+    tree = ast.parse(Path(ex.__file__).read_text())
+    laddered = {name for name, _, _ in _calls(tree, ("_ladder",))}
+    assert laddered == {"continuous_dependence_study", "vanishing_viscosity_study",
+                        "yosida_convergence_study", "regularity_study"}
+    assert [c for c in _calls(tree, ("_config", "_require_monotone")) if c[0] in laddered] == []
+    # cli.py names a study mode in its table alone
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert _literals_outside(tree, set(cli._STUDIES), "_STUDIES") == []
+    assert set(cli.MODES) == {"simulate", "ensemble", *cli._STUDIES}
 
 
 class TestVanishingViscosity:

@@ -535,6 +535,14 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: value})
 
+    def test_newton_tol_above_1e_6_rejected(self, quartic, neg_id):
+        # a looser tolerance can accept Newton's start on every step, so a run
+        # that does not move would pass its evolution identity
+        assert sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_tol=1e-6)
+        with pytest.raises(ValueError,
+                           match=r"^newton_tol must lie in \[1e-14, 1e-6\], got 1\.1e-06$"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, newton_tol=1.1e-6)
+
     @pytest.mark.parametrize("name,value,label", [("lam", 0.0, "H2"), ("lam", np.nan, "H2"),
                                                   ("eps", -0.1, "H4"), ("eps", np.inf, "H4")])
     def test_rejections_name_the_hypothesis(self, quartic, neg_id, name, value, label):
@@ -1077,6 +1085,29 @@ class TestStepPlan:
             counts.append(len(calls))
             calls.clear()
         assert counts[0] == counts[1] > 0
+
+
+class TestKinkEnergy:
+    """The stationary kink tanh((x - L/2)/sqrt 2) of the quartic well with pi = -r.
+
+    Its interface energy is 2 sqrt(2)/3, the scheme's well drops W's constant
+    1/4 (an offset of -L/4), and the Moreau envelope of beta_hat is
+    beta_hat - (lam/2) beta^2 + O(lam^2): the first-order energy is
+    2 sqrt(2)/3 - L/4 - (lam/2) int tanh^6, with int tanh^6 = L -
+    sqrt(2) (2 + 2/3 + 2/5).  The next term, (3 lam^2/2) int tanh^8 = 22.9
+    lam^2, is the measured excess of 22.1-22.8 lam^2.
+    """
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4])
+    def test_energy_to_first_order_in_lam(self, lam):
+        length, m = 20.0, 64
+        x = (np.arange(2 * m) + 0.5) * length / (2 * m)
+        kink = from_grid(Domain((length,), (m,)), np.tanh((x - length / 2) / np.sqrt(2)))
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), lam=lam)
+        tanh6 = length - np.sqrt(2) * (2 + 2 / 3 + 2 / 5)
+        first_order = 2 * np.sqrt(2) / 3 - length / 4 - lam / 2 * tanh6
+        # dropping the lam term misses by 0.078 at lam = 1e-2
+        assert abs(sum(sp.free_energy_parts(kink, cfg)) - first_order) <= 30 * lam**2
 
 
 def _per_call_rebuilds(tree, functions) -> list:
