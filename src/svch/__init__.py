@@ -57,7 +57,6 @@ from .noise import (
     apply_diffusion,
     diffusion_operator,
     hs_norm,
-    increment_stack,
     integral_ledger,
     smooth,
 )

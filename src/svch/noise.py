@@ -19,14 +19,21 @@ spatial mean, so multiplicative forcing never moves the mean of the solution.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .spectral import Domain, SpectralField, _silent, _synthesis, _transforms, neumann_eigensystem
+from .spectral import (
+    Domain,
+    SpectralField,
+    _integer,
+    _silent,
+    _synthesis,
+    _transforms,
+    neumann_eigensystem,
+)
 
 __all__ = [
     "DimensionMismatch",
@@ -38,7 +45,6 @@ __all__ = [
     "smooth",
     "hs_norm",
     "apply_diffusion",
-    "increment_stack",
     "integral_ledger",
 ]
 
@@ -56,7 +62,7 @@ class WienerProcess:
 
     The process holds only its mode count and seed.  ``increments_at(step, dt)``
     is reproducible: the draw for (seed, step, mode) never depends on sampling
-    order, and it is the one-row case of ``increment_stack``'s draws.
+    order, and it is the one-row, one-step case of the draws a march makes.
     """
 
     def __init__(self, mode_count: int, seed: int):
@@ -70,14 +76,6 @@ class WienerProcess:
     def increments_at(self, step: int, dt: float) -> np.ndarray:
         """Gaussian increments with variance dt for one step in [0, 2**63), shape (K,)."""
         return _increments((self.seed,), (step,), self.mode_count, dt)[0]
-
-
-def _integer(name: str, value) -> int:
-    # an index of the noise: a float, even an integral one, would alias a draw
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _increments(seeds, steps, count: int, dt: float) -> np.ndarray:
@@ -229,32 +227,13 @@ def apply_diffusion(
     return SpectralField(op.domain, _modulate(op, _state_coeffs(op, state), profile))
 
 
-@_silent
-def increment_stack(models, coeffs: np.ndarray, step, dt: float) -> np.ndarray:
-    """Noise fields of rows sharing one operator, as a (B, *modes) stack.
-
-    step is one step index for every row or a sequence of one per row.  Row m
-    equals ``apply_diffusion`` of the state ``coeffs[m]`` and the increments
-    of ``models[m]`` at its step, bitwise; only a multiplicative operator
-    reads the states.  The increments of all rows come from one generator.
-    """
-    op = _operator(models)
-    steps = [step] * len(models) if np.ndim(step) == 0 else step
-    return _modulate(op, coeffs, _profiles(op, _increments([m.process.seed for m in models],
-                                                           steps, op.mode_count, dt)))
-
-
-def _operator(models) -> DiffusionOperator:
-    if any(m.operator is not models[0].operator for m in models):
-        raise DimensionMismatch("stacked members must share one diffusion operator")
-    return models[0].operator
-
-
 def _profile_chunks(models, chunks, dt: float):
-    # the state-free half of increment_stack for each slice of steps in
+    # the state-free half of a march's noise for each slice of steps in
     # chunks: the (steps, B, *modes) profiles of every member, drawn
-    # step-major by one _increments call
-    op = _operator(models)
+    # step-major by one _increments call; members share one operator
+    op = models[0].operator
+    if any(m.operator is not op for m in models):
+        raise DimensionMismatch("stacked members must share one diffusion operator")
     seeds = [m.process.seed for m in models]
     for k in chunks:
         steps = range(k.start, k.stop)
@@ -279,7 +258,7 @@ def _state_coeffs(op: DiffusionOperator, state: Optional[SpectralField]) -> np.n
 
 def _modulate(op: DiffusionOperator, coeffs: np.ndarray, profiles: np.ndarray,
               work=(None, None)) -> np.ndarray:
-    # the state half of increment_stack: the profiles of additive noise, else
+    # the state half of a march's noise: the profiles of additive noise, else
     # clamp(state) * profile minus its spatial mean; leading axes are a batch.
     # work, when given, takes the state's and the profiles' grids.  Callers are silent
     if op.kind == "additive":

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -82,7 +83,7 @@ class Domain:
     lengths : tuple of float
         Side lengths, one per axis.  Only d in {1, 2} is supported.
     modes : tuple of int
-        Number of retained cosine modes per axis, each >= 2.
+        Number of retained cosine modes per axis, each an integer >= 2.
     """
 
     lengths: tuple[float, ...]
@@ -90,7 +91,7 @@ class Domain:
 
     def __post_init__(self):
         lengths = tuple(float(L) for L in self.lengths)
-        modes = tuple(int(m) for m in self.modes)
+        modes = tuple(_integer("modes", m) for m in self.modes)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "modes", modes)
         if len(lengths) not in (1, 2):
@@ -205,9 +206,20 @@ def _check_same_domain(u: SpectralField, v: SpectralField):
         raise ValueError("fields live on different domains")
 
 
+def _integer(name: str, value) -> int:
+    # a count or an index: a float, even an integral one, or a string would
+    # be truncated or parsed, and a noise index would alias a draw
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def basis_field(domain: Domain, flat_index: int, amplitude: float = 1.0) -> SpectralField:
     """Single basis function, indexed in the eigenvalue-sorted flat order."""
     eig = neumann_eigensystem(domain)
+    if not 0 <= _integer("flat_index", flat_index) < len(eig.order):
+        raise ValueError(f"flat_index must lie in [0, {len(eig.order)}), got {flat_index!r}")
     c = np.zeros(domain.modes)
     c.flat[eig.order[flat_index]] = amplitude
     return SpectralField(domain, c)
@@ -318,6 +330,8 @@ def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
 
 def to_grid(field: SpectralField, factor: int = 2) -> np.ndarray:
     """Evaluate the field on the midpoint collocation grid (zero-padded)."""
+    if _integer("factor", factor) < 1:
+        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
     return _synthesis(field.coeffs, field.domain.modes, factor)
 
 

@@ -14,10 +14,10 @@ applies under its one errstate.  The reaction pi(r) = -s*r is diagonal in
 the cosine basis and acts on coefficients.  One helper, ``_potential``,
 builds xi = beta_lam(u) and the chemical potential w for Newton's iterates,
 for the first row of a march and for ``drift``.  A march draws the noise of
-a chunk of steps at once; a step's noise field is the row that
-``noise.increment_stack`` returns for the pre-step state.  A march holds its
-grid-sized working arrays in one workspace (``_workspace``): its solves and
-noise fields write their grid-sized results there, not into fresh arrays.
+a chunk of steps at once; a step's noise field is each member's row of its
+chunk, modulated at the pre-step state.  A march holds its grid-sized
+working arrays in one workspace (``_workspace``): its solves and noise
+fields write their grid-sized results there, not into fresh arrays.
 Under the default convex splitting the monotone part (beta_lam and the
 biharmonic term) is implicit and the concave reaction is taken at the old
 state, which makes the scheme unconditionally gradient-stable for the
@@ -337,17 +337,14 @@ def _workspace(members: int, domain: Domain) -> np.ndarray:
 
 
 @mn._silent
-def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=None,
-                work=None):
-    """Advance a (B, *modes) coefficient stack by one backward Euler step of length dt.
+def _solve_step(u, noise, config: SolverConfig, domain: Domain, plan, work):
+    """Advance a (B, *modes) coefficient stack by one backward Euler step.
 
-    plan is ``_step_plan(domain, config.eps, dt)`` and work a ``_workspace``
-    of at least B members, each built here when not given.  Returns (c, w,
-    xi, iterations, residuals, failed); the rows of c, w and xi of the
-    members in failed, {member: NewtonDiverged}, are left unset.
+    plan is ``_step_plan(domain, config.eps, dt)`` for the step's length dt,
+    which it alone carries, and work a ``_workspace`` of at least B members.
+    Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
+    xi of the members in failed, {member: NewtonDiverged}, are left unset.
     """
-    plan = _step_plan(domain, config.eps, dt) if plan is None else plan
-    work = _workspace(len(u), domain) if work is None else work
     mu, wgt, to_b, to_c, visc, dtmu, diag, coupling, diag_flat, dtmu_flat = plan
     modes = domain.modes
     transforms = synthesis, analysis = _transforms(modes)
@@ -428,9 +425,8 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, dt: float, plan=
 _MAX_SUBSTEPS = 1024
 
 
-def _advance(u, noise, config, domain, dt, step_index, plan=None, work=None, depth=0,
-             spent=None):
-    """One step of a member stack with rejection handling.
+def _advance(u, noise, config, domain, dt, step_index, plan, work, depth=0, spent=None):
+    """One step of length dt of a member stack with rejection handling.
 
     A member whose Newton iteration fails repeats the interval alone, split
     in two halves.  The noise increment belongs to the whole interval and is
@@ -439,9 +435,11 @@ def _advance(u, noise, config, domain, dt, step_index, plan=None, work=None, dep
     solves, counted in the one-element list spent, are capped at
     _MAX_SUBSTEPS.  A halved member's iterations and residuals are those of
     its failed attempt followed by its halves', which share one step plan
-    and the first row of work.  Returns (c, w, xi, iterations, residuals, depths).
+    and the first row of work; plan is the ``_step_plan`` of dt and work a
+    ``_workspace`` of at least B members.  Returns (c, w, xi, iterations,
+    residuals, depths).
     """
-    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, dt, plan, work)
+    c, w, xi, iters, res, failed = _solve_step(u, noise, config, domain, plan, work)
     depths = [depth] * len(u)
     half = _step_plan(domain, config.eps, dt / 2.0) if failed else None
     for m, err in failed.items():

@@ -72,12 +72,10 @@ class TestWienerProcess:
         with pytest.raises(ValueError, match=r"step must be an integer, got 2\.5$"):
             noise.WienerProcess(3, 1).increments_at(2.5, 0.1)
 
-    def test_increment_stack_refuses_a_non_integral_step_by_name(self):
-        # a float step used to be taken for a sequence and raise TypeError
-        model = noise.NoiseModel(noise.WienerProcess(3, 1),
-                                 noise.diffusion_operator(Domain((1.0,), (8,)), 3))
+    def test_stacked_draw_refuses_a_non_integral_step_by_name(self):
+        # a float step in any row of a stacked draw is refused, not truncated
         with pytest.raises(ValueError, match=r"step must be an integer, got 2\.5$"):
-            noise.increment_stack([model], np.zeros((1, 8)), 2.5, 0.1)
+            noise._increments((1, 1), (0, 2.5), 3, 0.1)
 
     def test_infinite_dt_is_refused_by_name(self):
         # an infinite dt used to give infinite increments
@@ -105,9 +103,8 @@ class TestWienerProcess:
         p = noise.WienerProcess(3, seed=1)
         with pytest.raises(ValueError, match=rf"\[0, 2\*\*63\), got {step}$"):
             p.increments_at(step, 0.1)
-        model = noise.NoiseModel(p, noise.diffusion_operator(Domain((1.0,), (8,)), 3))
         with pytest.raises(ValueError, match=rf"got {step}$"):
-            noise.increment_stack((model, model), np.zeros((2, 8)), (0, step), 0.1)
+            noise._increments((1, 1), (0, step), 3, 0.1)
         assert p.increments_at(2**63 - 1, 0.1).shape == (3,)
 
     @pytest.mark.parametrize("seed, step, want", (
@@ -354,10 +351,18 @@ class TestNoiseModel:
             noise.NoiseModel(noise.WienerProcess(5, seed=1), op)
 
 
-class TestIncrementStack:
-    """Row m is apply_diffusion of state m and member m's increments at its step, bitwise."""
+def chunk_fields(models, states, steps, dt):
+    """Row m: the march's chunked profile of member m at steps[m], modulated at states[m]."""
+    chunks = [slice(0, 5), slice(5, max(steps) + 1)]  # two chunks, the second uneven
+    profiles = np.concatenate(list(noise._profile_chunks(models, chunks, dt)))
+    return noise._modulate(models[0].operator, states, profiles[steps, np.arange(len(models))])
 
-    @pytest.mark.parametrize("steps", (7, (7, 0, 3, 7, 12)))
+
+class TestChunkedDraws:
+    """A march's chunked fields: row m is apply_diffusion of state m and member m's
+    increments at its step, bitwise."""
+
+    @pytest.mark.parametrize("steps", ((7,) * 5, (7, 0, 3, 7, 12)))
     @pytest.mark.parametrize("kind", ("additive", "multiplicative"))
     @pytest.mark.parametrize("modes", ((64,), (8, 12)))
     def test_rows_equal_apply_diffusion(self, kind, modes, steps):
@@ -365,14 +370,14 @@ class TestIncrementStack:
         op = noise.diffusion_operator(domain, 6, kind=kind, sigma=0.4)
         models = [noise.NoiseModel(noise.WienerProcess(6, seed=s), op) for s in (3, 1, 4, 1, 5)]
         states = [random_field(domain, RNG, scale=2.0) for _ in models]
-        stack = noise.increment_stack(models, np.stack([v.coeffs for v in states]), steps, 0.02)
-        for m, (model, v, s) in enumerate(zip(models, states, np.broadcast_to(steps, 5))):
+        stack = chunk_fields(models, np.stack([v.coeffs for v in states]), list(steps), 0.02)
+        for m, (model, v, s) in enumerate(zip(models, states, steps)):
             dW = model.process.increments_at(s, 0.02)
             assert np.array_equal(stack[m], noise.apply_diffusion(op, v, dW).coeffs)
 
     @pytest.mark.parametrize("shuffle", (False, True))
     def test_rows_draw_as_their_own_process(self, shuffle):
-        """One generator serves the stack: row m equals member m's increments_at,
+        """One generator serves a stacked draw: row m equals member m's increments_at,
         bitwise, across 64-bit key words and counters, in any row order."""
         domain = Domain((10.0,), (16,))
         op = noise.diffusion_operator(domain, 5, sigma=0.7)
@@ -380,21 +385,26 @@ class TestIncrementStack:
                  for step in (0, 5, 2**40)]
         if shuffle:
             pairs = [pairs[k] for k in np.random.default_rng(3).permutation(len(pairs))]
-        models = [noise.NoiseModel(noise.WienerProcess(5, seed), op) for seed, _ in pairs]
-        steps = [step for _, step in pairs]
-        stack = noise.increment_stack(models, np.zeros((len(models), 16)), steps, 0.03)
-        for m, (model, step) in enumerate(zip(models, steps)):
-            dW = model.process.increments_at(step, 0.03)
-            want = noise.apply_diffusion(op, None, dW).coeffs
-            assert np.array_equal(stack[m], want)
-            alone = noise.increment_stack([model], np.zeros((1, 16)), step, 0.03)
-            assert np.array_equal(alone[0], want)
+        seeds, steps = zip(*pairs)
+        stack = noise._increments(seeds, steps, 5, 0.03)
+        for m, (seed, step) in enumerate(pairs):
+            dW = noise.WienerProcess(5, seed).increments_at(step, 0.03)
+            assert np.array_equal(stack[m], dW)
+            assert np.array_equal(noise._increments((seed,), (step,), 5, 0.03)[0], dW)
+        # a chunk of one step draws every member at it, as the march does
+        models = [noise.NoiseModel(noise.WienerProcess(5, seed), op)
+                  for seed in dict.fromkeys(seeds)]
+        for step in (0, 5, 2**40):
+            chunk, = noise._profile_chunks(models, [slice(step, step + 1)], 0.03)
+            for model, got in zip(models, chunk[0]):
+                want = noise.apply_diffusion(op, None, model.process.increments_at(step, 0.03))
+                assert np.array_equal(got, want.coeffs)
 
     def test_additive_rows_ignore_the_state(self, long_domain):
         op = noise.diffusion_operator(long_domain, 4)
         model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
         states = np.stack([random_field(long_domain, RNG, scale=0.5).coeffs for _ in range(2)])
-        stack = noise.increment_stack((model, model), states, 3, 0.05)
+        stack = chunk_fields((model, model), states, [3, 3], 0.05)
         want = noise.apply_diffusion(op, None, model.process.increments_at(3, 0.05)).coeffs
         assert np.array_equal(stack[0], want) and np.array_equal(stack[1], want)
 
@@ -402,7 +412,7 @@ class TestIncrementStack:
         op = noise.diffusion_operator(long_domain, 4, kind="multiplicative")
         model = noise.NoiseModel(noise.WienerProcess(4, seed=6), op)
         states = np.stack([random_field(long_domain, RNG, scale=0.5).coeffs for _ in range(2)])
-        stack = noise.increment_stack((model, model), states, 0, 0.05)
+        stack = chunk_fields((model, model), states, [0, 0], 0.05)
         assert not np.array_equal(stack[0], stack[1])
 
     @pytest.mark.parametrize("kind", ("additive", "multiplicative"))
@@ -421,4 +431,4 @@ class TestIncrementStack:
         ops = [noise.diffusion_operator(long_domain, 4) for _ in range(2)]
         models = [noise.NoiseModel(noise.WienerProcess(4, seed=1), op) for op in ops]
         with pytest.raises(noise.DimensionMismatch):
-            noise.increment_stack(models, np.zeros((2, 64)), 0, 0.1)
+            next(noise._profile_chunks(models, [slice(0, 1)], 0.1))

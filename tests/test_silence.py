@@ -44,10 +44,9 @@ def _additive(sigma):
     return nz.diffusion_operator(DOMAIN, 8, sigma=sigma)
 
 
-def _increment_stack():
+def _multiplicative_diffusion():
     op = nz.diffusion_operator(DOMAIN, 8, kind="multiplicative", sigma=1e300, mean_zero=True)
-    models = (nz.NoiseModel(nz.WienerProcess(8, 0), op),)
-    return nz.increment_stack(models, _field(1.0).coeffs[None], 0, 1e100)
+    return nz.apply_diffusion(op, _field(1.0), np.full(8, 1e100))
 
 
 def _evolution_residual():
@@ -80,7 +79,7 @@ CASES = {
     "apply_laplacian": lambda: sp.apply_laplacian(sp.SpectralField(DOMAIN, np.full(64, 1e307))),
     "hs_norm": lambda: nz.hs_norm(_additive(BIG)),
     "apply_diffusion": lambda: nz.apply_diffusion(_additive(BIG), None, np.full(8, BIG)),
-    "increment_stack": _increment_stack,
+    "apply_diffusion_multiplicative": _multiplicative_diffusion,
     "integral_ledger": lambda: nz.integral_ledger(_additive(1e308), nz.WienerProcess(8, 0),
                                                   3, 100.0),
     "free_energy_parts": lambda: st.free_energy_parts(_field(BIG), _config()),

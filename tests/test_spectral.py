@@ -475,6 +475,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             sp.basis_field(unit_domain, 0) + sp.basis_field(long_domain, 0)
 
+    @pytest.mark.parametrize("mode", (8.7, 8.0, "8"))
+    def test_domain_refuses_a_non_integral_mode_count_by_name(self, mode):
+        # 8.7 used to give an 8-mode domain, and "8" was parsed
+        refused = f"^modes must be an integer, got {re.escape(repr(mode))}$"
+        with pytest.raises(ValueError, match=refused):
+            sp.Domain((10.0,), (mode,))
+
+    def test_domain_takes_numpy_integer_mode_counts(self):
+        assert sp.Domain((10.0,), (np.int64(8),)).modes == (8,)
+
+    @pytest.mark.parametrize("index", (-1, -8, 8, 2**70))
+    def test_basis_field_refuses_an_index_outside_the_basis_by_name(self, index):
+        # -8 used to give the constant mode and -1 the top mode
+        with pytest.raises(ValueError, match=rf"^flat_index must lie in \[0, 8\), got {index}$"):
+            sp.basis_field(sp.Domain((10.0,), (8,)), index)
+
+    def test_basis_field_refuses_a_non_integral_index_by_name(self):
+        with pytest.raises(ValueError, match=r"^flat_index must be an integer, got 1\.0$"):
+            sp.basis_field(sp.Domain((10.0,), (8,)), 1.0)
+
+    @pytest.mark.parametrize("factor, refused", ((0, "an integer >= 1, got 0"),
+                                                 (-1, "an integer >= 1, got -1"),
+                                                 (1.5, r"an integer, got 1\.5"),
+                                                 (2.0, r"an integer, got 2\.0")))
+    def test_to_grid_refuses_a_factor_that_is_not_a_positive_integer(self, factor, refused):
+        # 0 used to raise ZeroDivisionError, -1 to give an empty grid and 1.5
+        # a 12-point grid for 8 modes
+        f = sp.basis_field(sp.Domain((10.0,), (8,)), 3)
+        with pytest.raises(ValueError, match=f"^factor must be {refused}$"):
+            sp.to_grid(f, factor)
+
+    def test_to_grid_takes_any_integer_factor_from_one(self):
+        f = sp.basis_field(sp.Domain((10.0,), (8,)), 3)
+        assert [sp.to_grid(f, k).shape for k in (1, np.int64(3))] == [(8,), (24,)]
+
     @pytest.mark.parametrize("call", [
         lambda v, eps: sp.star_energy(v, eps),
         lambda v, eps: sp.norm(v, "one_eps", eps=eps),

@@ -37,6 +37,12 @@ from conftest import apply_pointwise, free_energy, make_config, random_field
 RNG = np.random.default_rng(31)
 
 
+def advance(u, noise, cfg, domain):
+    """Step 0 of a (B, *modes) stack, with the step plan and workspace a march builds."""
+    plan = sp._step_plan(domain, cfg.eps, cfg.dt)
+    return sp._advance(u, noise, cfg, domain, cfg.dt, 0, plan, sp._workspace(len(u), domain))
+
+
 def one_mode_factor(mu, eps, dt, lam):
     """Exact linear-graph amplification factor of one backward Euler step."""
     return (1.0 + eps * mu) / ((1.0 + eps * mu) + dt * mu * (mu + 1.0 / (1.0 + lam)))
@@ -67,7 +73,7 @@ class TestSingleModeClosedForm:
         n = np.zeros(8)
         n[0], n[k] = 0.02, -0.07
         cfg = make_config("linear", ("zero",), dt=1e-3, t_final=1e-3, lam=1e-2)
-        u1 = sp._advance(c0[None], n[None], cfg, dom, cfg.dt, 0)[0][0]
+        u1 = advance(c0[None], n[None], cfg, dom)[0][0]
         denom = 1.0 + 1e-3 * mu * (mu + 1.0 / 1.01)
         assert u1[k] == pytest.approx((0.5 - 0.07) / denom, abs=1e-13)
         assert u1[0] == 0.02  # exact mean update
@@ -277,7 +283,7 @@ class TestNewtonBehavior:
             return cg(matvec, b, precond, atol, maxiter, callback)
 
         monkeypatch.setattr(sp, "cg", recording)
-        r = sp._advance(u0.coeffs[None], None, cfg, long_domain, cfg.dt, 0)[4][0]
+        r = advance(u0.coeffs[None], None, cfg, long_domain)[4][0]
         tol = cfg.newton_tol
         assert len(calls) == len(r) - 1
         for res, (b, atol) in zip(r, calls):
@@ -310,7 +316,7 @@ class TestNewtonBehavior:
         noise = random_field(long_domain, np.random.default_rng(6), scale=0.1)
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0),
                           eps=0.3, dt=5e-2, t_final=5e-2)
-        res = sp._advance(u0.coeffs[None], noise.coeffs[None], cfg, long_domain, cfg.dt, 0)[4]
+        res = advance(u0.coeffs[None], noise.coeffs[None], cfg, long_domain)[4]
         eig = neumann_eigensystem(long_domain)
         visc = 1.0 + cfg.eps * eig.mu
         c0 = SpectralField(long_domain, (visc * u0.coeffs + noise.coeffs) / visc)
@@ -359,8 +365,7 @@ class TestNewtonBehavior:
         n = random_field(long_domain, np.random.default_rng(8), scale=0.01)
         u0 = random_field(long_domain, np.random.default_rng(5), scale=1.5, decay=1.0)
         # the noise mean of a halved march: test_noise_mean_is_the_integral_ledger_mean[True]
-        c, _, _, _, _, depths = sp._advance(u0.coeffs[None], n.coeffs[None], cfg, long_domain,
-                                            cfg.dt, 0)
+        c, _, _, _, _, depths = advance(u0.coeffs[None], n.coeffs[None], cfg, long_domain)
         assert depths[0] >= 1
         assert abs(c[0].flat[0] - (u0.mean + n.mean)) < 1e-14
 
@@ -387,8 +392,7 @@ class TestOneResolventPerIteration:
         resolvent, cg = mn.resolvent, sp.cg
         monkeypatch.setattr(mn, "resolvent", lambda *a: calls.append(1) or resolvent(*a))
         monkeypatch.setattr(sp, "cg", lambda *a: solves.append(1) or cg(*a))
-        c, _, xi, iters, res, depths = sp._advance(u0.coeffs[None], None, cfg, long_domain,
-                                                   cfg.dt, 0)
+        c, _, xi, iters, res, depths = advance(u0.coeffs[None], None, cfg, long_domain)
         assert depths[0] == depth
         assert len(calls) == len(res[0])
         assert len(solves) == iters[0]  # one CG solve per correction of a lone member
@@ -702,10 +706,14 @@ class TestBatchedCore:
     def assert_members_equal_solo(u0, cfg, op, seeds):
         noises = [nz.NoiseModel(nz.WienerProcess(op.mode_count, s), op) for s in seeds]
         c = np.repeat(u0.coeffs[None], len(seeds), axis=0)
+        plan, work = sp._step_plan(u0.domain, cfg.eps, cfg.dt), sp._workspace(len(c), u0.domain)
         batch = []
         for s in range(cfg.n_steps):
-            field = nz.increment_stack(noises, c, s, cfg.dt)
-            batch.append((field,) + sp._advance(c, field, cfg, u0.domain, cfg.dt, s))
+            # each row's field by the per-state path
+            field = np.stack([nz.apply_diffusion(op, SpectralField(u0.domain, row),
+                                                 model.process.increments_at(s, cfg.dt)).coeffs
+                              for row, model in zip(c, noises)])
+            batch.append((field,) + sp._advance(c, field, cfg, u0.domain, cfg.dt, s, plan, work))
             c = batch[-1][1]
         for m, model in enumerate(noises):
             solo = sp.simulate(u0, cfg, model)
@@ -758,12 +766,12 @@ class TestBatchedCore:
         fields = easy[:2] + [hard] + easy[2:]
         noise = np.stack([random_field(long_domain, np.random.default_rng(8 + m),
                                        scale=0.01).coeffs for m in range(4)])
-        c, w, xi, iters, res, depths = sp._advance(
-            np.stack([f.coeffs for f in fields]), noise, cfg, long_domain, cfg.dt, 0)
+        c, w, xi, iters, res, depths = advance(
+            np.stack([f.coeffs for f in fields]), noise, cfg, long_domain)
         assert depths == [0, 0, 2, 0]
         for m, f in enumerate(fields):
-            c1, w1, xi1, iters1, res1, depths1 = sp._advance(
-                f.coeffs[None], noise[m][None], cfg, long_domain, cfg.dt, 0)
+            c1, w1, xi1, iters1, res1, depths1 = advance(f.coeffs[None], noise[m][None], cfg,
+                                                         long_domain)
             assert np.array_equal(c[m], c1[0])
             assert np.array_equal(w[m], w1[0])
             assert np.array_equal(xi[m], xi1[0])
@@ -1008,12 +1016,15 @@ class TestStepPlan:
 
     def test_halved_step_builds_a_plan_for_its_substep(self, long_domain, monkeypatch):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), **self.HALVING)
-        plans = self.record(monkeypatch, "_step_plan")
+        plans, original = [], sp._step_plan  # (plan, the dt it was built for)
+        monkeypatch.setattr(sp, "_step_plan", lambda *a: plans.append((original(*a), a[2]))
+                            or plans[-1][0])
         steps = self.record(monkeypatch, "_solve_step")
         traj = sp.simulate(self.halving_field(long_domain), cfg)
         assert traj.rejections == (1, 0)
-        assert [a[4] for a in steps] == [0.5, 0.25, 0.25, 0.5]
-        assert [a[2] for a in plans] == [0.5, 0.25]
+        # each solve's plan, mapped back to the dt it was built for
+        assert [next(dt for p, dt in plans if p is a[4]) for a in steps] == [0.5, 0.25, 0.25, 0.5]
+        assert [dt for _, dt in plans] == [0.5, 0.25]
 
     def test_plan_arrays_are_read_only(self, plane_domain):
         plan = sp._step_plan(plane_domain, 0.1, 1e-3)
@@ -1047,7 +1058,7 @@ class TestStepPlan:
         monkeypatch.setattr(sp, "_potential", lambda c, *a: iterates.append(
             (c.copy(), r := potential(c, *a))) or r)
         monkeypatch.setattr(sp, "cg", lambda m, b, *a: systems.append(b.copy()) or cg(m, b, *a))
-        sp._advance(u, noise, cfg, plane_domain, cfg.dt, 0)
+        advance(u, noise, cfg, plane_domain)
         eig = neumann_eigensystem(plane_domain)
         visc, dtmu = 1.0 + cfg.eps * eig.mu, cfg.dt * eig.mu
         sq, sqmu = np.sqrt(eig.weights).ravel()[1:], np.sqrt(eig.mu).ravel()[1:]
@@ -1059,21 +1070,6 @@ class TestStepPlan:
             want = -(sq * F[:, 1:]) / sqmu
             assert np.all(b[:, 0] == 0.0)
             assert np.all(np.abs(b[:, 1:] - want) <= 1e-15 * np.abs(want))
-
-    def test_advance_with_and_without_a_plan_agree_bitwise(self, long_domain):
-        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=0.01,
-                          **self.HALVING)
-        u = np.stack([self.halving_field(long_domain).coeffs,
-                      random_field(long_domain, np.random.default_rng(2), scale=0.1).coeffs])
-        noise = np.stack([random_field(long_domain, np.random.default_rng(3 + m),
-                                       scale=0.01).coeffs for m in range(2)])
-        plan = sp._step_plan(long_domain, cfg.eps, cfg.dt)
-        got = sp._advance(u, noise, cfg, long_domain, cfg.dt, 0, plan=plan)
-        want = sp._advance(u, noise, cfg, long_domain, cfg.dt, 0)
-        assert got[5] == want[5] == [1, 0]  # the first member halves
-        for a, b in zip(got[:3], want[:3]):
-            assert a.tobytes() == b.tobytes()
-        assert got[3:] == want[3:]
 
     def test_each_run_looks_the_eigensystem_up_alike(self, study_field, monkeypatch):
         # a plan cached across runs would leave later runs without the lookup
@@ -1095,19 +1091,75 @@ class TestKinkEnergy:
     beta_hat - (lam/2) beta^2 + O(lam^2): the first-order energy is
     2 sqrt(2)/3 - L/4 - (lam/2) int tanh^6, with int tanh^6 = L -
     sqrt(2) (2 + 2/3 + 2/5).  The next term, (3 lam^2/2) int tanh^8 = 22.9
-    lam^2, is the measured excess of 22.1-22.8 lam^2.
+    lam^2, is the measured excess of 22.1-22.8 lam^2.  In 2D, the planar
+    kink along the first axis follows its 1D run.
     """
+
+    @staticmethod
+    def kink():
+        # the kink's analysis on L = 20 with 64 modes
+        x = (np.arange(128) + 0.5) * 20.0 / 128
+        return from_grid(Domain((20.0,), (64,)), np.tanh((x - 10.0) / np.sqrt(2)))
 
     @pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4])
     def test_energy_to_first_order_in_lam(self, lam):
-        length, m = 20.0, 64
-        x = (np.arange(2 * m) + 0.5) * length / (2 * m)
-        kink = from_grid(Domain((length,), (m,)), np.tanh((x - length / 2) / np.sqrt(2)))
+        length, kink = 20.0, self.kink()
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), lam=lam)
         tanh6 = length - np.sqrt(2) * (2 + 2 / 3 + 2 / 5)
         first_order = 2 * np.sqrt(2) / 3 - length / 4 - lam / 2 * tanh6
         # dropping the lam term misses by 0.078 at lam = 1e-2
         assert abs(sum(sp.free_energy_parts(kink, cfg)) - first_order) <= 30 * lam**2
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("side, m2", [(5.0, 4), (20.0, 8)])
+    def test_planar_kink_in_2d_follows_the_1d_run(self, side, m2, eps, lam):
+        """u0 constant along the second axis: its column of first-axis modes
+        marches as the 1D run, and no other mode moves.
+
+        Measured at newton_tol 1e-10: columns within 2.1e-11, other modes at
+        most 7.9e-16.  Not bitwise, as the 2D transform sums in another order.
+        """
+        kink = self.kink()
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=eps, lam=lam,
+                          dt=0.05, t_final=2.0, newton_tol=1e-10)
+        c = np.zeros((64, m2))
+        c[:, 0] = kink.coeffs
+        planar = sp.simulate(SpectralField(Domain((20.0, side), (64, m2)), c), cfg).u
+        line = sp.simulate(kink, cfg).u
+        assert np.max(np.abs(planar[:, :, 0] - line)) <= 10 * cfg.newton_tol
+        assert np.max(np.abs(planar[:, :, 1:])) <= 1e-14
+
+
+class TestTemporalOrder:
+    """Noise-free backward Euler is first order in dt.
+
+    1D, L = 10, 32 modes, the quartic well, lam = 1e-2 and the CLI's default
+    initial coefficients, to T = 1 at dt = 0.04 ... 0.0025: the sup-H gap
+    |u_dt - u_dt/2| at shared times halves with dt.  Measured under convex
+    splitting at eps = 0: 6.99e-3, 3.76e-3, 1.95e-3 and 9.94e-4, ratios 1.86,
+    1.93 and 1.96, slope 0.94; every ratio of the four cases lies in
+    [1.86, 1.98].  A half-order scheme gives ratios near 1.41, a second-order
+    one near 4.
+    """
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("splitting", ["convex_splitting", "fully_implicit"])
+    def test_gaps_halve_with_dt(self, splitting, eps):
+        dom = Domain((10.0,), (32,))
+        c = np.zeros(32)
+        c[[0, 1, 2, 5]] = 0.05, 0.4, 0.2, 0.1
+        dts = [0.04, 0.02, 0.01, 0.005, 0.0025]
+        runs = [sp.simulate(SpectralField(dom, c), make_config(
+            "quartic_double_well", ("negative_identity", 1.0), eps=eps, lam=1e-2, dt=dt,
+            t_final=1.0, newton_tol=1e-13, splitting=splitting)).u for dt in dts]
+        weights = neumann_eigensystem(dom).weights
+        gaps = [np.sqrt((weights * (coarse - fine[::2]) ** 2).sum(axis=1)).max()
+                for coarse, fine in zip(runs, runs[1:])]
+        ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+        assert all(1.8 <= r <= 2.2 for r in ratios), ratios
+        slope = np.polyfit(np.log(dts[:-1]), np.log(gaps), 1)[0]
+        assert 0.9 <= slope <= 1.1
 
 
 def _per_call_rebuilds(tree, functions) -> list:
@@ -1151,7 +1203,7 @@ def _per_iteration_calls(tree, callees) -> list:
 def test_newton_cg_core_transforms_through_the_pair_its_solve_looked_up():
     # one route lookup and one errstate per solve: the silent entry points,
     # the lookup and the noise draw stay out of every iteration
-    banned = ("_synthesis", "_analysis", "_transforms", "increment_stack")
+    banned = ("_synthesis", "_analysis", "_transforms", "_increments")
     snippet = ("def _solve_step():\n"
                "    synthesis, analysis = _transforms(modes)\n"
                "    for it in range(3):\n"
@@ -1159,14 +1211,14 @@ def test_newton_cg_core_transforms_through_the_pair_its_solve_looked_up():
                "        def matvec():\n"
                "            return analysis(sp._transforms(m)[1](y))\n"
                "def cg():\n"
-               "    nz.increment_stack(models, c, 0, dt)\n"
+               "    nz._increments(seeds, steps, count, dt)\n"
                "def _potential():\n"
                "    return _analysis(x, modes)\n"
                "def drift():\n"
                "    return _synthesis(c, modes)\n")
     assert _per_iteration_calls(ast.parse(snippet), banned) == [
         ("_potential", 10, "_analysis"), ("_solve_step", 4, "_synthesis"),
-        ("_solve_step", 6, "_transforms"), ("cg", 8, "increment_stack"),
+        ("_solve_step", 6, "_transforms"), ("cg", 8, "_increments"),
         ("matvec", 6, "_transforms")]
     tree = ast.parse(Path(sp.__file__).read_text())
     core = ("_solve_step", "cg", "matvec", "_potential")
@@ -1204,7 +1256,7 @@ class TestChunkedNoise:
         # (pre-step stack, noise field, step index) of every step a march takes
         steps, original = [], sp._advance
 
-        def spy(u, noise, config, domain, dt, step_index, plan=None, work=None, *halving):
+        def spy(u, noise, config, domain, dt, step_index, plan, work, *halving):
             if not halving:
                 steps.append((u.copy(), noise, step_index))
             return original(u, noise, config, domain, dt, step_index, plan, work, *halving)
@@ -1214,8 +1266,8 @@ class TestChunkedNoise:
 
     @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
     @pytest.mark.parametrize("members", [1, 3])
-    def test_chunks_equal_per_step_increment_stack(self, long_domain, study_field, monkeypatch,
-                                                   kind, members):
+    def test_chunks_equal_per_row_apply_diffusion(self, long_domain, study_field, monkeypatch,
+                                                  kind, members):
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
                           dt=1e-3, t_final=8e-3)
         op = nz.diffusion_operator(long_domain, 6, kind=kind, sigma=0.3, mean_zero=True)
@@ -1231,7 +1283,10 @@ class TestChunkedNoise:
         assert draws == [3 * members, 3 * members, 2 * members]
         assert [s for _, _, s in steps] == list(range(cfg.n_steps))
         for u, field, s in steps:
-            assert field.tobytes() == nz.increment_stack(noises, u, s, cfg.dt).tobytes()
+            for row, model, got in zip(u, noises, field):
+                dW = model.process.increments_at(s, cfg.dt)
+                want = nz.apply_diffusion(op, SpectralField(long_domain, row), dW).coeffs
+                assert got.tobytes() == want.tobytes()
         monkeypatch.undo()
         default = sp.simulate(study_field, cfg, noises[0], batch and sp.Batch(study_field, cfg,
                                                                               noises))
@@ -1315,7 +1370,7 @@ class TestWorkspace:
         # workspace, c, w, xi) of each of its steps
         steps, original = [], sp._advance
 
-        def spy(u, noise, config, domain, dt, step_index, plan=None, work=None, *halving):
+        def spy(u, noise, config, domain, dt, step_index, plan, work, *halving):
             out = original(u, noise, config, domain, dt, step_index, plan, work, *halving)
             if not halving:
                 steps.append((u, noise, work) + out[:3])
