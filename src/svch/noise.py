@@ -164,7 +164,7 @@ def diffusion_operator(
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma!r}, violates (B1)")
     total = math.prod(domain.modes)
-    if not 1 <= mode_count <= total:
+    if not 1 <= _integer("mode_count", mode_count) <= total:
         raise DimensionMismatch(
             f"mode_count must be in [1, {total}] for this truncation, got {mode_count}, "
             "violates (B1)"

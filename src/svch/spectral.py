@@ -241,34 +241,42 @@ _MATRIX_ENTRIES = 2**14
 
 
 @functools.lru_cache(maxsize=None)
-def _cosine_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _cosine_matrices(m: int, n: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     # synthesis S[j, k] = cos(pi k (j + 1/2) / n) and analysis A = (2/n) S^T
     # with row 0 set to 1/n, each the matrix that multiplies a column: the DCT
-    # pair below with its scalings folded in
+    # pair below with its scalings folded in, built in float64 and cast once
     S = np.cos(np.pi * np.outer(np.arange(n) + 0.5, np.arange(m)) / n)
     A = np.ascontiguousarray((2.0 / n) * S.T)
     A[0] = 1.0 / n
+    S, A = S.astype(dtype, copy=False), A.astype(dtype, copy=False)
     S.setflags(write=False)
     A.setflags(write=False)
     return S, A
 
 
 @functools.lru_cache(maxsize=None)
-def _transforms(modes: tuple, grid: Optional[tuple] = None) -> tuple:
+def _transforms(modes: tuple, grid: Optional[tuple] = None, dtype=np.float64) -> tuple:
     # the raw (synthesis, analysis) pair between coefficients of shape modes
-    # and values of shape grid (the factor-2 grid when None): the cosine
-    # matrices when every axis fits _MATRIX_ENTRIES, else the DCT.  The route
-    # depends on the grid alone, never on the stack height, so a member of a
-    # stack takes its solo run's route and keeps its bits, though 16-row
-    # stacks at 80-90 modes would run faster by the DCT.  It enters
+    # and values of shape grid (the factor-2 grid when None), computing in
+    # dtype: the cosine matrices when every axis fits _MATRIX_ENTRIES, else
+    # the DCT.  The route depends on the grid alone, never on the stack
+    # height, so a member of a stack takes its solo run's route and keeps its
+    # bits, though 16-row stacks at 80-90 modes would run faster by the DCT.
+    # The stepper asks for float32 only for CG's Jacobian action on grids of
+    # at least stepper._SINGLE_POINTS points: one thread of a 2-core Xeon,
+    # best of 7 x 200 calls, a 2D matvec in float64 against float32, casts
+    # included, took 10.6 against 9.3-10.1 us at 1024 points, 14-16 against
+    # 13 at 2304, 22 against 17-18 at 4096, 46-54 against 32-39 at 9216 and
+    # 115-123 against 68-72 at 16384.  It enters
     # no errstate, so its callers are silent.  Either half writes into and
-    # returns out, a C-contiguous array of the result's shape, when given:
-    # numpy's out on the matrix route, a copy on the DCT route
+    # returns out, an array of the result's shape with C-contiguous rows,
+    # when given: numpy's out on the matrix route, a copy on the DCT route
     grid = tuple(2 * m for m in modes) if grid is None else grid
     if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
-        mats = tuple(zip(*(_cosine_matrices(m, n) for m, n in zip(modes, grid))))
+        mats = tuple(zip(*(_cosine_matrices(m, n, dtype) for m, n in zip(modes, grid))))
         return tuple(functools.partial(_by_matrices, m) for m in mats)
-    return functools.partial(_dct_synthesis, grid), functools.partial(_dct_analysis, modes)
+    return (functools.partial(_dct_synthesis, grid, dtype),
+            functools.partial(_dct_analysis, modes))
 
 
 def _by_matrices(mats: Sequence[np.ndarray], x: np.ndarray, out=None) -> np.ndarray:
@@ -289,11 +297,11 @@ def _into(out, a: np.ndarray) -> np.ndarray:
     return a if out is None else out
 
 
-def _dct_synthesis(grid: tuple, coeffs: np.ndarray, out=None) -> np.ndarray:
-    # DCT-III, zero-padded by the transform
+def _dct_synthesis(grid: tuple, dtype, coeffs: np.ndarray, out=None) -> np.ndarray:
+    # DCT-III in dtype, zero-padded by the transform
     from scipy import fft as sfft
 
-    values = np.array(coeffs, dtype=float)
+    values = np.array(coeffs, dtype=dtype)
     for ax, n in enumerate(grid, start=values.ndim - len(grid)):
         values[_along(ax, slice(1, None))] *= 0.5
         values = sfft.dct(values, type=3, n=n, axis=ax)
@@ -301,7 +309,8 @@ def _dct_synthesis(grid: tuple, coeffs: np.ndarray, out=None) -> np.ndarray:
 
 
 def _dct_analysis(modes: tuple, values: np.ndarray, out=None) -> np.ndarray:
-    # DCT-II in our normalization, cut to the first m coefficients per axis
+    # DCT-II in our normalization, cut to the first m coefficients per axis,
+    # in the dtype of values
     from scipy import fft as sfft
 
     for ax, m in enumerate(modes, start=values.ndim - len(modes)):

@@ -37,7 +37,12 @@ definite in the Parseval metric, so the linear solves use the in-repo
 preconditioned conjugate gradients ``cg``, capped at cg_max_iter (default
 500, at most 10000).  Each correction is solved to max(min(newton_tol,
 |b|)/10, 1e-3 * min(1, |F|) * |b|) for its member's Newton residual F and
-right-hand side b: an inexact Newton forcing term.
+right-hand side b: an inexact Newton forcing term.  On grids of at least
+_SINGLE_POINTS points the Yosida slope and the CG matvec's synthesis, slope
+multiply and analysis are float32, in float32 views of the workspace; the
+iterate, F and its stopping test, b, CG's vectors, dot products and
+preconditioner and the noise stay float64, so a converged step meets
+newton_tol as before.
 
 The solver core advances (B, *modes) member stacks: ``simulate`` marches one
 row, a ``Batch`` the members of an ensemble, and each march stacks its rows
@@ -69,6 +74,7 @@ from .spectral import (
     SpectralField,
     _check_eps,
     _grad_sq,
+    _integer,
     _integrals,
     _rows,
     _synthesis,
@@ -153,14 +159,13 @@ class SolverConfig:
             raise ValueError(f"unknown splitting {self.splitting!r}")
         # a failing step costs up to 1024 substeps x newton_max_iter x cg_max_iter
         # CG iterations; no correction took over 75 in the tests or 7 in the
-        # benchmark workloads, so 10000 (20x the default) leaves room
-        for name, top in (("newton_max_iter", 100), ("cg_max_iter", 10_000)):
-            if not 0 <= getattr(self, name) <= top:
+        # benchmark workloads, so 10000 (20x the default) leaves room; a substep
+        # below 2**-52 of its step is lost in the rounding of the step's time,
+        # and _advance recurses once per halving
+        for name, top in (("newton_max_iter", 100), ("cg_max_iter", 10_000),
+                          ("max_rejections", 52)):
+            if not 0 <= _integer(name, getattr(self, name)) <= top:
                 raise ValueError(f"{name} must lie in [0, {top}], got {getattr(self, name)!r}")
-        # a substep below 2**-52 of its step is lost in the rounding of the
-        # step's time; _advance also recurses once per halving
-        if not 0 <= self.max_rejections <= 52:
-            raise ValueError(f"max_rejections must lie in [0, 52], got {self.max_rejections!r}")
 
     @property
     def n_steps(self) -> int:
@@ -328,12 +333,32 @@ def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
     return plan
 
 
+# Grids of at least this many points run CG's Jacobian action in float32;
+# Newton's residual, in float64, still decides when a step is done (Kelley,
+# Newton's method in mixed precision, SIAM Review 2022).  At 4096 points a
+# matvec takes 17-18 us in float32 against 22 in float64, a saving that
+# shrinks to about 1 us at 1024 (measured at spectral._transforms).  Below
+# the gate 1D and small 2D runs keep their float64 bits: without it 14 tests
+# that pin such runs fail, the 1e-13 noisy linear mode recursion among them.
+# The gate reads the grid alone, never the stack height, so a member keeps
+# its solo run's route and bits
+_SINGLE_POINTS = 4096
+
+
 def _workspace(members: int, domain: Domain) -> np.ndarray:
     # three (members, *grid) slots, of which a solve of n members uses rows
     # [:n]: an iterate's grid, J and (grid - J) / lam; then the Yosida slope
     # in the third, bhat and the scaled matvec input in the second, and each
-    # CG matvec's grid in the first
+    # CG matvec's grid in the first.  On grids of _SINGLE_POINTS or more the
+    # slope, the matvec's input and its grid are float32 halves (_single) of
+    # these
     return np.empty((3, members) + tuple(2 * m for m in domain.modes))
+
+
+def _single(a: np.ndarray) -> np.ndarray:
+    # a float32 array of a's shape on the first half of each row's bytes of
+    # a, a float64 stack whose rows are C-contiguous
+    return _rows(a).view(np.float32)[:, :a[0].size].reshape(a.shape)
 
 
 @mn._silent
@@ -347,7 +372,9 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, plan, work):
     """
     mu, wgt, to_b, to_c, visc, dtmu, diag, coupling, diag_flat, dtmu_flat = plan
     modes = domain.modes
-    transforms = synthesis, analysis = _transforms(modes)
+    transforms = _transforms(modes)
+    single = work[0, 0].size >= _SINGLE_POINTS
+    synthesis, analysis = _transforms(modes, dtype=np.float32) if single else transforms
     tol = config.newton_tol
     implicit_pi = config.splitting == "fully_implicit"
 
@@ -391,16 +418,19 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, plan, work):
             slots[0][:], slots[1][:] = grid[go], J[go]
             grid, J = slots[:2]
 
-        rho = mn.yosida_derivative(config.graph, config.lam, grid, J, slots[2])
+        vec = _rows(slots[1])[:, :2 * F.shape[1]].reshape(len(F), 2, -1)
+        slope, t, v = slots[2], slots[0], vec[:, 1]
+        if single:
+            slope, t, v = _single(slope), _single(t), _single(v)
+        rho = mn.yosida_derivative(config.graph, config.lam, grid, J, slope)
         if implicit_pi:
             rho -= config.perturbation.lipschitz
         # the row mean as numpy's mean computes it: the sum, then one division
         rho_bar = np.maximum(_rows(rho).sum(axis=1) / rho[0].size, 0.0)
         precond = 1.0 / (diag_flat + dtmu_flat * rho_bar[:, None])
-        vec = _rows(slots[1])[:, :2 * F.shape[1]].reshape(len(F), 2, -1)
         bhat = np.multiply(F, to_b, out=vec[:, 0])
 
-        def matvec(y, active, rho=rho, t=slots[0], v=vec[:, 1]):
+        def matvec(y, active, rho=rho, t=t, v=v):
             if len(active) < len(rho):
                 rho, t = rho[active], t[:len(active)]
             shape = t.shape[:1] + modes

@@ -187,6 +187,13 @@ class TestDiffusionOperator:
         with pytest.raises(ValueError, match=rf"violates \({label}\)"):
             noise.diffusion_operator(Domain((1.0,), (8,)), **kwargs)
 
+    @pytest.mark.parametrize("mode_count", (3.0, 2.5))
+    def test_non_integral_mode_count_is_refused_by_name(self, mode_count):
+        # 3.0 used to raise an unlabelled TypeError while building the columns
+        with pytest.raises(ValueError,
+                           match=rf"^mode_count must be an integer, got {mode_count!r}$"):
+            noise.diffusion_operator(Domain((1.0,), (8,)), mode_count)
+
     def test_overflowing_columns_rejected(self):
         # (1 + mu)**1e308 overflows although sigma and rho are finite; the
         # labelled rejection is the only signal, with no warning before it

@@ -196,6 +196,20 @@ class TestBatchedPair:
         assert analysis(out, back) is back
         assert back.tobytes() == coeffs.tobytes()
 
+    @pytest.mark.parametrize("modes, matrices", [((64, 64), True), ((128,), False),
+                                                 ((96, 6), False)])
+    def test_float32_pair_agrees_with_the_float64_pair(self, modes, matrices):
+        # the pair of CG's Jacobian action on large grids: float32 in and out,
+        # within float32 rounding of the float64 pair
+        stack = RNG.standard_normal((3,) + modes).astype(np.float32)
+        single, double = sp._transforms(modes, dtype=np.float32), sp._transforms(modes)
+        assert (single[0].func is sp._by_matrices) == (single[1].func is sp._by_matrices) == (
+            matrices)
+        for half, x in ((0, stack), (1, single[0](stack))):
+            got, want = single[half](x), double[half](x.astype(np.float64))
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
     def test_transform_code_lives_only_in_spectral(self):
         package = Path(sp.__file__).parent
         offenders = [

@@ -9,6 +9,7 @@ identities, energy decay, and the rejection machinery.
 """
 
 import ast
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -574,6 +575,13 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError, match=r"cg_max_iter must lie in \[0, 10000\]"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, cg_max_iter=10_001)
 
+    @pytest.mark.parametrize("value", (1.5, 2.5, 3.5))
+    @pytest.mark.parametrize("name", ("newton_max_iter", "cg_max_iter", "max_rejections"))
+    def test_non_integral_counts_are_refused_by_name(self, quartic, neg_id, name, value):
+        # 2.5 and 3.5 used to be accepted and fail mid-march, and 1.5 ran
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            sp.SolverConfig(graph=quartic, perturbation=neg_id, **{name: value})
+
     def test_step_count_overflow_rejected(self, quartic, neg_id):
         with pytest.raises(ValueError, match="overflows"):
             sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=1e-300, t_final=1e300)
@@ -1112,13 +1120,15 @@ class TestKinkEnergy:
 
     @pytest.mark.parametrize("lam", [1e-2, 1e-3])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    @pytest.mark.parametrize("side, m2", [(5.0, 4), (20.0, 8)])
+    @pytest.mark.parametrize("side, m2", [(5.0, 4), (20.0, 8), (20.0, 64)])
     def test_planar_kink_in_2d_follows_the_1d_run(self, side, m2, eps, lam):
         """u0 constant along the second axis: its column of first-axis modes
         marches as the 1D run, and no other mode moves.
 
         Measured at newton_tol 1e-10: columns within 2.1e-11, other modes at
         most 7.9e-16.  Not bitwise, as the 2D transform sums in another order.
+        The 64 x 64 box runs CG's Jacobian action in float32: columns within
+        2.1e-11, other modes at most 6.2e-16.
         """
         kink = self.kink()
         cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=eps, lam=lam,
@@ -1228,9 +1238,10 @@ def test_newton_cg_core_transforms_through_the_pair_its_solve_looked_up():
 
 def test_newton_loop_and_matvec_fill_no_fresh_arrays():
     # bhat, the matvec's scaled input and the Newton update are products with
-    # the plan's maps, into the workspace or in place; cg alone starts an
-    # array of zeros, its result from x = 0
-    fills = ("zeros", "zeros_like", "full")
+    # the plan's maps, into the workspace or in place, and the float32 slope,
+    # input and grid are views of it; cg alone starts an array of zeros, its
+    # result from x = 0
+    fills = ("zeros", "zeros_like", "full", "empty", "empty_like", "astype")
     snippet = ("def _solve_step():\n"
                "    out = np.zeros(3)\n"
                "    for it in range(3):\n"
@@ -1240,10 +1251,16 @@ def test_newton_loop_and_matvec_fill_no_fresh_arrays():
                "def cg():\n"
                "    x = np.zeros_like(b)\n"
                "def _potential():\n"
-               "    return np.zeros_like(c)\n")
+               "    return np.zeros_like(c)\n"
+               "def matvec():\n"
+               "    t = np.empty(shape, np.float32)\n"
+               "    v = y.astype(np.float32)\n"
+               "def _potential():\n"
+               "    J = np.empty_like(grid)\n")
     assert [c for c in _per_iteration_calls(ast.parse(snippet), fills) if c[0] != "cg"] == [
-        ("_potential", 10, "zeros_like"), ("_solve_step", 4, "zeros"),
-        ("_solve_step", 6, "full"), ("matvec", 6, "full")]
+        ("_potential", 10, "zeros_like"), ("_potential", 15, "empty_like"),
+        ("_solve_step", 4, "zeros"), ("_solve_step", 6, "full"), ("matvec", 6, "full"),
+        ("matvec", 12, "empty"), ("matvec", 13, "astype")]
     tree = ast.parse(Path(sp.__file__).read_text())
     assert [c for c in _per_iteration_calls(tree, fills) if c[0] != "cg"] == []
 
@@ -1415,3 +1432,101 @@ class TestWorkspace:
                 assert not np.may_share_memory(a, work)
                 assert not any(np.may_share_memory(a, b) for b in later)
             assert not any(np.may_share_memory(a, b) for a, b in ((c, w), (c, xi), (w, xi)))
+
+    @pytest.mark.parametrize("modes, dtype", [((16, 16), np.float64), ((32, 32), np.float32)])
+    def test_matvec_arrays_are_views_of_the_workspace(self, monkeypatch, modes, dtype):
+        # the Jacobian action's slope, scaled input and grid: float64 below
+        # the gate, float32 halves of the workspace's slots at it (4096 points)
+        dom = Domain((4.0, 4.0), modes)
+        u0 = random_field(dom, np.random.default_rng(3), scale=0.05)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.1, t_final=0.2)
+        op = nz.diffusion_operator(dom, 8, kind="multiplicative", sigma=1.0)
+        noises = [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in (1, 0)]
+        arrays, original = [], sp.cg
+        monkeypatch.setattr(sp, "cg", lambda matvec, *a: arrays.append(matvec.__defaults__)
+                            or original(matvec, *a))
+        _, steps = self.march(u0, cfg, noises, monkeypatch)
+        work = steps[0][2]
+        assert arrays and all(step[2] is work for step in steps)
+        for rho, t, v in arrays:
+            assert {rho.dtype, t.dtype, v.dtype} == {np.dtype(dtype)}
+            assert rho.shape == t.shape and rho.shape[1:] == work.shape[2:]
+            assert v.shape == (len(rho), math.prod(modes))
+            assert all(np.shares_memory(a, work) for a in (rho, t, v))
+            assert not any(np.shares_memory(a, b) for a, b in ((rho, t), (rho, v), (t, v)))
+
+
+class TestSinglePrecision:
+    """On grids of at least _SINGLE_POINTS points CG's Jacobian action runs in float32.
+
+    Newton's residual, in float64, still decides when a step is done.  Near
+    newton_tol a float32 correction cuts the residual by a factor near 3e-6
+    instead of quadratically, so a step can take one more Newton iteration:
+    under the cap of 4 below, member seed 1 halves its second step on the
+    float32 route and not on the float64 one.
+    """
+
+    @staticmethod
+    def stack(newton_max_iter):
+        # a 2-member multiplicative stack on a 64 x 64 box: 16384 grid points
+        dom = Domain((8.0, 8.0), (64, 64))
+        u0 = random_field(dom, np.random.default_rng(3), scale=0.05)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          lam=1e-2, dt=0.1, t_final=0.3, newton_max_iter=newton_max_iter)
+        op = nz.diffusion_operator(dom, 8, kind="multiplicative", sigma=5.0)
+        return u0, cfg, [nz.NoiseModel(nz.WienerProcess(8, s), op) for s in (1, 4)]
+
+    @staticmethod
+    def members(u0, cfg, noises):
+        batch = sp.Batch(u0, cfg, noises)
+        return [sp.simulate(u0, cfg, model, batch) for model in noises]
+
+    def test_members_equal_solo_bitwise_with_one_halving(self):
+        u0, cfg, noises = self.stack(newton_max_iter=4)
+        assert 128 * 128 >= sp._SINGLE_POINTS
+        trajs = self.members(u0, cfg, noises)
+        assert any(len(set(its)) > 1 for its in zip(*(t.newton_iterations for t in trajs)))
+        assert [max(t.rejections) > 0 for t in trajs] == [True, False]
+        for traj, model in zip(trajs, noises):
+            solo = sp.simulate(u0, cfg, model)
+            for f in ("u", "w", "xi", "noise_mean"):
+                assert getattr(traj, f).tobytes() == getattr(solo, f).tobytes()
+            assert (traj.newton_iterations, traj.newton_residuals, traj.rejections) == (
+                solo.newton_iterations, solo.newton_residuals, solo.rejections)
+
+    def test_steps_meet_the_float64_contract(self, monkeypatch):
+        """Every step ends at |F|_H <= newton_tol and meets the evolution
+        identity to 10 newton_tol, as on the float64 route.
+
+        Measured against the float64 route: u within 3.9e-15, w 3.2e-14 and
+        xi 1.7e-14.
+        """
+        u0, cfg, noises = self.stack(newton_max_iter=30)
+        single = self.members(u0, cfg, noises)
+        monkeypatch.setattr(sp, "_SINGLE_POINTS", 10**9)
+        double = self.members(u0, cfg, noises)
+        for a, b in zip(single, double):
+            assert not any(a.rejections) and not any(b.rejections)
+            assert max(r[-1] for r in a.newton_residuals) <= cfg.newton_tol
+            assert np.max(sp.evolution_residual(a)) <= 10 * cfg.newton_tol
+            for f in ("u", "w", "xi"):
+                assert np.max(np.abs(getattr(a, f) - getattr(b, f))) <= 1e-12
+        assert single[0].u.tobytes() != double[0].u.tobytes()  # the routes differ
+
+    @pytest.mark.parametrize("modes, single", [((90,), False), ((16, 16), False),
+                                               ((31, 32), False), ((32, 32), True),
+                                               ((100, 24), True)])
+    def test_float32_pair_only_at_the_gate(self, monkeypatch, modes, single):
+        # 1D runs up to the matrix bound and 2D grids below 4096 points ask
+        # for no float32 pair, so they keep their float64 bits; 100 x 24
+        # modes take the DCT route
+        dtypes, original = [], sp._transforms
+        monkeypatch.setattr(sp, "_transforms", lambda *a, **k: dtypes.append(
+            np.dtype(k.get("dtype", np.float64))) or original(*a, **k))
+        dom = Domain((4.0,) * len(modes), modes)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), dt=0.01,
+                          t_final=0.02)
+        sp.simulate(random_field(dom, np.random.default_rng(5), scale=0.1), cfg)
+        assert (np.float32 in dtypes) == single
+        assert set(dtypes) <= {np.dtype(np.float64), np.dtype(np.float32)}
