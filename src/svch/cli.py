@@ -4,7 +4,8 @@ study, and write reproducible artifacts.
 
 Config format: ``key = value`` lines under ``[section]`` headers, UTF-8.
 Each RunConfig field names its section, key and value format; every key is
-optional and defaults to the field's default.
+optional and defaults to the field's default.  Each value format is one row
+of ``_CODECS``: its decoder, its encoder and the floats the finite check reads.
 
 Precedence: command-line flags > SVCH_<SECTION>_<KEY> environment variables >
 config file > defaults.  parse_config(emit_config(c)) == c exactly; floats
@@ -42,7 +43,7 @@ import sys
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -146,51 +147,48 @@ def _where(f) -> tuple:
 _SCHEMA = {_where(f): (f.name, f.metadata["codec"]) for f in fields(RunConfig)}
 
 
-def _decode(codec: str, raw: str):
-    raw = raw.strip()
-    if codec == "str":
-        return raw
-    if codec == "int":
-        return int(raw)
-    if codec == "float":
-        return float(raw)
-    if codec == "bool":
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if codec == "floats":
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    if codec == "ints":
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    if codec == "pairs":
-        out = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            idx, _, val = part.partition(":")
-            out.append((int(idx), float(val)))
-        return tuple(out)
-    raise AssertionError(codec)
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _encode(codec: str, value) -> str:
-    if codec == "str":
-        return value
-    if codec in ("int", "bool"):
-        return str(value)
-    if codec == "float":
-        return repr(float(value))
-    if codec == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if codec == "ints":
-        return ",".join(str(int(v)) for v in value)
-    if codec == "pairs":
-        return ",".join(f"{int(i)}:{float(v)!r}" for i, v in value)
-    raise AssertionError(codec)
+def _pair(part: str) -> tuple:
+    # one flat_index:value item of the initial coefficients
+    idx, _, val = part.strip().partition(":")
+    return int(idx), float(val)
+
+
+# one value format: its decoder of a stripped string, its encoder (floats by repr,
+# so the round trip is bit-faithful) and the floats a value holds, checked finite
+class _Codec(NamedTuple):
+    decode: Callable
+    encode: Callable = str
+    floats: Callable = lambda value: ()
+
+
+def _listed(item: _Codec) -> _Codec:
+    # a comma-separated list of item's format; blank items are skipped
+    return _Codec(lambda raw: tuple(item.decode(p) for p in raw.split(",") if p.strip()),
+                  lambda values: ",".join(map(item.encode, values)),
+                  lambda values: [x for value in values for x in item.floats(value)])
+
+
+_FLOAT = _Codec(float, lambda value: repr(float(value)), lambda value: (value,))
+# each value format a RunConfig field names, one row each
+_CODECS = {
+    "str": _Codec(str),
+    "int": _Codec(int),
+    "bool": _Codec(_bool),
+    "float": _FLOAT,
+    "floats": _listed(_FLOAT),
+    "ints": _listed(_Codec(int)),
+    "pairs": _listed(_Codec(_pair, lambda pair: f"{int(pair[0])}:{_FLOAT.encode(pair[1])}",
+                            lambda pair: (pair[1],))),
+}
 
 
 def _key_line(text: str, key: str) -> Optional[int]:
@@ -206,13 +204,11 @@ def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
     try:
         parser.read_string(text)
     except ConfigParserError as err:
+        # a ParsingError lists its bad lines; the other errors carry their line
         lineno = getattr(err, "lineno", None)
-        if lineno is None:
-            errs = getattr(err, "errors", None)
-            if errs:
-                lineno = errs[0][0]
-        message = str(err.message if hasattr(err, "message") else err)
-        raise ParseError(message.splitlines()[0], lineno=lineno) from err
+        if lineno is None and getattr(err, "errors", None):
+            lineno = err.errors[0][0]
+        raise ParseError(str(err).splitlines()[0], lineno=lineno) from err
 
     values = {}
     for section in parser.sections():
@@ -224,7 +220,7 @@ def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
             except KeyError:
                 raise ValidationError(f"unknown key {key!r} in section [{section}]") from None
             try:
-                values[field_name] = _decode(codec, raw)
+                values[field_name] = _CODECS[codec].decode(raw.strip())
             except ValueError as err:
                 raise ParseError(f"bad value for {section}.{key}: {err}",
                                  lineno=_key_line(text, key)) from err
@@ -234,7 +230,7 @@ def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
         var = f"{ENV_PREFIX}{section.upper()}_{key.upper()}"
         if var in env:
             try:
-                values[field_name] = _decode(codec, env[var])
+                values[field_name] = _CODECS[codec].decode(env[var].strip())
             except ValueError as err:
                 raise ValidationError(f"bad value in {var}: {err}") from err
 
@@ -245,17 +241,11 @@ def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
 
 def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
-    lines = []
-    current = None
+    sections = {}
     for (section, key), (name, codec) in _SCHEMA.items():
-        if section != current:
-            if lines:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current = section
-        lines.append(f"{key} = {_encode(codec, getattr(config, name))}")
-    lines.append("")
-    return "\n".join(lines)
+        sections.setdefault(section, [f"[{section}]"]).append(
+            f"{key} = {_CODECS[codec].encode(getattr(config, name))}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def config_hash(config: RunConfig) -> str:
@@ -275,17 +265,8 @@ def validate_config(config: RunConfig) -> None:
     hypothesis they guard; their ValueErrors become ValidationErrors here.
     """
     for f in fields(RunConfig):
-        codec, label = f.metadata["codec"], f.metadata["label"]
-        if codec not in ("float", "floats", "pairs"):
-            continue
-        value = getattr(config, f.name)
-        if codec == "float":
-            numbers = (value,)
-        elif codec == "pairs":
-            numbers = [v for _, v in value]
-        else:
-            numbers = value
-        if not all(map(math.isfinite, numbers)):
+        value, label = getattr(config, f.name), f.metadata["label"]
+        if not all(map(math.isfinite, _CODECS[f.metadata["codec"]].floats(value))):
             label = f", violates ({label})" if label else ""
             raise ValidationError(f"{'.'.join(_where(f))} must be finite, got {value!r}{label}")
     if config.mode not in MODES:
@@ -378,7 +359,7 @@ def _write_csv(path: Path, hash_: str, header, rows) -> None:
 
 
 def _run_simulate(config, solver, data):
-    traj = st.simulate(data.u0, solver, ex._noise(data.operator, config.seed))
+    traj = ex._run(data, solver, config.seed)
     columns = ex.run_diagnostics(traj)
     assertions = ex.check_invariants(traj, columns)
     header = list(columns)
@@ -395,12 +376,10 @@ def _run_simulate(config, solver, data):
 def _sweep_rows(report):
     # a series shorter than the sweep (consecutive distances) is padded with ""
     names = sorted(report.metrics)
-    header = [report.variable] + names
-    rows = []
-    for i, value in enumerate(report.values):
-        series = [report.metrics[n] for n in names]
-        rows.append([value] + [s[i] if i < len(s) else "" for s in series])
-    return header, rows
+    series = [report.metrics[n] for n in names]
+    rows = [[value] + [s[i] if i < len(s) else "" for s in series]
+            for i, value in enumerate(report.values)]
+    return [report.variable] + names, rows
 
 
 def _offset(config, data):

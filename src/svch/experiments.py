@@ -24,6 +24,7 @@ from .noise import DiffusionOperator, NoiseModel, WienerProcess
 from .spectral import (
     SpectralField,
     _grad_sq,
+    _integer,
     _integrals,
     _norms,
     _rows,
@@ -490,6 +491,9 @@ MIN_MEMBERS = 8
 
 def member_seed(seed: int, member: int) -> int:
     """Deterministic per-member seed, independent of execution order."""
+    for name, value in (("seed", seed), ("member", member)):
+        if _integer(name, value, PreconditionViolated) < 0:
+            raise PreconditionViolated(f"{name} must be non-negative, got {value!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(member,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -512,11 +516,11 @@ def ensemble_expectations(
     is an optional list of (eps, lam) pairs over which uniformity of the
     estimates is reported; a point may not repeat.
     """
-    if members < MIN_MEMBERS:
+    if _integer("members", members, PreconditionViolated) < MIN_MEMBERS:
         raise PreconditionViolated(f"need at least {MIN_MEMBERS} ensemble members")
     if order is None:
         order = range(members)
-    order = list(order)
+    order = [_integer("order entry", m, PreconditionViolated) for m in order]
     if sorted(order) != list(range(members)):
         raise PreconditionViolated("order must be a permutation of the members")
     if grid is None:
@@ -524,9 +528,11 @@ def ensemble_expectations(
     if not len(grid):
         raise PreconditionViolated("(eps, lam) grid must not be empty")
     points = [tuple(p) for p in grid]
-    repeated = [p for k, p in enumerate(points) if p in points[:k]]
-    if repeated:
-        raise PreconditionViolated(f"(eps, lam) grid repeats the point {repeated[0]}")
+    for k, p in enumerate(points):
+        if len(p) != 2:
+            raise PreconditionViolated(f"(eps, lam) grid point {p} is not a pair")
+        if p in points[:k]:
+            raise PreconditionViolated(f"(eps, lam) grid repeats the point {p}")
 
     names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
     mc_mean: dict = {}

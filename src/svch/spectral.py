@@ -206,13 +206,13 @@ def _check_same_domain(u: SpectralField, v: SpectralField):
         raise ValueError("fields live on different domains")
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, error: type = ValueError) -> int:
     # a count or an index: a float, even an integral one, or a string would
     # be truncated or parsed, and a noise index would alias a draw
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def basis_field(domain: Domain, flat_index: int, amplitude: float = 1.0) -> SpectralField:

@@ -100,6 +100,80 @@ class TestParseEmit:
         assert cli.parse_config(block, env={}) == cli.RunConfig()
 
 
+CODECS = {codec for _, codec in cli._SCHEMA.values()}
+
+# one key of each value format: (section, key, file value, environment value)
+ENV_CASES = [
+    ("run", "mode", "simulate", " regularity "),
+    ("run", "seed", "3", "7 "),
+    ("noise", "mean_zero", "no", "yes"),
+    ("solver", "dt", "1e-3", "5e-4"),
+    ("sweep", "eps_grid", "0.1, 0.01", " 0.2,0.05, 0.01"),
+    ("domain", "modes", "64", "32"),
+    ("initial", "coefficients", "0:0.1", "1:-0.0, 2:1e-300"),
+]
+
+
+class TestEnvironmentCodecs:
+    def test_cases_cover_every_codec(self):
+        assert {cli._SCHEMA[(s, k)][1] for s, k, _, _ in ENV_CASES} == CODECS
+
+    @pytest.mark.parametrize("section,key,file_value,env_value", ENV_CASES,
+                             ids=[f"{s}.{k}" for s, k, _, _ in ENV_CASES])
+    def test_variable_parses_as_the_file_form_and_wins(self, section, key, file_value,
+                                                       env_value):
+        var = f"SVCH_{section.upper()}_{key.upper()}"
+        name = cli._SCHEMA[(section, key)][0]
+        from_file = cli.parse_config(f"[{section}]\n{key} = {env_value}\n", env={})
+        shadowed = cli.parse_config(f"[{section}]\n{key} = {file_value}\n", env={})
+        overridden = cli.parse_config(f"[{section}]\n{key} = {file_value}\n",
+                                      env={var: env_value})
+        assert getattr(shadowed, name) != getattr(from_file, name)
+        assert overridden == from_file
+        assert cli.emit_config(overridden) == cli.emit_config(from_file)
+
+
+# every value format at a non-default value; the pairs hold a signed zero and
+# a tiny value, whose reprs must survive the round trip
+EVERY_CODEC = """[run]
+mode = regularity
+seed = 11
+[domain]
+lengths = 6.0, 4.5
+modes = 8, 6
+[potential]
+perturbation = zero
+lam = 0.03125
+[noise]
+kind = multiplicative
+modes = 5
+mean_zero = yes
+[solver]
+eps = 0.02
+[initial]
+coefficients = 0:-0.0, 3:1e-300, 7:0.25
+[sweep]
+eps_grid = 0.2, 0.05
+"""
+
+
+class TestGoldenConfigBytes:
+    """config.ini and the hash inside series.csv and summary.json, pinned."""
+
+    def test_default_config(self):
+        assert cli.config_hash(cli.RunConfig()) == (
+            "bd3a8d6a531fbeb2c7480b1483a79207ade83dd097673c76d443a7bfeb28c756")
+
+    def test_every_codec_at_a_non_default_value(self):
+        cfg = cli.parse_config(EVERY_CODEC, env={})
+        changed = {f.metadata["codec"] for f in dataclasses.fields(cfg)
+                   if getattr(cfg, f.name) != f.default}
+        assert changed == CODECS
+        assert "coefficients = 0:-0.0,3:1e-300,7:0.25\n" in cli.emit_config(cfg)
+        assert cli.config_hash(cfg) == (
+            "082bce1f3354ccc442191c7da7d2ba844bcc6d2250d39c1d57e533531c3ee24f")
+
+
 class TestValidationLabels:
     def check(self, text, label):
         with pytest.raises(cli.ValidationError, match=label):

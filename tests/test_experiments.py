@@ -800,6 +800,34 @@ class TestEnsembles:
             ex.ensemble_expectations(data, study_config(), members=8, seed=1,
                                      order=[0, 0, 1, 2, 3, 4, 5, 6])
 
+    @pytest.mark.parametrize("inputs,message", [
+        ({"members": 8.0}, r"members must be an integer, got 8\.0"),
+        ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"order": [0.0, 1, 2, 3, 4, 5, 6, 7]}, r"order entry must be an integer, got 0\.0"),
+        ({"grid": ((0.1, 0.01, 3),)}, r"grid point \(0\.1, 0\.01, 3\) is not a pair"),
+    ], ids=["float_members", "float_seed", "negative_seed", "float_order_entry",
+            "grid_triple"])
+    def test_bad_library_input_is_refused_by_name(self, long_domain, monkeypatch, inputs,
+                                                  message):
+        calls = []
+        monkeypatch.setattr(ex, "simulate", lambda *args: calls.append(args))
+        with pytest.raises(ex.PreconditionViolated, match=message):
+            ex.ensemble_expectations(self._data(long_domain), study_config(),
+                                     **{"members": 8, "seed": 7, **inputs})
+        assert calls == []
+
+    @pytest.mark.parametrize("seed,member,message", [
+        (1.5, 0, "seed must be an integer"),
+        (-1, 0, "seed must be non-negative"),
+        (0, 0.0, "member must be an integer"),
+        (0, -1, "member must be non-negative"),
+        (None, 0, "seed must be an integer, got None"),
+    ])
+    def test_member_seed_refuses_bad_input_by_name(self, seed, member, message):
+        with pytest.raises(ex.PreconditionViolated, match=message):
+            ex.member_seed(seed, member)
+
 
 class TestRegularity:
     def test_monitor_with_cubic_growth(self, long_domain):

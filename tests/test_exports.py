@@ -2,8 +2,9 @@
 Every name ``svch`` exports earns its place.
 
 API that only tests use goes, unless it is an oracle.  So each name in a
-module's ``__all__`` has a caller in ``src/svch`` besides its own definition,
-or its docstring says that it is an object of the paper or an oracle, or the
+module's ``__all__`` has a caller in ``src/svch`` besides its own definition
+(a string naming it counts, as ``cli._STUDIES`` names the studies it looks
+up), or its docstring says that it is an object of the paper or an oracle, or the
 benchmark hooks it: ``bench/tracing.py`` wraps the names in its ``HOOKS``
 from outside the package, so those stay until the benchmark stops reading
 them.  The check reads the sources with ``ast`` and imports ``HOOKS``
@@ -27,19 +28,23 @@ TAGS = ("the paper", "oracle")
 def _unclaimed(sources: dict, hooked) -> list:
     """Exported names with no package caller, no paper or oracle tag and no hook."""
     trees = [ast.parse(text) for text in sources.values()]
-    exported = [elt.value for tree in trees for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                for elt in node.value.elts]
+    alls = [node for tree in trees for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    exported = [elt.value for node in alls for elt in node.value.elts]
     defs = {node.name: node for tree in trees for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    # names loaded or looked up as attributes anywhere, but not inside their
-    # own top-level definition; __all__ holds strings and imports hold aliases
+    # names loaded or looked up as attributes anywhere, and strings that name
+    # them (cli._STUDIES looks its studies up by name), but not inside their
+    # own top-level definition or in __all__; imports hold aliases
     used = set()
     for tree in trees:
         for top in tree.body:
+            if top in alls:
+                continue
             refs = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(top)
                     if isinstance(n, (ast.Name, ast.Attribute))}
+            refs |= {n.value for n in ast.walk(top)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)}
             used |= refs - {getattr(top, "name", None)}
 
     def tagged(name):
@@ -69,3 +74,19 @@ def test_every_export_has_a_caller_a_tag_or_a_hook():
     assert {"spectral", "noise", "stepper", "__init__"} <= set(sources)
     hooked = {hook.target.partition(":")[2] for hook in HOOKS}
     assert _unclaimed(sources, hooked) == []
+
+
+def test_a_string_naming_an_export_counts_as_a_caller():
+    sources = {
+        "a": '__all__ = ["looked_up", "idle"]\ndef looked_up():\n    pass\n'
+             "def idle():\n    pass\n",
+        "b": 'TABLE = {"mode": ("looked_up", True)}\n',
+    }
+    assert _unclaimed(sources, set()) == ["idle"]
+
+
+def test_without_hooks_only_the_benchmark_names_stay_unclaimed():
+    # what lifting the HOOKS pin leaves: the names the benchmark alone reads
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(_unclaimed(sources, set())) == sorted(
+        ["yosida", "to_grid", "from_grid", "integrate_grid", "inner", "free_energy_parts"])
