@@ -37,6 +37,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -162,40 +163,48 @@ def _pair(part: str) -> tuple:
     return int(idx), float(val)
 
 
-# one value format: its decoder of a stripped string, its encoder (floats by repr,
-# so the round trip is bit-faithful) and the floats a value holds, checked finite
+# one value format: its decoder of a stripped string, its encoder (floats by repr, so the
+# round trip is bit-faithful), and the floats and integers a value holds, checked by kind
 class _Codec(NamedTuple):
     decode: Callable
     encode: Callable = str
     floats: Callable = lambda value: ()
+    integers: Callable = lambda value: ()
 
 
 def _listed(item: _Codec) -> _Codec:
     # a comma-separated list of item's format; blank items are skipped
     return _Codec(lambda raw: tuple(item.decode(p) for p in raw.split(",") if p.strip()),
                   lambda values: ",".join(map(item.encode, values)),
-                  lambda values: [x for value in values for x in item.floats(value)])
+                  lambda values: [x for value in values for x in item.floats(value)],
+                  lambda values: [x for value in values for x in item.integers(value)])
 
 
 _FLOAT = _Codec(float, lambda value: repr(float(value)), lambda value: (value,))
+_INT = _Codec(int, integers=lambda value: (value,))
 # each value format a RunConfig field names, one row each
 _CODECS = {
     "str": _Codec(str),
-    "int": _Codec(int),
+    "int": _INT,
     "bool": _Codec(_bool),
     "float": _FLOAT,
     "floats": _listed(_FLOAT),
-    "ints": _listed(_Codec(int)),
+    "ints": _listed(_INT),
     "pairs": _listed(_Codec(_pair, lambda pair: f"{int(pair[0])}:{_FLOAT.encode(pair[1])}",
-                            lambda pair: (pair[1],))),
+                            lambda pair: (pair[1],), lambda pair: (pair[0],))),
 }
 
 
-def _key_line(text: str, key: str) -> Optional[int]:
+def _key_line(text: str, section: str, key: str) -> Optional[int]:
+    # the line of key in [section], else in [DEFAULT], whose keys every section reads
+    lines, current = {}, None
     for i, line in enumerate(text.splitlines(), start=1):
-        if re.match(rf"\s*{re.escape(key)}\s*[=:]", line):
-            return i
-    return None
+        header = re.match(r"\s*\[(.+)\]", line)
+        if header:
+            current = header.group(1)
+        elif re.match(rf"\s*{re.escape(key)}\s*[=:]", line, re.IGNORECASE):
+            lines.setdefault(current, i)
+    return lines.get(section, lines.get("DEFAULT"))
 
 
 def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
@@ -223,7 +232,7 @@ def parse_config(text: str, env: Optional[dict] = None) -> RunConfig:
                 values[field_name] = _CODECS[codec].decode(raw.strip())
             except ValueError as err:
                 raise ParseError(f"bad value for {section}.{key}: {err}",
-                                 lineno=_key_line(text, key)) from err
+                                 lineno=_key_line(text, section, key)) from err
 
     env = os.environ if env is None else env
     for (section, key), (field_name, codec) in _SCHEMA.items():
@@ -265,10 +274,14 @@ def validate_config(config: RunConfig) -> None:
     hypothesis they guard; their ValueErrors become ValidationErrors here.
     """
     for f in fields(RunConfig):
-        value, label = getattr(config, f.name), f.metadata["label"]
-        if not all(map(math.isfinite, _CODECS[f.metadata["codec"]].floats(value))):
-            label = f", violates ({label})" if label else ""
-            raise ValidationError(f"{'.'.join(_where(f))} must be finite, got {value!r}{label}")
+        value, codec, where = getattr(config, f.name), _CODECS[f.metadata["codec"]], _where(f)
+        # an integral float or a bool would emit a text the int decoder refuses
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                   for x in codec.integers(value)):
+            raise ValidationError(f"{'.'.join(where)} must be an integer, got {value!r}")
+        if not all(map(math.isfinite, codec.floats(value))):
+            label = f", violates ({f.metadata['label']})" if f.metadata["label"] else ""
+            raise ValidationError(f"{'.'.join(where)} must be finite, got {value!r}{label}")
     if config.mode not in MODES:
         raise ValidationError(f"unknown mode {config.mode!r}; choose from {MODES}")
     total = math.prod(config.modes)  # exact; np.prod wraps around

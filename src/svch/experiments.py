@@ -175,62 +175,69 @@ def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.float_power(values, exponent)
 
 
-def _diagnostic_columns(cfg: SolverConfig, u, w, xi, mean_process, domain) -> dict:
-    """The DIAGNOSTIC_FIELDS but t, in order, of a (B, *modes) state stack.
+def _diagnostic_columns(names, parts) -> dict:
+    """The named DIAGNOSTIC_FIELDS columns of a chunk of states, in names' order.
 
-    mean_process is u0's mean plus the noise mean, per row.  One
-    resolvent evaluation serves the well mass and the conjugate mass.
+    parts are (trajectory, step slice) pairs of members sharing u0 and config.
+    One synthesis of u and one resolvent evaluation serve the energy and mass
+    columns; w and xi are synthesized only for their own columns.
     """
-    modes = domain.modes
-    grid = _synthesis(u, modes)
-    J = mn.resolvent(cfg.graph, cfg.lam, grid)
-    grad, well, reaction = _energy_parts(u, grid, J, domain, cfg)
-    centered = u.copy()
-    _rows(centered)[:, 0] -= mean_process
-    cols = {"mean_u": _rows(u)[:, 0], "star_centered": _norms(domain, centered, "star")}
-    cols.update((f"{k.lower()}_norm", _norms(domain, u, k)) for k in ("H", "V1", "V2", "V3"))
-    return {
-        **cols,
-        "energy": grad + well + reaction,
-        "gradient_energy": grad,
-        "well_mass": well,
-        "reaction_mass": reaction,
-        # Fenchel-Young equality at s = beta_lam(u) = beta(J)
-        "conjugate_mass": _integrals(domain, (grid - J) / cfg.lam * J - cfg.graph.beta_hat(J)),
-        "w_l1": _integrals(domain, np.abs(_synthesis(w, modes))),
-        "xi_l1": _integrals(domain, np.abs(_synthesis(xi, modes))),
-    }
+    first = parts[0][0]
+    cfg, domain, modes = first.config, first.domain, first.domain.modes
+
+    def stack(field):
+        return np.concatenate([getattr(t, field)[s] for t, s in parts])
+
+    u = stack("u")
+    cols = {"t": stack("times"), "mean_u": _rows(u)[:, 0]}
+    if "star_centered" in names:
+        centered = u.copy()
+        _rows(centered)[:, 0] -= _rows(first.u)[0, 0] + stack("noise_mean")  # the mean process
+        cols["star_centered"] = _norms(domain, centered, "star")
+    cols.update((f"{k.lower()}_norm", _norms(domain, u, k)) for k in ("H", "V1", "V2", "V3")
+                if f"{k.lower()}_norm" in names)
+    if {"energy", "gradient_energy", "well_mass", "reaction_mass", "conjugate_mass"} & set(names):
+        grid = _synthesis(u, modes)
+        J = mn.resolvent(cfg.graph, cfg.lam, grid)
+        grad, well, reaction = _energy_parts(u, grid, J, domain, cfg)
+        # the conjugate mass by the Fenchel-Young equality at s = beta_lam(u) = beta(J)
+        conjugate = _integrals(domain, (grid - J) / cfg.lam * J - cfg.graph.beta_hat(J))
+        cols.update(energy=grad + well + reaction, gradient_energy=grad, well_mass=well,
+                    reaction_mass=reaction, conjugate_mass=conjugate)
+    cols.update((f"{f}_l1", _integrals(domain, np.abs(_synthesis(stack(f), modes))))
+                for f in ("w", "xi") if f"{f}_l1" in names)
+    return {name: cols[name] for name in names}
 
 
 def run_diagnostics(traj: Trajectory) -> dict:
     """{name: (N+1,) array} in DIAGNOSTIC_FIELDS order; raises NonFinite with the step index.
 
-    States are diagnosed as stacks of about _CHUNK_POINTS grid points.
+    The one row of _diagnose's stack of every column.
     """
-    return _diagnose([traj])[0]
+    return {name: v[0] for name, v in _diagnose([traj], DIAGNOSTIC_FIELDS).items()}
 
 
 @mn._silent
-def _diagnose(trajs) -> list:
-    # run_diagnostics of trajectories sharing u0, config and step count, in chunks
-    # that may span members; columns reduce rows alone, so each equals its solo run
+def _diagnose(trajs, names) -> dict:
+    """{name: (M, N+1) array} of the named columns of M members sharing u0, config and N.
+
+    States are diagnosed in chunks of about _CHUNK_POINTS grid points that
+    may span members; a column reduces rows alone, so each row equals its
+    member's solo run.  NonFinite names the first bad step, then column.
+    """
     first, n = trajs[0], len(trajs[0])
-    flat = {name: np.empty(len(trajs) * n) for name in DIAGNOSTIC_FIELDS[1:]}
+    flat = {name: np.empty(len(trajs) * n) for name in names}
     for k in _chunks(len(trajs) * n, _chunk_states(first.domain)):
         parts = [(trajs[m], slice(max(k.start - m * n, 0), k.stop - m * n))
                  for m in range(k.start // n, min(len(trajs), math.ceil(k.stop / n)))]
-        u, w, xi, noise_mean = (np.concatenate([getattr(t, f)[s] for t, s in parts])
-                                for f in ("u", "w", "xi", "noise_mean"))
-        cols = _diagnostic_columns(first.config, u, w, xi, _rows(first.u)[0, 0] + noise_mean,
-                                   first.domain)
+        cols = _diagnostic_columns(names, parts)
         bad = [(j, c) for c, v in cols.items() for j in np.flatnonzero(~np.isfinite(v))]
         if bad:
             j, name = min(bad, key=lambda b: b[0])  # the first step, then the first column
             raise NonFinite(f"diagnostic {name} is not finite at step {(k.start + j) % n}")
         for name, v in cols.items():
             flat[name][k] = v
-    return [{"t": t.times, **{name: v[m * n:(m + 1) * n] for name, v in flat.items()}}
-            for m, t in enumerate(trajs)]
+    return {name: v.reshape(len(trajs), n) for name, v in flat.items()}
 
 
 @mn._silent
@@ -487,6 +494,8 @@ def yosida_convergence_study(
 
 # fewest members ensemble_expectations takes; the CLI refuses fewer at validation
 MIN_MEMBERS = 8
+# the columns ensemble_expectations' four estimates read
+_ESTIMATED = ("t", "mean_u", "star_centered", "gradient_energy", "well_mass", "conjugate_mass")
 
 
 def member_seed(seed: int, member: int) -> int:
@@ -509,12 +518,13 @@ def ensemble_expectations(
     """Monte Carlo estimates of the pathwise energies with standard errors.
 
     The members of a grid point step as one ``Batch``, with rows in
-    ``order``, and the states of each ``Batch`` group are diagnosed as one
-    stack; each member equals its solo run, diagnostics included, and the
-    estimates are stored by member index and reduced in index order, so any
-    order gives identical output.  ``grid``
-    is an optional list of (eps, lam) pairs over which uniformity of the
-    estimates is reported; a point may not repeat.
+    ``order``.  Each ``Batch`` group's states are diagnosed as one stack on
+    the _ESTIMATED columns alone, and the group's (members, N+1) columns
+    are reduced at once; each member equals its solo run, diagnostics
+    included, and the estimates are stored by member index and reduced in
+    index order, so any order gives identical output.  ``grid`` is an
+    optional list of (eps, lam) pairs over which uniformity of the estimates
+    is reported; a point may not repeat.
     """
     if _integer("members", members, PreconditionViolated) < MIN_MEMBERS:
         raise PreconditionViolated(f"need at least {MIN_MEMBERS} ensemble members")
@@ -535,9 +545,7 @@ def ensemble_expectations(
             raise PreconditionViolated(f"(eps, lam) grid repeats the point {p}")
 
     names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
-    mc_mean: dict = {}
-    mc_stderr: dict = {}
-    assertions = []
+    mc_mean, mc_stderr, assertions = {}, {}, []
     per_point_means: dict = {n: [] for n in names}
     # every grid point's config is checked before the first member runs
     configs = [_config(data, base, eps=eps, lam=lam) for eps, lam in grid]
@@ -545,17 +553,16 @@ def ensemble_expectations(
         noises = [_noise(data.operator, member_seed(seed, m)) for m in order]
         batch = Batch(data.u0, cfg, noises)
         rows = np.empty((members, len(names)))
-        # one group at a time: its trajectories go before the next is integrated
-        diagnosed = (c for lo in range(0, members, batch.size) for c in _diagnose(
-            [simulate(data.u0, cfg, noise, batch) for noise in noises[lo:lo + batch.size]]))
-        for m, cols in zip(order, diagnosed):
+        for lo in range(0, members, batch.size):
+            # one group at a time: its trajectories go before the next is integrated
+            cols = _diagnose([simulate(data.u0, cfg, noise, batch)
+                              for noise in noises[lo:lo + batch.size]], _ESTIMATED)
             ts = cols["t"]
-            rows[m] = (
-                (_pow(cols["star_centered"], 2) + _pow(cols["mean_u"], 2)).max(),
-                _trapz(2.0 * cols["gradient_energy"], ts),
-                _trapz(cols["well_mass"], ts),
-                _trapz(cols["conjugate_mass"], ts),
-            )
+            rows[order[lo:lo + batch.size]] = np.column_stack((
+                (_pow(cols["star_centered"], 2) + _pow(cols["mean_u"], 2)).max(axis=1),
+                np.trapezoid(2.0 * cols["gradient_energy"], ts, axis=1),
+                np.trapezoid(cols["well_mass"], ts, axis=1),
+                np.trapezoid(cols["conjugate_mass"], ts, axis=1)))
         mean = rows.mean(axis=0)
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(members)
         key = f"eps={float(eps)!r},lam={float(lam)!r}"
@@ -569,15 +576,8 @@ def ensemble_expectations(
         for n in names:
             assertions.append(_uniformity(f"{n}_uniform_over_grid",
                                           per_point_means[n], 100.0))
-    return SweepReport(
-        variable="(eps,lam)",
-        values=tuple(points),
-        metrics={},
-        assertions=tuple(assertions),
-        mc_mean=mc_mean,
-        mc_stderr=mc_stderr,
-        members=members,
-    )
+    return SweepReport("(eps,lam)", tuple(points), {}, tuple(assertions),
+                       mc_mean=mc_mean, mc_stderr=mc_stderr, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +626,7 @@ def regularity_monitor(traj: Trajectory) -> SweepReport:
         cubic = (Assertion("xi_cubic_growth_bound", xi_l2 <= bound, value=xi_l2, bound=bound),)
     assertions = [Assertion("regularity_norms_finite",
                             all(math.isfinite(v[0]) for v in metrics.values())), *cubic]
-    return SweepReport(
-        variable="eps",
-        values=(cfg.eps,),
-        metrics=metrics,
-        assertions=tuple(assertions),
-    )
+    return SweepReport("eps", (cfg.eps,), metrics, tuple(assertions))
 
 
 def regularity_study(

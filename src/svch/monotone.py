@@ -128,8 +128,9 @@ def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None, out=None):
     """
     arr, scalar = _as_array(r)
     bp = graph.beta_prime(np.asarray(resolvent(graph, lam, arr) if J is None else J))
-    rho = np.where(np.isinf(bp), 1.0 / lam, bp / (1.0 + lam * bp))
-    return float(rho) if scalar else _into(out, rho)
+    rho = np.divide(bp, 1.0 + lam * bp, out=np.empty_like(arr) if out is None else out)
+    rho[np.isinf(bp)] = 1.0 / lam
+    return float(rho) if scalar else rho
 
 
 @_silent

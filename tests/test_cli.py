@@ -62,6 +62,19 @@ class TestParseEmit:
             cli.parse_config("[solver]\ndt = banana\n", env={})
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize("text,lineno", [
+        # a key of one name in two sections: the bad one is the second
+        ("[domain]\nmodes = 64\n[noise]\nmodes = x\n", 4),
+        ("[noise]\nmodes = x\n[domain]\nmodes = 64\n", 2),
+        # keys are case-insensitive, and [DEFAULT] keys reach every section
+        ("[domain]\nmodes = 64\n[noise]\nMODES = x\n", 4),
+        ("[DEFAULT]\nmodes = x\n[noise]\nkind = additive\n", 2),
+    ], ids=["second_section", "first_section", "upper_case", "default_section"])
+    def test_parse_error_finds_the_key_in_its_section(self, text, lineno):
+        with pytest.raises(cli.ParseError, match="bad value for noise.modes") as exc:
+            cli.parse_config(text, env={})
+        assert exc.value.lineno == lineno
+
     def test_missing_section_header(self):
         with pytest.raises(cli.ParseError) as exc:
             cli.parse_config("dt = 1e-3\n", env={})
@@ -546,6 +559,31 @@ REPRODUCED = {
 }
 
 
+# library-built configs with a count of the wrong type, and the integer that
+# fixes it: each wrong one would emit a config.ini that parse_config refuses,
+# unless validation refuses it first
+NON_INTEGRAL = {
+    "run.seed": ("seed", 3.0, 3),
+    "sweep.members": ("members", 16.0, 16),
+    "domain.modes": ("modes", (64.0,), (64,)),
+    "noise.modes": ("noise_modes", True, 1),
+    "solver.newton_max_iter": ("newton_max_iter", np.float64(30), 30),
+    "initial.coefficients": ("initial", ((1.0, 0.4),), ((1, 0.4),)),
+}
+
+
+@pytest.mark.parametrize("where,name,bad,good", [(w, *v) for w, v in NON_INTEGRAL.items()],
+                         ids=NON_INTEGRAL.keys())
+def test_non_integral_count_is_refused_by_name(where, name, bad, good):
+    # an ensemble with noise reads every count
+    base = dataclasses.replace(cli.RunConfig(), mode="ensemble", noise_kind="additive")
+    with pytest.raises(cli.ValidationError, match=rf"^{where} must be an integer, got "):
+        cli.validate_config(dataclasses.replace(base, **{name: bad}))
+    config = dataclasses.replace(base, **{name: good})
+    cli.validate_config(config)
+    assert cli.parse_config(cli.emit_config(config), env={}) == config
+
+
 @pytest.mark.parametrize("text", REPRODUCED.values(), ids=REPRODUCED.keys())
 def test_reproduced_input_is_a_config_error(text, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
@@ -642,3 +680,45 @@ def test_property_exit_contract(text):
         assert code in (0, 1, 2, 3)
         if code == 2:
             assert not out.exists()
+
+
+# a value of each format's own type, or of a type the format refuses: integral
+# floats and bools for counts, ints for floats, unknown names for strings
+_STR_CHOICES = {
+    "mode": cli.MODES,
+    "potential": mn.graph_names(),
+    "perturbation": ("negative_identity", "zero"),
+    "noise_kind": ("none", "additive", "multiplicative"),
+    "splitting": ("convex_splitting", "fully_implicit"),
+}
+_COUNT = hst.one_of(hst.integers(-2, 12), hst.integers(-2, 12).map(float), hst.booleans())
+_REAL = hst.one_of(hst.floats(), hst.integers(-3, 3))
+_CODEC_VALUES = {
+    "int": lambda name: _COUNT,
+    "ints": lambda name: hst.lists(_COUNT, max_size=3).map(tuple),
+    "bool": lambda name: hst.booleans(),
+    "float": lambda name: _REAL,
+    "floats": lambda name: hst.lists(_REAL, max_size=3).map(tuple),
+    "pairs": lambda name: hst.lists(hst.tuples(_COUNT, _REAL), max_size=3).map(tuple),
+    "str": lambda name: hst.one_of(hst.sampled_from(_STR_CHOICES[name]), hst.text(max_size=6)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_property_accepted_configs_round_trip(data):
+    # a few fields of the defaults replaced; whatever validate_config accepts
+    # is emitted and parsed back unchanged, text included
+    chosen = data.draw(hst.lists(hst.sampled_from(dataclasses.fields(cli.RunConfig)),
+                                 max_size=4, unique_by=lambda f: f.name))
+    config = dataclasses.replace(cli.RunConfig(), **{
+        f.name: data.draw(_CODEC_VALUES[f.metadata["codec"]](f.name), label=f.name)
+        for f in chosen})
+    try:
+        cli.validate_config(config)
+    except cli.ValidationError:
+        return
+    text = cli.emit_config(config)
+    again = cli.parse_config(text, env={})
+    assert again == config
+    assert cli.emit_config(again) == text

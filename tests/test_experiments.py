@@ -181,26 +181,31 @@ class TestDiagnostics:
 
 class TestStackedDiagnostics:
     """An ensemble diagnoses each Batch group's states as one stack, in chunks
-    that span members; every member's columns equal its solo run's bitwise."""
+    that span members, on the columns its estimates read; every member's
+    columns equal its solo run's bitwise."""
+
+    @staticmethod
+    def noisy_data(domain):
+        return ex.ProblemData(u0=study_ic(domain),
+                              operator=nz.diffusion_operator(domain, 8, sigma=0.3))
 
     def test_groups_equal_solo_runs_one_group_at_a_time(self, long_domain, monkeypatch):
         # 51 states of 128 grid points per member and chunks of 32 states, so
         # chunks span members; members of 78744 B make groups of 3, 3 and 2
-        data = ex.ProblemData(u0=study_ic(long_domain),
-                              operator=nz.diffusion_operator(long_domain, 8, sigma=0.3))
+        data = self.noisy_data(long_domain)
         cfg = study_config()
         order = [5, 2, 7, 0, 3, 6, 1, 4]
         want = ex.ensemble_expectations(data, cfg, members=8, seed=4, order=order)
         monkeypatch.setattr(sp, "_BATCH_BYTES", 250_000)
         original, groups, gone = ex._diagnose, [], []
 
-        def checked(trajs):
+        def checked(trajs, names):
             assert all(ref() is None for ref in gone)  # the previous group is freed
-            out = original(trajs)
-            for traj, cols in zip(trajs, out):
-                solo = original([sp.simulate(data.u0, cfg, traj.noise)])[0]  # run_diagnostics
-                assert list(cols) == list(solo)
-                assert all(np.array_equal(cols[n], solo[n]) for n in solo)
+            out = original(trajs, names)
+            assert list(out) == list(names)
+            for m, traj in enumerate(trajs):
+                solo = original([sp.simulate(data.u0, cfg, traj.noise)], names)
+                assert all(np.array_equal(out[n][m], solo[n][0]) for n in names)
             groups.append([traj.noise.process.seed for traj in trajs])
             gone.extend(weakref.ref(traj) for traj in trajs)
             return out
@@ -211,15 +216,67 @@ class TestStackedDiagnostics:
         assert groups == [seeds[:3], seeds[3:6], seeds[6:]]
         assert rep.mc_mean == want.mc_mean and rep.mc_stderr == want.mc_stderr
 
+    def test_estimates_equal_a_reduction_of_solo_runs(self, long_domain, monkeypatch):
+        # the oracle reduces each member's solo run_diagnostics by _pow and
+        # _trapz, one member at a time; 201 states per member reach numpy's
+        # pairwise summation, and members of 310 kB make groups of 3, 3 and 2
+        data = self.noisy_data(long_domain)
+        cfg = study_config(t_final=0.2)
+        monkeypatch.setattr(sp, "_BATCH_BYTES", 1_000_000)
+        rep = ex.ensemble_expectations(data, cfg, members=8, seed=6,
+                                       order=[3, 7, 1, 0, 6, 2, 5, 4])
+        rows = []
+        for m in range(8):
+            cols = ex.run_diagnostics(ex._run(data, cfg, ex.member_seed(6, m)))
+            ts = cols["t"]
+            rows.append(((ex._pow(cols["star_centered"], 2) + ex._pow(cols["mean_u"], 2)).max(),
+                         ex._trapz(2.0 * cols["gradient_energy"], ts),
+                         ex._trapz(cols["well_mass"], ts), ex._trapz(cols["conjugate_mass"], ts)))
+        rows = np.array(rows)
+        key = f"eps={cfg.eps!r},lam={cfg.lam!r}"
+        names = ("sup_star_sq", "grad_l2_sq", "well_mass_path", "conjugate_mass_path")
+        assert rep.mc_mean == {f"{n}[{key}]": float(v) for n, v in zip(names, rows.mean(axis=0))}
+        stderr = rows.std(axis=0, ddof=1) / math.sqrt(8)
+        assert rep.mc_stderr == {f"{n}[{key}]": float(v) for n, v in zip(names, stderr)}
+
+    @pytest.mark.parametrize("names", [ex._ESTIMATED, ex.DIAGNOSTIC_FIELDS[::-1],
+                                       ("xi_l1", "t"), ("v2_norm",), ("reaction_mass", "h_norm")])
+    def test_named_columns_equal_run_diagnostics(self, long_domain, names):
+        data = self.noisy_data(long_domain)
+        trajs = [ex._run(data, study_config(), seed) for seed in (1, 2, 3)]
+        cols = ex._diagnose(trajs, names)
+        assert list(cols) == list(names)
+        for m, traj in enumerate(trajs):
+            solo = ex.run_diagnostics(traj)
+            assert all(cols[n].shape == (3, len(traj)) for n in names)
+            assert all(np.array_equal(cols[n][m], solo[n]) for n in names)
+
+    def test_ensemble_synthesizes_neither_w_nor_xi(self, long_domain, monkeypatch):
+        # one synthesis of u per chunk: 8 members of 51 states in chunks of 32
+        data = self.noisy_data(long_domain)
+        inputs, original = [], ex._synthesis
+
+        def recording(coeffs, modes, *args, **kwargs):
+            inputs.append(coeffs.copy())
+            return original(coeffs, modes, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "_synthesis", recording)
+        ex.ensemble_expectations(data, study_config(), members=8, seed=4)
+        trajs = [ex._run(data, study_config(), ex.member_seed(4, m)) for m in range(8)]
+        chunks = sp._chunks(8 * 51, sp._chunk_states(long_domain))
+        u = np.concatenate([t.u for t in trajs])
+        assert len(inputs) == len(chunks) == 13
+        assert all(np.array_equal(x, u[k]) for x, k in zip(inputs, chunks))
+
     def test_non_finite_state_names_its_members_step(self, long_domain):
         # member 1's step 3 is row 54 of the stack, in the chunk of rows 32..63
-        data = ex.ProblemData(u0=study_ic(long_domain),
-                              operator=nz.diffusion_operator(long_domain, 8, sigma=0.3))
+        data = self.noisy_data(long_domain)
         first, second = (ex._run(data, study_config(), seed) for seed in (1, 2))
         bad_u = second.u.copy()
         bad_u[3, 7] = np.inf
-        with pytest.raises(ex.NonFinite, match=r"star_centered is not finite at step 3$"):
-            ex._diagnose([first, replace(second, u=bad_u)])
+        for names in (ex.DIAGNOSTIC_FIELDS, ex._ESTIMATED):
+            with pytest.raises(ex.NonFinite, match=r"star_centered is not finite at step 3$"):
+                ex._diagnose([first, replace(second, u=bad_u)], names)
 
 
 class TestInvariants:
