@@ -43,7 +43,6 @@ from .monotone import (
     make_graph,
     make_perturbation,
     moreau_envelope,
-    polynomial_degree,
     resolvent,
     yosida,
     yosida_derivative,

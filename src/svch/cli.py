@@ -275,7 +275,10 @@ def validate_config(config: RunConfig) -> None:
     """
     for f in fields(RunConfig):
         value, codec, where = getattr(config, f.name), _CODECS[f.metadata["codec"]], _where(f)
-        # an integral float or a bool would emit a text the int decoder refuses
+        # a value not of its format's type emits a text the decoder refuses or reads
+        # otherwise: anything but a bool for a bool, an integral float or a bool for an int
+        if f.metadata["codec"] == "bool" and not isinstance(value, bool):
+            raise ValidationError(f"{'.'.join(where)} must be a boolean, got {value!r}")
         if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
                    for x in codec.integers(value)):
             raise ValidationError(f"{'.'.join(where)} must be an integer, got {value!r}")

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import monotone as mn
-from .monotone import polynomial_degree
 from .noise import DiffusionOperator, NoiseModel, WienerProcess
 from .spectral import (
     SpectralField,
@@ -589,7 +588,7 @@ def regularity_monitor(traj: Trajectory) -> SweepReport:
     """Path norms that stay bounded for smooth data, on one trajectory.
 
     The smoothed w is R w, R the Helmholtz inverse at the run's viscosity.
-    When the run's graph has cubic growth (polynomial degree 3) also checks
+    When the run's graph has cubic growth (its degree is 3) also checks
     the pointwise-cubic bound |xi|_{L2(0,T;H)} <= 2 * C * (1 + sup_t |u|_V1^3)
     where C is assembled from the measured V1 -> L6 embedding constant of the
     trajectory itself.
@@ -610,7 +609,7 @@ def regularity_monitor(traj: Trajectory) -> SweepReport:
         "v3_path": (math.sqrt(_trapz(_pow(_norms(domain, u, "V3"), 2), ts)),),
     }
     cubic = ()
-    if polynomial_degree(cfg.graph) == 3:
+    if cfg.graph.degree == 3:
         v1 = _norms(domain, u, "V1")
         chunks = _chunks(len(u), _chunk_states(domain))
         squares = (_synthesis(u[k], domain.modes) ** 2 for k in chunks)

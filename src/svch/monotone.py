@@ -17,15 +17,16 @@ s = beta_lam(r) = beta(J), with J = resolvent(r), the conjugate is exactly
 s*J - beta_hat(J) (Fenchel-Young); ``conjugate`` is the general route and
 the oracle for that identity.
 
-The built-in library covers a quartic double well (beta(r) = r^3 with the
-usual -r perturbation), a sixth-power well (r^5), an exponential graph
-(sinh), and the linear graph (r) used mostly for closed-form solver checks.
+The built-in graphs are one table of values: a quartic double well (beta(r)
+= r^3 with the usual -r perturbation), a sixth-power well (r^5), an
+exponential graph (sinh), and the linear graph (r) for closed-form checks.
 Potentials whose graph is not defined on all of R (the logarithmic well) are
 rejected at construction time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,7 +47,6 @@ __all__ = [
     "make_graph",
     "make_perturbation",
     "graph_names",
-    "polynomial_degree",
 ]
 
 
@@ -63,9 +63,9 @@ class MonotoneGraph:
     """Single-valued maximal monotone graph with convex primitive.
 
     beta_prime is the derivative of beta; resolvent_closed(lam, r) solves
-    J + lam*beta(J) = r on an array r at a fixed cost.  growth is a coarse
-    descriptor, "polynomial:p" or "exponential", used by diagnostics that
-    need to know the nonlinearity class.
+    J + lam*beta(J) = r on an array r at a fixed cost.  degree is p when beta
+    is the power r^p and None otherwise (the exponential graph); the
+    regularity monitor's cubic bound reads it.
     """
 
     name: str
@@ -73,7 +73,7 @@ class MonotoneGraph:
     beta_hat: Callable
     beta_prime: Callable
     resolvent_closed: Callable
-    growth: str = "polynomial:1"
+    degree: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,14 @@ def _as_array(r):
     return arr, (arr.ndim == 0)
 
 
+def _check_lam(lam) -> None:
+    # the regularization of (H2), for SolverConfig and the functions here
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}, violates (H2)")
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0, got {lam!r}, violates (H2)")
+
+
 @_silent
 def resolvent(graph: MonotoneGraph, lam: float, r, out=None):
     """Solve J + lam*beta(J) = r for J, elementwise, by the graph's resolvent_closed.
@@ -102,8 +110,7 @@ def resolvent(graph: MonotoneGraph, lam: float, r, out=None):
     gives a non-finite J without a floating-point warning.  An array r's J
     goes into out, an array of r's shape, when given, and out is returned.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     arr, scalar = _as_array(r)
     J = graph.resolvent_closed(lam, arr)
     return float(J) if scalar else _into(out, J)
@@ -111,7 +118,7 @@ def resolvent(graph: MonotoneGraph, lam: float, r, out=None):
 
 @_silent
 def yosida(graph: MonotoneGraph, lam: float, r):
-    """Lipschitz regularization (r - resolvent(r)) / lam, elementwise."""
+    """The paper's Yosida approximation beta_lam(r) = (r - resolvent(r)) / lam."""
     arr, scalar = _as_array(r)
     out = (arr - resolvent(graph, lam, arr)) / lam
     return float(out) if scalar else out
@@ -126,6 +133,7 @@ def yosida_derivative(graph: MonotoneGraph, lam: float, r, J=None, out=None):
     overflows (the exponential graph past J = 710.5) it is the limit 1/lam.
     out is as in resolvent.
     """
+    _check_lam(lam)
     arr, scalar = _as_array(r)
     bp = graph.beta_prime(np.asarray(resolvent(graph, lam, arr) if J is None else J))
     rho = np.divide(bp, 1.0 + lam * bp, out=np.empty_like(arr) if out is None else out)
@@ -140,6 +148,7 @@ def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
     J is resolvent(graph, lam, r) when the caller already holds it.  J stays
     an array, so an overflow in beta_hat gives inf, never OverflowError.
     """
+    _check_lam(lam)
     arr, scalar = _as_array(r)
     J = np.asarray(resolvent(graph, lam, arr) if J is None else J)
     b = (arr - J) / lam
@@ -256,56 +265,40 @@ def _sinh_resolvent(lam, r):
 
 # the wells multiply out integer powers: numpy's ** on an array takes its
 # vectorized pow, about 85 ns a float64 point against 1 ns a multiplication
-def _quartic():
-    return MonotoneGraph(
+_GRAPHS = {graph.name: graph for graph in (
+    MonotoneGraph(
         name="quartic_double_well",
         beta=lambda r: r * r * r,
         beta_hat=lambda r: 0.25 * ((r * r) * (r * r)),
         beta_prime=lambda r: 3.0 * r**2,
         resolvent_closed=_cubic_resolvent,
-        growth="polynomial:3",
-    )
-
-
-def _sixth():
-    return MonotoneGraph(
+        degree=3,
+    ),
+    MonotoneGraph(
         name="sixth_power_well",
         beta=lambda r: (r * r) * (r * r) * r,
         beta_hat=lambda r: (r * r) * (r * r) * (r * r) / 6.0,
         beta_prime=lambda r: 5.0 * ((r * r) * (r * r)),
         resolvent_closed=_quintic_resolvent,
-        growth="polynomial:5",
-    )
-
-
-def _exponential():
-    return MonotoneGraph(
+        degree=5,
+    ),
+    MonotoneGraph(
         name="exponential",
         beta=np.sinh,
         beta_hat=lambda r: np.cosh(r) - 1.0,
         beta_prime=np.cosh,
         resolvent_closed=_sinh_resolvent,
-        growth="exponential",
-    )
-
-
-def _linear():
-    return MonotoneGraph(
+        degree=None,
+    ),
+    MonotoneGraph(
         name="linear",
         beta=lambda r: np.asarray(r, dtype=float) + 0.0,
         beta_hat=lambda r: 0.5 * np.asarray(r, dtype=float) ** 2,
         beta_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         resolvent_closed=lambda lam, r: np.asarray(r, dtype=float) / (1.0 + lam),
-        growth="polynomial:1",
-    )
-
-
-_GRAPHS = {
-    "quartic_double_well": _quartic,
-    "sixth_power_well": _sixth,
-    "exponential": _exponential,
-    "linear": _linear,
-}
+        degree=1,
+    ),
+)}
 
 _REJECTED = {
     "log_double_well": (
@@ -320,10 +313,11 @@ def graph_names() -> tuple[str, ...]:
 
 
 def make_graph(name: str) -> MonotoneGraph:
+    """The built-in graph of that name; frozen, so every caller shares it."""
     if name in _REJECTED:
         raise UnsupportedGraph(f"potential {name!r}: {_REJECTED[name]}, violates (H1)")
     try:
-        return _GRAPHS[name]()
+        return _GRAPHS[name]
     except KeyError:
         raise UnsupportedGraph(
             f"unknown potential {name!r}; available: {', '.join(graph_names())}; "
@@ -342,9 +336,3 @@ def make_perturbation(name: str, scale: float = 1.0) -> LipschitzPerturbation:
     if name == "zero":
         return LipschitzPerturbation("zero", 0.0)
     raise UnsupportedGraph(f"unknown perturbation {name!r}")
-
-
-def polynomial_degree(graph: MonotoneGraph) -> Optional[int]:
-    if graph.growth.startswith("polynomial:"):
-        return int(graph.growth.split(":", 1)[1])
-    return None

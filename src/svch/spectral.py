@@ -447,7 +447,7 @@ def star_energy(v: SpectralField, eps: float = 0.0) -> float:
 
 @_silent
 def inner(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product via Parseval."""
+    """The paper's H (that is L2) inner product, via Parseval."""
     _check_same_domain(u, v)
     w = neumann_eigensystem(u.domain).weights
     return float(np.sum(w * u.coeffs * v.coeffs))

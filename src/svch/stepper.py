@@ -137,13 +137,11 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_eps(self.eps)
-        for name in ("lam", "dt", "t_final", "newton_tol"):
+        mn._check_lam(self.lam)
+        for name in ("dt", "t_final", "newton_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                label = ", violates (H2)" if name == "lam" else ""
-                raise ValueError(f"{name} must be finite, got {value!r}{label}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam!r}, violates (H2)")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final * (1.0 + 1e-12):
@@ -599,7 +597,7 @@ class Batch:
 
 @mn._silent
 def free_energy_parts(u: SpectralField, config: SolverConfig):
-    """(gradient part, regularized well mass, reaction mass) of the free energy.
+    """(gradient, regularized well, reaction) parts of the paper's regularized free energy.
 
     The well mass integrates the Moreau envelope of beta_hat at the scheme's
     lam: that is the convex part the splitting is gradient-stable for.

@@ -584,6 +584,23 @@ def test_non_integral_count_is_refused_by_name(where, name, bad, good):
     assert cli.parse_config(cli.emit_config(config), env={}) == config
 
 
+# library-built values of a bool field that are not bools: unrefused, 2, 0.5 and
+# None emit a config.ini that parse_config refuses, "no" runs as mean-zero and
+# reads back as False, and 1 reads back as True
+NON_BOOLEAN = {"int": 2, "one": 1, "float": 0.5, "str": "no", "none": None}
+
+
+@pytest.mark.parametrize("bad", NON_BOOLEAN.values(), ids=NON_BOOLEAN.keys())
+def test_non_boolean_flag_is_refused_by_name(bad):
+    base = dataclasses.replace(cli.RunConfig(), noise_kind="additive")
+    with pytest.raises(cli.ValidationError, match=r"^noise\.mean_zero must be a boolean, got "):
+        cli.validate_config(dataclasses.replace(base, mean_zero=bad))
+    for good in (True, False):
+        config = dataclasses.replace(base, mean_zero=good)
+        cli.validate_config(config)
+        assert cli.parse_config(cli.emit_config(config), env={}) == config
+
+
 @pytest.mark.parametrize("text", REPRODUCED.values(), ids=REPRODUCED.keys())
 def test_reproduced_input_is_a_config_error(text, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
@@ -683,7 +700,8 @@ def test_property_exit_contract(text):
 
 
 # a value of each format's own type, or of a type the format refuses: integral
-# floats and bools for counts, ints for floats, unknown names for strings
+# floats and bools for counts, ints for floats, unknown names for strings,
+# numbers, text and None for bools
 _STR_CHOICES = {
     "mode": cli.MODES,
     "potential": mn.graph_names(),
@@ -696,7 +714,8 @@ _REAL = hst.one_of(hst.floats(), hst.integers(-3, 3))
 _CODEC_VALUES = {
     "int": lambda name: _COUNT,
     "ints": lambda name: hst.lists(_COUNT, max_size=3).map(tuple),
-    "bool": lambda name: hst.booleans(),
+    "bool": lambda name: hst.one_of(hst.booleans(), hst.integers(-1, 2), hst.floats(),
+                                    hst.text(max_size=3), hst.none()),
     "float": lambda name: _REAL,
     "floats": lambda name: hst.lists(_REAL, max_size=3).map(tuple),
     "pairs": lambda name: hst.lists(hst.tuples(_COUNT, _REAL), max_size=3).map(tuple),

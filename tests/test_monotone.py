@@ -104,6 +104,25 @@ class TestResolvent:
         with pytest.raises(ValueError):
             mn.resolvent(quartic, 0.0, 1.0)
 
+    # every public function of lam, handed J where it takes one
+    LAM_CALLS = {
+        "resolvent": lambda graph, lam, r, J: mn.resolvent(graph, lam, r),
+        "yosida": lambda graph, lam, r, J: mn.yosida(graph, lam, r),
+        "yosida_derivative": lambda graph, lam, r, J: mn.yosida_derivative(graph, lam, r, J),
+        "moreau_envelope": lambda graph, lam, r, J: mn.moreau_envelope(graph, lam, r, J),
+    }
+
+    @pytest.mark.parametrize("call", LAM_CALLS.values(), ids=LAM_CALLS.keys())
+    @pytest.mark.parametrize("lam, rule", [(0.0, "> 0"), (-1.0, "> 0"), (math.nan, "finite"),
+                                           (math.inf, "finite")])
+    def test_lam_is_refused_in_solver_config_words(self, quartic, call, lam, rule):
+        # (H2): unchecked, a NaN or inf lam gives NaN arrays, and with J given
+        # lam = -1 gives finite values and lam = 0 a bare ZeroDivisionError
+        r = np.array([0.5, 2.0])
+        J = mn.resolvent(quartic, 1e-2, r)
+        with pytest.raises(ValueError, match=rf"^lam must be {rule}, got {lam!r}, violates \(H2\)$"):
+            call(quartic, lam, r, J)
+
 
 class TestCubicClosedForm:
     """The quartic well's closed-form resolvent against Cardano and brentq."""
@@ -172,7 +191,7 @@ def resolvent_residual(graph, lam, J, r):
     |r|, plus a few units of the subnormal range, where r has fewer bits.
     """
     res = np.abs(J + lam * graph.beta(J) - r)
-    if graph.growth == "exponential":
+    if graph.degree is None:
         return res, 4e-16 * (1.0 + np.abs(J)) * np.abs(r) + 1e-322
     return res, 2e-15 * (1.0 + np.abs(r))
 
@@ -263,7 +282,7 @@ class TestPolynomialPowers:
     @staticmethod
     def libm(graph, r):
         # beta, beta_hat and beta_prime of r^p at every point
-        p = mn.polynomial_degree(graph)
+        p = graph.degree
         return {"beta": [libm_pow(x, p) for x in r],
                 "beta_hat": [libm_pow(x, p + 1) / (p + 1) for x in r],
                 "beta_prime": [p * libm_pow(x, p - 1) for x in r]}
@@ -484,9 +503,13 @@ class TestRegistry:
             mn.make_graph("septic_well")
 
     def test_polynomial_degree(self):
-        assert mn.polynomial_degree(mn.make_graph("quartic_double_well")) == 3
-        assert mn.polynomial_degree(mn.make_graph("sixth_power_well")) == 5
-        assert mn.polynomial_degree(mn.make_graph("exponential")) is None
+        assert mn.make_graph("quartic_double_well").degree == 3
+        assert mn.make_graph("sixth_power_well").degree == 5
+        assert mn.make_graph("exponential").degree is None
+        # one graph per name, never built per call
+        for name in mn.graph_names():
+            assert mn.make_graph(name) is mn.make_graph(name) is mn._GRAPHS[name]
+            assert mn._GRAPHS[name].name == name
 
     def test_perturbations(self):
         # a reaction is its slope: pi(r) = -lipschitz * r

@@ -9,13 +9,14 @@ identities, energy decay, and the rejection machinery.
 """
 
 import ast
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from svch import experiments as ex
 from svch import monotone as mn
@@ -1091,6 +1092,41 @@ class TestStepPlan:
         assert counts[0] == counts[1] > 0
 
 
+@functools.cache
+def well_kink(name, s, length=20.0, m=64):
+    """The lam = 0 kink of W = beta_hat - s r^2/2 between its wells -a and a.
+
+    Returns its analysis on [0, length] with m modes, a, sigma = int_{-a}^a
+    sqrt(2 (W - W(a))) and int beta(u0)^2, all by quad and brentq.  The
+    profile inverts x(u) = int_0^u du / sqrt(2 (W - W(a))) in y = -log(a - u),
+    where dx/dy is bounded; W(a - d) - W(a) is int_{a-d}^a (s t - beta(t)) dt
+    by Gauss-Legendre, free of the difference's cancellation near the well.
+    """
+    beta = mn.make_graph(name).beta
+    a = optimize.brentq(lambda r: beta(r) - s * r, 0.5, 10.0, xtol=1e-15)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def speed(d):
+        t = a - 0.5 * d * (1.0 - nodes)
+        return np.sqrt(d * np.dot(weights, s * t - beta(t)))
+
+    def dxdy(y):
+        return np.exp(-y) / speed(np.exp(-y))
+
+    # the right half, one short quad a point; y = 20.5 lies past x = L/2
+    y, x, half = -np.log(a), 0.0, []
+    for t in (np.arange(m) + 0.5) * length / (2 * m):
+        y = optimize.brentq(lambda z: integrate.quad(dxdy, y, z)[0] - (t - x), y, 20.5)
+        x = t
+        half.append(a - np.exp(-y))
+    u0 = np.concatenate([-np.array(half[::-1]), half])
+    sigma = 2 * integrate.quad(lambda u: speed(a - u), 0.0, a)[0]
+    # int beta(u0)^2 = L beta(a)^2 - int (beta(a)^2 - beta(u)^2) dx, in u
+    beta_sq = length * beta(a) ** 2 - 2 * integrate.quad(
+        lambda u: (beta(a) ** 2 - beta(u) ** 2) / speed(a - u), 0.0, a)[0]
+    return from_grid(Domain((length,), (m,)), u0), a, sigma, beta_sq
+
+
 class TestKinkEnergy:
     """The stationary kink tanh((x - L/2)/sqrt 2) of the quartic well with pi = -r.
 
@@ -1101,6 +1137,15 @@ class TestKinkEnergy:
     sqrt(2) (2 + 2/3 + 2/5).  The next term, (3 lam^2/2) int tanh^8 = 22.9
     lam^2, is the measured excess of 22.1-22.8 lam^2.  In 2D, the planar
     kink along the first axis follows its 1D run.
+
+    The other wells, W = beta_hat - s r^2/2 with wells at +-a where
+    beta(a) = s a, have no closed-form kink; ``well_kink`` builds it.  The
+    first-order energy is sigma + L W(a) - (lam/2) int beta(u0)^2, and the
+    next term is (lam^2/2) int beta^2 beta'.  The sixth-power well takes
+    s = 1 (a = 1): next term 39.3 lam^2, measured excess 37.0 and 39.0 lam^2
+    at lam = 1e-2 and 1e-3.  The exponential well takes s = 2 (a = 2.177),
+    since at s = 1 cosh r - 1 - r^2/2 has its only minimum at 0 and no kink:
+    next term 674.5 lam^2, measured excess 638 and 671 lam^2.
     """
 
     @staticmethod
@@ -1117,6 +1162,18 @@ class TestKinkEnergy:
         first_order = 2 * np.sqrt(2) / 3 - length / 4 - lam / 2 * tanh6
         # dropping the lam term misses by 0.078 at lam = 1e-2
         assert abs(sum(sp.free_energy_parts(kink, cfg)) - first_order) <= 30 * lam**2
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3])
+    @pytest.mark.parametrize("name, s, c", [("sixth_power_well", 1.0, 45.0),
+                                            ("exponential", 2.0, 750.0)])
+    def test_other_wells_to_first_order_in_lam(self, name, s, c, lam):
+        kink, a, sigma, beta_sq = well_kink(name, s)
+        cfg = make_config(name, ("negative_identity", s), lam=lam)
+        zeroth = sigma + 20.0 * (cfg.graph.beta_hat(a) - s * a * a / 2)
+        energy = sum(sp.free_energy_parts(kink, cfg))
+        assert abs(energy - (zeroth - lam / 2 * beta_sq)) <= c * lam**2
+        # dropping the lam term misses by 0.077 (sixth) and 1.50 (exponential) at 1e-2
+        assert abs(energy - zeroth) > c * lam**2
 
     @pytest.mark.parametrize("lam", [1e-2, 1e-3])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
