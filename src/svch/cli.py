@@ -12,12 +12,13 @@ config file > defaults.  parse_config(emit_config(c)) == c exactly; floats
 are emitted with repr so the round trip is bit-faithful.
 
 Validation builds the problem once, with every sweep grid value in its
-solver config; each failure names the assumption it violates, as the library
-constructor that checks it labels it: (H1) potential on the whole real line,
-(H2) positive regularization lam, (H3) finite Lipschitz reaction, (H4)
-nonnegative viscosity eps, (B1) finite Hilbert-Schmidt noise data, (B2)
-mean-zero multiplicative noise, (B3) positive truncation bound, (B4)
-nonnegative integer smoothing level.
+solver config; ``run`` runs the problem validation built, so its echoed
+config.ini reproduces the run.  Each failure names the assumption it
+violates, as the library constructor that checks it labels it: (H1)
+potential on the whole real line, (H2) positive regularization lam, (H3)
+finite Lipschitz reaction, (H4) nonnegative viscosity eps, (B1) finite
+Hilbert-Schmidt noise data, (B2) mean-zero multiplicative noise, (B3)
+positive truncation bound, (B4) nonnegative integer smoothing level.
 
 Outputs (fixed names inside --out): ``config.ini`` echoes the effective
 config; ``series.csv`` holds the per-step diagnostics (simulate) or one row
@@ -267,11 +268,12 @@ def config_hash(config: RunConfig) -> str:
 GRID_BUDGET = 2**25
 
 
-def validate_config(config: RunConfig) -> None:
-    """Check what only the INI layer knows, then build the problem once.
+def validate_config(config: RunConfig) -> tuple:
+    """Check what only the INI layer knows, build the problem once, return it.
 
     The library constructors check their own invariants and name the
     hypothesis they guard; their ValueErrors become ValidationErrors here.
+    Returns ``(solver, datas)``, datas ``(data,)`` or, for a paired study, ``(data, offset)``.
     """
     for f in fields(RunConfig):
         value, codec, where = getattr(config, f.name), _CODECS[f.metadata["codec"]], _where(f)
@@ -303,8 +305,7 @@ def validate_config(config: RunConfig) -> None:
             replace(solver, eps=eps)
         for lam in config.lam_grid:
             replace(solver, lam=lam)
-        if paired:
-            _offset(config, data)
+        datas = (data, _offset(config, data)) if paired else (data,)
     except ValueError as err:
         raise ValidationError(str(err)) from err
 
@@ -320,6 +321,7 @@ def validate_config(config: RunConfig) -> None:
     if len(set(getattr(config, grid))) < least:
         raise ValidationError(f"{config.mode} needs at least {('one', 'two')[least - 1]} "
                               f"distinct {grid.removesuffix('_grid')} values")
+    return solver, datas
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +416,9 @@ def _offset(config, data):
     return replace(data, u0=data.u0 + scale * direction)
 
 
-def _run_study(config, solver, data):
-    grid, order, _, study, paired = _STUDIES[config.mode]
+def _run_study(config, solver, *datas):
+    grid, order, _, study, _ = _STUDIES[config.mode]
     values = tuple(sorted(set(getattr(config, grid)), reverse=order == "decreasing"))
-    datas = (data, _offset(config, data)) if paired else (data,)
     report = getattr(ex, study)(*datas, values, config.seed, solver)
     header, rows = _sweep_rows(report)
     payload = {"metrics": {k: list(v) for k, v in report.metrics.items()},
@@ -439,21 +440,20 @@ def _run_ensemble(config, solver, data):
 
 
 def run(config: RunConfig, out_dir, quiet: bool = False) -> int:
-    """Execute one config and write config.ini, series.csv, summary.json.
+    """Validate one config, run it and write config.ini, series.csv, summary.json.
 
-    A config error (exit 2) writes nothing; a solver failure (exit 3) writes
-    config.ini alone.
+    It runs the problem validate_config builds.  A config error (exit 2)
+    writes nothing; a solver failure (exit 3) writes config.ini alone.
     """
     failure = None
     try:
-        solver, data = _build(config)
+        solver, datas = validate_config(config)
         runner = {"simulate": _run_simulate, "ensemble": _run_ensemble}.get(config.mode,
                                                                             _run_study)
-        header, rows, payload, assertions = runner(config, solver, data)
+        header, rows, payload, assertions = runner(config, solver, *datas)
     except ValueError as err:
-        # PreconditionViolated, ValidationError, DimensionMismatch and the
-        # constructor rejections are all ValueError subclasses: every one is
-        # a config problem
+        # ValidationError, PreconditionViolated and DimensionMismatch are
+        # ValueError subclasses: every one is a config problem
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (st.NewtonDiverged, st.StepRejected, ex.NonFinite) as err:
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)  # run's _build checks it
+            config = replace(config, seed=args.seed)  # run validates it
     except (ParseError, ValidationError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -338,30 +338,38 @@ def _analysis(values: np.ndarray, modes: Sequence[int]) -> np.ndarray:
 
 
 def to_grid(field: SpectralField, factor: int = 2) -> np.ndarray:
-    """Evaluate the field on the midpoint collocation grid (zero-padded)."""
+    """Values on the midpoint grid (zero-padded): the tests' oracle for pointwise terms."""
     if _integer("factor", factor) < 1:
         raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
     return _synthesis(field.coeffs, field.domain.modes, factor)
 
 
-def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
-    """Project midpoint-grid values onto the truncated basis.
-
-    The grid must have factor*m_i points along axis i for an integer factor;
-    modes above the truncation are discarded.
-    """
+def _grid_values(domain: Domain, values) -> np.ndarray:
+    # values as floats on a grid with factor*m_i points along axis i, factor an integer
     vals = np.asarray(values, dtype=float)
     if vals.ndim != domain.dimension:
         raise ValueError("grid rank does not match domain dimension")
     if any(n % m != 0 or n < m for n, m in zip(vals.shape, domain.modes)):
         raise ValueError("grid size must be an integer multiple of the mode count")
-    return SpectralField(domain, _analysis(vals, domain.modes))
+    return vals
+
+
+def from_grid(domain: Domain, values: np.ndarray) -> SpectralField:
+    """Project grid values onto the truncated basis: the tests' pseudo-spectral oracle.
+
+    The grid must have factor*m_i points along axis i for an integer factor;
+    modes above the truncation are discarded.
+    """
+    return SpectralField(domain, _analysis(_grid_values(domain, values), domain.modes))
 
 
 @_silent
 def integrate_grid(domain: Domain, values: np.ndarray) -> float:
-    """Quadrature of grid values (exact for resolved cosine modes)."""
-    return float(_integrals(domain, values[None])[0])
+    """Quadrature of grid values (exact for resolved cosine modes): the tests' integral oracle.
+
+    The grid is one from_grid takes.
+    """
+    return float(_integrals(domain, _grid_values(domain, values)[None])[0])
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

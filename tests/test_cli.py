@@ -741,3 +741,35 @@ def test_property_accepted_configs_round_trip(data):
     again = cli.parse_config(text, env={})
     assert again == config
     assert cli.emit_config(again) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data())
+def test_property_run_refuses_what_validation_refuses(data):
+    # configs drawn as the round-trip property draws them; run builds its problem
+    # through validate_config alone, so a refused config is a config error that
+    # writes nothing (accepted configs are not run)
+    chosen = data.draw(hst.lists(hst.sampled_from(dataclasses.fields(cli.RunConfig)),
+                                 max_size=4, unique_by=lambda f: f.name))
+    config = dataclasses.replace(cli.RunConfig(), **{
+        f.name: data.draw(_CODEC_VALUES[f.metadata["codec"]](f.name), label=f.name)
+        for f in chosen})
+    try:
+        cli.validate_config(config)
+    except cli.ValidationError:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli.run(config, tmp, quiet=True) == 2
+            assert list(Path(tmp).iterdir()) == []
+
+
+@pytest.mark.parametrize("changes,field", [
+    # run read the truthy string as mean-zero; config.ini echoed mean_zero = no
+    ({"noise_kind": "additive", "mean_zero": "no", "t_final": 0.01}, "noise.mean_zero"),
+    # run went through; its config.ini echoed members = 3.0, which parse_config refuses
+    ({"members": 3.0}, "sweep.members"),
+])
+def test_run_refuses_a_config_its_echo_would_not_reproduce(changes, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run(dataclasses.replace(cli.RunConfig(), **changes), out, quiet=True) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()

@@ -13,9 +13,11 @@ read-only, as ``test_bench_hooks.py`` does.
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import svch
+from svch import experiments, monotone, noise, spectral, stepper
 
 SRC = Path(svch.__file__).resolve().parent
 sys.path.insert(0, str(SRC.parents[1] / "bench"))
@@ -88,5 +90,19 @@ def test_a_string_naming_an_export_counts_as_a_caller():
 def test_without_hooks_only_the_benchmark_names_stay_unclaimed():
     # what lifting the HOOKS pin leaves: the names the benchmark alone reads
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert sorted(_unclaimed(sources, set())) == sorted(
-        ["to_grid", "from_grid", "integrate_grid"])
+    assert _unclaimed(sources, set()) == []
+
+
+def test_the_package_namespace_is_the_union_of_the_module_lists():
+    # svch republishes each module's __all__ and nothing else; the lists are
+    # disjoint, since a name in two of them would be shadowed silently
+    modules = (spectral, monotone, noise, stepper, experiments)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert all(getattr(svch, name) is getattr(module, name)
+               for module in modules for name in module.__all__)
+    public = {name for name in vars(svch) if not name.startswith("_")}
+    submodules = {name for name in public if isinstance(getattr(svch, name), types.ModuleType)}
+    assert submodules <= {module.__name__.rpartition(".")[2] for module in modules} | {"cli"}
+    assert public - submodules == set(names)
+    assert svch.__version__ == "0.1.0"

@@ -247,6 +247,22 @@ class TestQuadrature:
         want, err = integrate.quad(fn, 0.0, 2.0, epsabs=1e-13)
         assert abs(got - want) < 1e-11
 
+    @pytest.mark.parametrize("values,message", [
+        (np.ones((16, 16)), "rank"),
+        (np.ones(7), "integer multiple"),
+        ([1.0] * 15, "integer multiple"),
+        (1.0, "rank"),
+    ], ids=["2d_grid", "short_grid", "ragged_list", "scalar"])
+    def test_integrate_grid_refuses_what_from_grid_refuses(self, values, message):
+        domain = sp.Domain((10.0,), (8,))
+        for grid_function in (sp.integrate_grid, sp.from_grid):
+            with pytest.raises(ValueError, match=message):
+                grid_function(domain, values)
+
+    def test_integrate_grid_takes_a_list(self):
+        domain = sp.Domain((10.0,), (8,))
+        assert sp.integrate_grid(domain, [2.0] * 16) == sp.integrate_grid(domain, np.full(16, 2.0))
+
     def test_parseval_inner_product(self, unit_domain):
         u = random_field(unit_domain, RNG)
         v = random_field(unit_domain, RNG)
