@@ -192,7 +192,7 @@ def smooth(op: DiffusionOperator, level: int) -> DiffusionOperator:
 
     The result keeps the kind and clamp bound and holds the new columns alone.
     """
-    if not 1 <= level <= sys.float_info.max:
+    if not 1 <= _integer("smoothing level", level, label=", violates (B4)") <= sys.float_info.max:
         raise ValueError(f"smoothing level must lie in [1, {sys.float_info.max:g}], got {level}, "
                          "violates (B4)")
     eig = neumann_eigensystem(op.domain)

@@ -27,10 +27,12 @@ Conventions
   on raw arrays: the trailing ``len(modes)`` axes are transformed and any
   leading axes are a batch, so a ``(B, *modes)`` stack goes through in one
   call and each row equals its solo transform bitwise.  Grids with at most
-  ``_MATRIX_ENTRIES`` (m x n) entries per axis take cached dense cosine
-  matrices, one BLAS product per batch row (which keeps rows bitwise
-  independent); larger grids take the DCT, and ``scipy.fft`` is imported at
-  the first such transform, so that ``import svch`` loads numpy alone.
+  ``_MATRIX_ENTRIES`` (m x n) entries per axis (``_on_matrices``) take
+  cached dense cosine matrices, one BLAS product per batch row (which keeps
+  rows bitwise independent), and the stepper's step plan folds CG's
+  scalings into the 1D pair, the one other use of these matrices.  Larger
+  grids take the DCT, and ``scipy.fft`` is imported at the first such
+  transform, so that ``import svch`` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -206,13 +208,14 @@ def _check_same_domain(u: SpectralField, v: SpectralField):
         raise ValueError("fields live on different domains")
 
 
-def _integer(name: str, value, error: type = ValueError) -> int:
+def _integer(name: str, value, error: type = ValueError, label: str = "") -> int:
     # a count or an index: a float, even an integral one, or a string would
-    # be truncated or parsed, and a noise index would alias a draw
+    # be truncated or parsed, and a noise index would alias a draw; label
+    # ends the message, as ", violates (B4)" names a hypothesis
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}{label}") from None
 
 
 def basis_field(domain: Domain, flat_index: int, amplitude: float = 1.0) -> SpectralField:
@@ -254,6 +257,11 @@ def _cosine_matrices(m: int, n: int, dtype=np.float64) -> tuple[np.ndarray, np.n
     return S, A
 
 
+def _on_matrices(modes: tuple, grid: tuple) -> bool:
+    # whether the transforms between modes and grid take the cosine matrices
+    return all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid))
+
+
 @functools.lru_cache(maxsize=None)
 def _transforms(modes: tuple, grid: Optional[tuple] = None, dtype=np.float64) -> tuple:
     # the raw (synthesis, analysis) pair between coefficients of shape modes
@@ -272,7 +280,7 @@ def _transforms(modes: tuple, grid: Optional[tuple] = None, dtype=np.float64) ->
     # returns out, an array of the result's shape with C-contiguous rows,
     # when given: numpy's out on the matrix route, a copy on the DCT route
     grid = tuple(2 * m for m in modes) if grid is None else grid
-    if all(m * n <= _MATRIX_ENTRIES for m, n in zip(modes, grid)):
+    if _on_matrices(modes, grid):
         mats = tuple(zip(*(_cosine_matrices(m, n, dtype) for m, n in zip(modes, grid))))
         return tuple(functools.partial(_by_matrices, m) for m in mats)
     return (functools.partial(_dct_synthesis, grid, dtype),

@@ -42,7 +42,10 @@ _SINGLE_POINTS points the Yosida slope and the CG matvec's synthesis, slope
 multiply and analysis are float32, in float32 views of the workspace; the
 iterate, F and its stopping test, b, CG's vectors, dot products and
 preconditioner and the noise stay float64, so a converged step meets
-newton_tol as before.
+newton_tol as before.  A one-axis grid on the cosine-matrix route (1D, at
+most 90 modes) folds CG's scaling maps into that pair once per step plan,
+so its matvec is diag*y plus two matrix-vector products per member; every
+other grid composes the maps with its transforms.
 
 The solver core advances (B, *modes) member stacks: ``simulate`` marches one
 row, a ``Batch`` the members of an ensemble, and each march stacks its rows
@@ -73,9 +76,11 @@ from .spectral import (
     Domain,
     SpectralField,
     _check_eps,
+    _cosine_matrices,
     _grad_sq,
     _integer,
     _integrals,
+    _on_matrices,
     _rows,
     _synthesis,
     _transforms,
@@ -316,6 +321,13 @@ def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
     (mu, weights, to_b, to_c, visc, dtmu, diag, coupling, diag, dtmu), of
     which weights, to_b, to_c and the last two are flat.  CG's two maps are zero
     on the constant mode: b = to_b * F = -sqrt(weights / mu) F, update to_c * x.
+    A one-axis grid whose transforms take the cosine matrices S and A (the
+    rule is spectral's) appends the folded pair (S diag(to_c), diag(coupling)
+    A), and CG's Jacobian action is then diag*y + A_c (rho * S_c y), one gemv
+    per member each way.  Without the maps' multiplies, reshapes and
+    transform dispatch a 64-mode matvec takes about 40 % less time on one
+    member (9.2-10.1 against 15.7-16.5 us, one thread of a 2-core Xeon) and
+    about 10 % less on a 16-member stack.
     """
     eig = neumann_eigensystem(domain)
     mu = eig.mu
@@ -324,8 +336,13 @@ def _step_plan(domain: Domain, eps: float, dt: float) -> tuple:
     diag = visc + dtmu * mu
     to_b, to_c = (-sq / sqmu).ravel(), (sqmu / sq).ravel()
     to_b[0] = 0.0
-    plan = (mu, eig.weights.ravel(), to_b, to_c, visc, dtmu, diag, dt * sqmu * sq,
+    coupling = dt * sqmu * sq
+    plan = (mu, eig.weights.ravel(), to_b, to_c, visc, dtmu, diag, coupling,
             diag.ravel(), dtmu.ravel())
+    grid = tuple(2 * m for m in domain.modes)
+    if domain.dimension == 1 and _on_matrices(domain.modes, grid):
+        S, A = _cosine_matrices(*domain.modes, *grid)
+        plan += (S * to_c, coupling[:, None] * A)
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -368,7 +385,7 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, plan, work):
     Returns (c, w, xi, iterations, residuals, failed); the rows of c, w and
     xi of the members in failed, {member: NewtonDiverged}, are left unset.
     """
-    mu, wgt, to_b, to_c, visc, dtmu, diag, coupling, diag_flat, dtmu_flat = plan
+    mu, wgt, to_b, to_c, visc, dtmu, diag, coupling, diag_flat, dtmu_flat, *fold = plan
     modes = domain.modes
     transforms = _transforms(modes)
     single = work[0, 0].size >= _SINGLE_POINTS
@@ -431,6 +448,10 @@ def _solve_step(u, noise, config: SolverConfig, domain: Domain, plan, work):
         def matvec(y, active, rho=rho, t=t, v=v):
             if len(active) < len(rho):
                 rho, t = rho[active], t[:len(active)]
+            if fold:
+                t = np.matvec(fold[0], y, out=t)
+                t *= rho
+                return diag * y + np.matvec(fold[1], t)
             shape = t.shape[:1] + modes
             t = synthesis(np.multiply(y, to_c, out=v[:len(y)]).reshape(shape), t)
             t *= rho

@@ -488,6 +488,41 @@ class TestConjugate:
         avg = 0.5 * (mn.conjugate(quartic, a) + mn.conjugate(quartic, b))
         assert np.all(mid <= avg + 1e-7)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    @pytest.mark.parametrize("s", (1e300, -1e300, np.inf, -np.inf))
+    def test_extreme_arguments_are_silent(self, name, s):
+        # the power wells' suprema (p/(p+1)) |s|^((p+1)/p) overflow at 1e300
+        # and used to read nan after an invalid subtraction; the linear
+        # graph's bracket search stopped at 2^600, short of 1e301; the
+        # exponential well's s*asinh(s) - sqrt(1 + s^2) + 1 stays finite
+        # there, but read 0.0 at s = inf
+        graph = mn.make_graph(name)
+        want = np.inf
+        if name == "exponential" and math.isfinite(s):
+            want = abs(s) * math.log(2.0 * abs(s)) - abs(s) + 1.0
+        assert mn.conjugate(graph, s) == pytest.approx(want, rel=1e-9)
+        assert mn.conjugate(graph, np.array([s, 2.0]))[0] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_nan_stays_nan_and_finite_arguments_converge(self, name):
+        graph = mn.make_graph(name)
+        assert math.isnan(mn.conjugate(graph, math.nan))
+        # 10|s| + 1 overflows: the bracket search runs past the float range
+        got = mn.conjugate(graph, np.array([np.nan, 1.7e308, -1.7e308, 1.5]))
+        assert math.isnan(got[0]) and got[1] == got[2] == np.inf
+        assert got[3] == pytest.approx(mn.conjugate(graph, 1.5), abs=1e-8)
+
+    def test_bounded_graph_raises_no_convergence(self):
+        # a graph bounded by 1 has a conjugate of +inf beyond |s| = 1, and no
+        # bracket B with beta(B) >= 10|s| + 1
+        tanh = mn.MonotoneGraph("tanh", np.tanh, lambda r: np.log(np.cosh(r)),
+                                lambda r: 1.0 / np.cosh(r) ** 2, None, None)
+        assert mn.conjugate(tanh, 0.0) == 0.0
+        with pytest.raises(mn.NoConvergence, match="stays below"):
+            mn.conjugate(tanh, 5.0)
+
 
 class TestRegistry:
     def test_names_sorted(self):

@@ -258,6 +258,20 @@ class TestSmoothing:
         with pytest.raises(ValueError, match=r"\(B4\)"):
             noise.smooth(noise.diffusion_operator(long_domain, 3), 10**400)
 
+    @pytest.mark.parametrize("level", [1.5, 2.0])
+    def test_non_integral_level_refused_by_name(self, long_domain, level):
+        # (B4) and the CLI's int codec take an integer level; 1.5 used to smooth
+        with pytest.raises(ValueError, match=rf"^smoothing level must be an integer, "
+                                             rf"got {level!r}, violates \(B4\)$"):
+            noise.smooth(noise.diffusion_operator(long_domain, 3), level)
+
+    def test_integer_levels_keep_their_bits(self, long_domain):
+        op = noise.diffusion_operator(long_domain, 6, sigma=0.5)
+        mu = neumann_eigensystem(long_domain).mu
+        for level in (1, 2, np.int64(3)):
+            want = op.columns * ((1.0 + mu / float(level)) ** (-3))[None, ...]
+            assert noise.smooth(op, level).columns.tobytes() == want.tobytes()
+
 
 class TestApplyDiffusion:
     def test_additive_is_column_combination(self, long_domain):

@@ -588,8 +588,12 @@ class TestConfigAndTrajectory:
             sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=1e-300, t_final=1e300)
 
     def test_step_counting(self, quartic, neg_id):
+        # ceil(t_final/dt - 1e-12) steps of dt, as README's [solver] block
+        # states: the last time passes t_final by less than one dt
         cfg = sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=0.3, t_final=1.0)
         assert cfg.n_steps == 4
+        traj = sp.simulate(SpectralField(Domain((10.0,), (8,)), np.zeros(8)), cfg)
+        assert traj.times[-1] == pytest.approx(1.2, abs=1e-15)
         cfg = sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=0.25, t_final=1.0)
         assert cfg.n_steps == 4
         cfg = sp.SolverConfig(graph=quartic, perturbation=neg_id, dt=0.1, t_final=0.1)
@@ -1035,14 +1039,17 @@ class TestStepPlan:
         assert [next(dt for p, dt in plans if p is a[4]) for a in steps] == [0.5, 0.25, 0.25, 0.5]
         assert [dt for _, dt in plans] == [0.5, 0.25]
 
-    def test_plan_arrays_are_read_only(self, plane_domain):
-        plan = sp._step_plan(plane_domain, 0.1, 1e-3)
-        assert len(plan) == 10
+    @pytest.mark.parametrize("domain, length", [("plane_domain", 10), ("long_domain", 12)])
+    def test_plan_arrays_are_read_only(self, request, domain, length):
+        # a one-axis grid on the matrix route holds the folded pair as well
+        dom = request.getfixturevalue(domain)
+        plan = sp._step_plan(dom, 0.1, 1e-3)
+        assert len(plan) == length
         for a in plan:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            plan[6][0, 0] = 0.0
-        for to in plan[2:4]:  # CG's two similarity maps
+            plan[6][(0,) * dom.dimension] = 0.0
+        for to in plan[2:4] + plan[10:]:  # CG's two similarity maps and the folded pair
             with pytest.raises(ValueError, match="read-only"):
                 to[1] = 0.0
 
@@ -1198,6 +1205,68 @@ class TestKinkEnergy:
         assert np.max(np.abs(planar[:, :, 1:])) <= 1e-14
 
 
+class _FirstSystem(Exception):
+    pass
+
+
+class TestFoldedJacobian:
+    """A one-axis grid on the cosine-matrix route applies CG's Jacobian action
+    by the plan's folded pair, S diag(to_c) and diag(coupling) A; every other
+    grid composes the maps and the transforms.  A plan cut to its first ten
+    entries takes the composed action, the oracle here."""
+
+    @staticmethod
+    def first_matvec(u, cfg, domain, plan, monkeypatch):
+        # the Jacobian action that the first CG solve of a step with plan is given
+        def stop(matvec, *args):
+            raise _FirstSystem(matvec)
+
+        monkeypatch.setattr(sp, "cg", stop)
+        with pytest.raises(_FirstSystem) as caught:
+            sp._solve_step(u, None, cfg, domain, plan, sp._workspace(len(u), domain))
+        return caught.value.args[0]
+
+    @pytest.mark.parametrize("modes", [8, 32, 64, 90])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("halved", [False, True])
+    def test_folded_action_equals_the_composed_one(self, modes, rows, eps, halved,
+                                                   monkeypatch):
+        dom = Domain((10.0,), (modes,))
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=eps,
+                          dt=0.05, t_final=0.05)
+        plan = sp._step_plan(dom, eps, cfg.dt / 2.0 if halved else cfg.dt)
+        assert len(plan) == 12
+        rng = np.random.default_rng(modes + rows)
+        u = np.stack([random_field(dom, rng, scale=0.8).coeffs for _ in range(rows)])
+        folded = self.first_matvec(u, cfg, dom, plan, monkeypatch)
+        composed = self.first_matvec(u, cfg, dom, plan[:10], monkeypatch)
+        y = rng.standard_normal((rows, modes))
+        for active in (np.arange(rows), np.arange(rows)[1::3]):  # CG's working set shrinks
+            if not len(active):
+                continue
+            got = folded(y[:len(active)], active)
+            want = composed(y[:len(active)], active)
+            assert got.shape == want.shape == (len(active), modes)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("domain", [Domain((10.0,), (91,)), Domain((4.0, 4.0), (8, 8))])
+    def test_other_grids_keep_the_composed_action(self, domain):
+        # 91 modes is the first one-axis grid on the DCT route
+        assert len(sp._step_plan(domain, 0.1, 1e-3)) == 10
+
+    def test_member_equals_solo_on_the_folded_path(self):
+        # 16 noisy members of a 64-mode grid, each bitwise its solo run
+        dom = Domain((10.0,), (64,))
+        u0 = random_field(dom, np.random.default_rng(9), scale=0.4)
+        cfg = make_config("quartic_double_well", ("negative_identity", 1.0), eps=1e-2,
+                          dt=0.05, t_final=0.15)
+        assert len(sp._step_plan(dom, cfg.eps, cfg.dt)) == 12
+        op = nz.diffusion_operator(dom, 8, sigma=0.2, mean_zero=True)
+        TestBatchedCore.assert_members_equal_solo(u0, cfg, op, range(40, 56))
+
+
 class TestTemporalOrder:
     """Noise-free backward Euler is first order in dt.
 
@@ -1229,10 +1298,16 @@ class TestTemporalOrder:
         assert 0.9 <= slope <= 1.1
 
 
+# the cosine matrices' builder, spelled in two parts: no test file names it
+# (test_spectral.py's test_oracles_never_read_the_module_matrices)
+_MATRICES = "_cosine" + "_matrices"
+
+
 def _per_call_rebuilds(tree, functions) -> list:
     # (function, line, callee) of calls in the named functions, nested ones
-    # included, to what the step plan or a cheaper call replaces
-    rebuilds = ("neumann_eigensystem", "broadcast_to", "flatnonzero", "mean")
+    # included, to what the step plan or a cheaper call replaces; the folded
+    # 1D pair comes from the plan alone
+    rebuilds = ("neumann_eigensystem", "broadcast_to", "flatnonzero", "mean", _MATRICES)
     return [(fn.name, node.lineno, callee)
             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in functions
             for node in ast.walk(fn) if isinstance(node, ast.Call)
@@ -1244,10 +1319,12 @@ def test_newton_cg_core_rebuilds_nothing_per_call():
     core = ("_solve_step", "cg", "matvec")
     snippet = ("def cg():\n    np.broadcast_to(a, 3)\n    x.mean(axis=1)\n"
                "def other():\n    neumann_eigensystem(d)\n"
-               "def _solve_step():\n    def matvec():\n        np.flatnonzero(a)\n")
+               "def _solve_step():\n    def matvec():\n        np.flatnonzero(a)\n"
+               f"    S, A = {_MATRICES}(m, 2 * m)\n")
     assert _per_call_rebuilds(ast.parse(snippet), core) == [
         ("cg", 2, "broadcast_to"), ("cg", 3, "mean"),
-        ("_solve_step", 8, "flatnonzero"), ("matvec", 8, "flatnonzero")]
+        ("_solve_step", 9, _MATRICES), ("_solve_step", 8, "flatnonzero"),
+        ("matvec", 8, "flatnonzero")]
     tree = ast.parse(Path(sp.__file__).read_text())
     assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(core)
     assert _per_call_rebuilds(tree, core) == []
