@@ -5,17 +5,17 @@ A graph here is a single-valued maximal monotone function beta: R -> R with
 beta(0) = 0 together with its convex primitive beta_hat.  The toolkit
 provides the resolvent (I + lam*beta)^{-1}, the Lipschitz regularization
 beta_lam(r) = (r - resolvent(r)) / lam, the envelope
-beta_hat(resolvent(r)) + lam/2 * beta_lam(r)^2, and a numerically computed
-convex conjugate of beta_hat.  All scalar operations accept numpy arrays and
+beta_hat(resolvent(r)) + lam/2 * beta_lam(r)^2, and the convex conjugate
+of beta_hat in closed form.  All scalar operations accept numpy arrays and
 broadcast elementwise; the time stepper relies on this for collocation-grid
 evaluation.
 
 Every graph carries a fixed-cost resolvent and the derivative of beta: the
 quartic and linear graphs a closed form, the sixth-power and exponential
-graphs a fixed number of Newton steps from a bound on the root.  At
-s = beta_lam(r) = beta(J), with J = resolvent(r), the conjugate is exactly
-s*J - beta_hat(J) (Fenchel-Young); ``conjugate`` is the general route and
-the oracle for that identity.
+graphs a fixed number of Newton steps from a bound on the root.  Every
+graph carries its conjugate s*r - beta_hat(r) at beta(r) = s (Legendre) in
+closed form; at s = beta_lam(r) = beta(J), with J = resolvent(r), that is
+s*J - beta_hat(J) (Fenchel-Young), the route the diagnostics take.
 
 The built-in graphs are one table of values: a quartic double well (beta(r)
 = r^3 with the usual -r perturbation), a sixth-power well (r^5), an
@@ -35,7 +35,6 @@ import numpy as np
 from .spectral import _into, _silent
 
 __all__ = [
-    "NoConvergence",
     "UnsupportedGraph",
     "MonotoneGraph",
     "LipschitzPerturbation",
@@ -50,10 +49,6 @@ __all__ = [
 ]
 
 
-class NoConvergence(RuntimeError):
-    """The conjugate's bracket search did not terminate."""
-
-
 class UnsupportedGraph(ValueError):
     """Requested potential cannot be represented as an everywhere-defined graph."""
 
@@ -65,7 +60,8 @@ class MonotoneGraph:
     beta_prime is the derivative of beta; resolvent_closed(lam, r) solves
     J + lam*beta(J) = r on an array r at a fixed cost.  degree is p when beta
     is the power r^p and None otherwise (the exponential graph); the
-    regularity monitor's cubic bound reads it.
+    regularity monitor's cubic bound reads it.  conjugate(s) is the closed
+    form of beta_hat's convex conjugate on a finite array s.
     """
 
     name: str
@@ -74,6 +70,7 @@ class MonotoneGraph:
     beta_prime: Callable
     resolvent_closed: Callable
     degree: Optional[int]
+    conjugate: Callable
 
 
 @dataclass(frozen=True)
@@ -160,53 +157,17 @@ def moreau_envelope(graph: MonotoneGraph, lam: float, r, J=None):
 def conjugate(graph: MonotoneGraph, s):
     """Convex conjugate of beta_hat, sup_r { s*r - beta_hat(r) }, elementwise.
 
-    The maximizer satisfies beta(r*) = s, so a bracket [-B, B] with
-    beta(B) >= 10*|s| + 1 certainly contains it; B is found by doubling and
-    the concave objective is then maximized by golden-section search.  The
-    value is accurate to well below 1e-6 absolute for desk-scale arguments.
-    It is nan at nan and +inf at s = +-inf and where s*r overflows at a
-    probe, so where the supremum overflows or comes within about a decade
-    of it; the doubling may pass the float range, so only a graph bounded by
-    10*|s| + 1 raises NoConvergence.  This is the Fenchel-Young oracle: runs
-    take the conjugate at s = beta(J) from the equality s*J - beta_hat(J),
-    and the tests check that against this.
+    An object of the paper: its mass enters the a-priori bounds.  It is the
+    graph's closed form, nan at nan, +inf at s = +-inf and where the
+    supremum overflows, and even in s bitwise.  Runs take it at s = beta(J)
+    from the Fenchel-Young equality s*J - beta_hat(J) instead, and the tests
+    check that equality against this.
     """
     arr, scalar = _as_array(s)
-    target = 10.0 * np.abs(arr) + 1.0
-    B = np.ones_like(arr)
-    while (need := graph.beta(B) < target).any():
-        if np.isinf(B[need]).any():
-            raise NoConvergence("conjugate bracket search did not terminate: "
-                                "the graph stays below 10*|s| + 1")
-        B = np.where(need, 2.0 * B, B)
-
-    lo = -B
-    hi = B
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def h(x):
-        return arr * x - graph.beta_hat(x)
-
-    tol = 1e-9 * (1.0 + B)
-    lost = np.isinf(arr)
-    for _ in range(400):
-        if np.all(hi - lo <= tol):
-            break
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        hc = h(c)
-        hd = h(d)
-        # a probe at which s*x overflows reads +inf or nan and misleads the
-        # search: the supremum is then near or past the float range
-        lost |= ~(hc < np.inf) | ~(hd < np.inf)
-        # keep the subinterval containing the larger probe value; where both
-        # read -inf (beta_hat overflows), the one nearer h(0) = 0
-        pick_c = np.where((hc == -np.inf) & (hd == -np.inf), d > 0, hc >= hd)
-        hi = np.where(pick_c, d, hi)
-        lo = np.where(pick_c, lo, c)
-    out = np.maximum(h(0.5 * (lo + hi)), 0.0)  # sup >= h(0) = 0
-    out = np.where(lost & ~np.isnan(arr), np.inf, out)
-    return float(out) if scalar else out
+    # 1-element arrays: numpy's ** on a 0-d array is not its loop's
+    arr = np.atleast_1d(arr)
+    out = np.where(np.isinf(arr), np.inf, graph.conjugate(arr))
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +241,7 @@ _GRAPHS = {graph.name: graph for graph in (
         beta_prime=lambda r: 3.0 * r**2,
         resolvent_closed=_cubic_resolvent,
         degree=3,
+        conjugate=lambda s: 0.75 * np.abs(s) * np.cbrt(np.abs(s)),
     ),
     MonotoneGraph(
         name="sixth_power_well",
@@ -288,6 +250,7 @@ _GRAPHS = {graph.name: graph for graph in (
         beta_prime=lambda r: 5.0 * ((r * r) * (r * r)),
         resolvent_closed=_quintic_resolvent,
         degree=5,
+        conjugate=lambda s: (5.0 / 6.0) * np.abs(s) * np.abs(s) ** 0.2,
     ),
     MonotoneGraph(
         name="exponential",
@@ -296,6 +259,9 @@ _GRAPHS = {graph.name: graph for graph in (
         beta_prime=np.cosh,
         resolvent_closed=_sinh_resolvent,
         degree=None,
+        # s*asinh(s) - hypot(1, s) + 1, whose cancellation reads 0 at s = 1.6e-8
+        conjugate=lambda s: np.abs(s) * (np.arcsinh(np.abs(s))
+                                         - np.abs(s) / (1.0 + np.hypot(1.0, s))),
     ),
     MonotoneGraph(
         name="linear",
@@ -304,6 +270,7 @@ _GRAPHS = {graph.name: graph for graph in (
         beta_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         resolvent_closed=lambda lam, r: np.asarray(r, dtype=float) / (1.0 + lam),
         degree=1,
+        conjugate=lambda s: 0.5 * np.abs(s) * np.abs(s),
     ),
 )}
 

@@ -76,6 +76,62 @@ def columns_at(op, state):
     return np.stack([nz.apply_diffusion(op, state, e).coeffs for e in np.eye(op.mode_count)])
 
 
+class NoConvergence(RuntimeError):
+    """The conjugate's bracket search did not terminate."""
+
+
+def golden_section_conjugate(graph, s):
+    """Convex conjugate of beta_hat, sup_r { s*r - beta_hat(r) }, by search.
+
+    The maximizer satisfies beta(r*) = s, so a bracket [-B, B] with
+    beta(B) >= 10*|s| + 1 certainly contains it; B is found by doubling and
+    the concave objective is then maximized by golden-section search.  The
+    value is accurate to well below 1e-6 absolute for desk-scale arguments.
+    It is nan at nan and +inf at s = +-inf and where s*r overflows at a
+    probe, so where the supremum overflows or comes within about a decade
+    of it; the doubling may pass the float range, so only a graph bounded by
+    10*|s| + 1 raises NoConvergence.  graph needs only beta and beta_hat.
+    This is the independent oracle for the graphs' closed-form conjugates.
+    """
+    with np.errstate(all="ignore"):
+        arr = np.asarray(s, dtype=float)
+        target = 10.0 * np.abs(arr) + 1.0
+        B = np.ones_like(arr)
+        while (need := graph.beta(B) < target).any():
+            if np.isinf(B[need]).any():
+                raise NoConvergence("conjugate bracket search did not terminate: "
+                                    "the graph stays below 10*|s| + 1")
+            B = np.where(need, 2.0 * B, B)
+
+        lo = -B
+        hi = B
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+        def h(x):
+            return arr * x - graph.beta_hat(x)
+
+        tol = 1e-9 * (1.0 + B)
+        lost = np.isinf(arr)
+        for _ in range(400):
+            if np.all(hi - lo <= tol):
+                break
+            c = hi - invphi * (hi - lo)
+            d = lo + invphi * (hi - lo)
+            hc = h(c)
+            hd = h(d)
+            # a probe at which s*x overflows reads +inf or nan and misleads the
+            # search: the supremum is then near or past the float range
+            lost |= ~(hc < np.inf) | ~(hd < np.inf)
+            # keep the subinterval containing the larger probe value; where both
+            # read -inf (beta_hat overflows), the one nearer h(0) = 0
+            pick_c = np.where((hc == -np.inf) & (hd == -np.inf), d > 0, hc >= hd)
+            hi = np.where(pick_c, d, hi)
+            lo = np.where(pick_c, lo, c)
+        out = np.maximum(h(0.5 * (lo + hi)), 0.0)  # sup >= h(0) = 0
+        out = np.where(lost & ~np.isnan(arr), np.inf, out)
+        return float(out) if arr.ndim == 0 else out
+
+
 def make_config(graph, perturbation, **kw):
     """Solver config with test defaults; accepts names as well as objects."""
     if isinstance(graph, str):

@@ -2,10 +2,12 @@
 Resolvent, regularization, and conjugate tests for the graph toolkit.
 
 Independent oracles: scipy.optimize.brentq per scalar, the Cardano closed
-form for the cubic graph, analytic conjugates, and dense grid maximization.
+form for the cubic graph, analytic conjugates, dense grid maximization, and
+the golden-section conjugate search of conftest.
 """
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -16,9 +18,16 @@ from scipy import optimize
 
 import svch.monotone as mn
 
+from conftest import NoConvergence, golden_section_conjugate
+
 RNG = np.random.default_rng(99)
 GRAPH_NAMES = ("quartic_double_well", "sixth_power_well", "exponential", "linear")
 LAMBDAS = (1.0, 1e-1, 1e-2, 1e-3)
+
+
+def bits(a):
+    """The float64 bit patterns of a, to compare arrays bitwise, nan included."""
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
 def brentq_resolvent(graph, lam, r):
@@ -480,6 +489,14 @@ class TestConjugate:
     def test_nonnegative_and_zero_at_origin(self, quartic):
         assert mn.conjugate(quartic, 0.0) == 0.0
         assert np.all(mn.conjugate(quartic, RNG.uniform(-9, 9, size=40)) >= 0.0)
+        # every graph's conjugate is zero at the origin and even bitwise
+        rng = np.random.default_rng(5)
+        s = np.concatenate([rng.uniform(-60, 60, size=200), np.geomspace(1e-300, 1e300, 200),
+                            [0.0, -0.0, 1.6e-8, 1e154, 1.7e308, np.inf, np.nan]])
+        for name in GRAPH_NAMES:
+            graph = mn.make_graph(name)
+            assert mn.conjugate(graph, 0.0) == 0.0
+            assert bits(mn.conjugate(graph, -s)) == bits(mn.conjugate(graph, s))
 
     def test_midpoint_convexity(self, quartic):
         a = RNG.uniform(-4, 4, size=50)
@@ -509,7 +526,7 @@ class TestConjugate:
     def test_nan_stays_nan_and_finite_arguments_converge(self, name):
         graph = mn.make_graph(name)
         assert math.isnan(mn.conjugate(graph, math.nan))
-        # 10|s| + 1 overflows: the bracket search runs past the float range
+        # past the float range the supremum reads +inf, and nan does not spread
         got = mn.conjugate(graph, np.array([np.nan, 1.7e308, -1.7e308, 1.5]))
         assert math.isnan(got[0]) and got[1] == got[2] == np.inf
         assert got[3] == pytest.approx(mn.conjugate(graph, 1.5), abs=1e-8)
@@ -517,11 +534,38 @@ class TestConjugate:
     def test_bounded_graph_raises_no_convergence(self):
         # a graph bounded by 1 has a conjugate of +inf beyond |s| = 1, and no
         # bracket B with beta(B) >= 10|s| + 1
-        tanh = mn.MonotoneGraph("tanh", np.tanh, lambda r: np.log(np.cosh(r)),
-                                lambda r: 1.0 / np.cosh(r) ** 2, None, None)
-        assert mn.conjugate(tanh, 0.0) == 0.0
-        with pytest.raises(mn.NoConvergence, match="stays below"):
-            mn.conjugate(tanh, 5.0)
+        tanh = types.SimpleNamespace(beta=np.tanh, beta_hat=lambda r: np.log(np.cosh(r)))
+        assert golden_section_conjugate(tanh, 0.0) == 0.0
+        with pytest.raises(NoConvergence, match="stays below"):
+            golden_section_conjugate(tanh, 5.0)
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_closed_form_against_golden_section(self, name):
+        graph = mn.make_graph(name)
+        s = np.concatenate([np.linspace(-50.0, 50.0, 801), np.geomspace(1e-8, 1e12, 1000),
+                            -np.geomspace(1e-8, 1e12, 1000)])
+        want = golden_section_conjugate(graph, s)
+        assert np.all(np.abs(mn.conjugate(graph, s) - want) <= 1e-9 * want + 1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_array_equals_its_scalar_calls(self, name):
+        # the search ran until every element converged, so an element's value
+        # hung on its neighbours: linear at 1.5 read 1.1249999999999998 next
+        # to nan and +-1.7e308, against 1.1250000000000002 alone
+        graph = mn.make_graph(name)
+        rng = np.random.default_rng(6)
+        s = np.concatenate([[np.nan, 1.7e308, -1.7e308, 1.5], rng.uniform(-50, 50, size=500),
+                            np.geomspace(1e-300, 1e308, 500) * rng.choice((-1.0, 1.0), 500),
+                            [0.0, -0.0, np.inf, -np.inf, 1.6e-8, 1e154, 1e300]])
+        assert bits(mn.conjugate(graph, s)) == bits([mn.conjugate(graph, x) for x in s])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_below_overflow(self):
+        # the search read +inf wherever s*r overflowed at a probe, up to about
+        # a decade below the float range
+        assert mn.conjugate(mn.make_graph("linear"), 1e154) == 5e307
+        assert mn.conjugate(mn.make_graph("linear"), np.array([-1e154]))[0] == 5e307
 
 
 class TestRegistry:

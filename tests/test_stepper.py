@@ -1664,3 +1664,35 @@ class TestSinglePrecision:
         sp.simulate(random_field(dom, np.random.default_rng(5), scale=0.1), cfg)
         assert (np.float32 in dtypes) == single
         assert set(dtypes) <= {np.dtype(np.float64), np.dtype(np.float32)}
+
+
+class TestOddness:
+    """u0 -> -u0, with the additive noise columns negated, negates the march
+    exactly: the resolvents are odd bitwise, the transforms and CG are linear,
+    and Newton sees the negated residuals, so it takes the same iterations.
+    This holds for any correct implementation of the scheme, on the folded
+    1D route and on the 2D float32 route alike."""
+
+    @pytest.mark.parametrize("name", mn.graph_names())
+    @pytest.mark.parametrize("modes, eps_grid", [((64,), (0.0, 0.1)), ((64, 64), (0.1,))],
+                             ids=["1d-folded", "2d-float32"])
+    def test_negating_u0_negates_the_march(self, name, modes, eps_grid):
+        dom = Domain((10.0,) * len(modes), modes)
+        assert (len(sp._step_plan(dom, 0.0, 1e-3)) == 12) == (len(modes) == 1)
+        assert (2**len(modes) * math.prod(modes) >= sp._SINGLE_POINTS) == (len(modes) == 2)
+        u0 = random_field(dom, np.random.default_rng(17), scale=0.5)
+        op = nz.diffusion_operator(dom, 8, sigma=0.5)
+        noises = [(None, None), (nz.NoiseModel(nz.WienerProcess(8, 5), op),
+                                 nz.NoiseModel(nz.WienerProcess(8, 5),
+                                               replace(op, columns=-op.columns)))]
+        for eps in eps_grid:
+            for splitting in ("convex_splitting", "fully_implicit"):
+                cfg = make_config(name, ("negative_identity", 1.0), eps=eps, dt=1e-3,
+                                  t_final=3e-3, splitting=splitting)
+                for noise, negated in noises:
+                    a = sp.simulate(u0, cfg, noise)
+                    b = sp.simulate(-u0, cfg, negated)
+                    for f in ("u", "w", "xi", "noise_mean"):
+                        assert np.array_equal(getattr(b, f), -getattr(a, f))
+                    assert b.newton_iterations == a.newton_iterations
+                    assert any(a.noise_mean) == (noise is not None)
